@@ -16,6 +16,7 @@ from .errors import (
     GridTooCoarseError,
     InsufficientDataError,
     IntegrationError,
+    InvariantViolationError,
     MechanicalPoleError,
     SimulationError,
     SingularResponseError,
@@ -66,6 +67,7 @@ __all__ = [
     "GridTooCoarseError",
     "InsufficientDataError",
     "IntegrationError",
+    "InvariantViolationError",
     "MechanicalMode",
     "MechanicalPoleError",
     "OperatingPoint",

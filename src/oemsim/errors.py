@@ -9,6 +9,10 @@ class StaticInstabilityError(SimulationError):
     """Coulomb softening exceeds the mechanical restoring force (K <= 0)."""
 
 
+class InvariantViolationError(SimulationError):
+    """An internal numerical invariant failed (e.g. the steady-state residual)."""
+
+
 class SingularResponseError(SimulationError):
     """Response denominator vanishes or the sideband system is near-singular."""
 

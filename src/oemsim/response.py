@@ -98,22 +98,20 @@ def _amplitude_terms(delta, params, op):
     b_fac = parts.chi_m1 - parts.alpha
     numerator = a_fac * b_fac - 2j * w1 * parts.beta
     denominator = d_fac * b_fac + 4.0 * big_delta * w1 * parts.beta
+    if denominator == 0 or abs(denominator) < SINGULAR_DENOMINATOR_RATIO * abs(numerator):
+        raise SingularResponseError("response denominator vanished", delta=delta)
     return parts, a_fac, d_fac, b_fac, numerator, denominator
 
 
 def sideband_amplitude(delta: float, params: SystemParams, op: OperatingPoint) -> complex:
     """Normalized sideband amplitude X(delta) = c_-/eps_p."""
     _, _, _, _, numerator, denominator = _amplitude_terms(delta, params, op)
-    if denominator == 0 or abs(denominator) < SINGULAR_DENOMINATOR_RATIO * abs(numerator):
-        raise SingularResponseError("response denominator vanished", delta=delta)
     return numerator / denominator
 
 
 def sideband_amplitude_derivative(delta: float, params: SystemParams, op: OperatingPoint) -> complex:
     """Exact dX/d delta from term-by-term differentiation of the rational form."""
     parts, a_fac, d_fac, b_fac, numerator, denominator = _amplitude_terms(delta, params, op)
-    if denominator == 0 or abs(denominator) < SINGULAR_DENOMINATOR_RATIO * abs(numerator):
-        raise SingularResponseError("response denominator vanished", delta=delta)
     m1, m2 = params.mech1, params.mech2
     w1 = params.mech1.omega
     kappa = params.cavity.kappa
@@ -159,6 +157,11 @@ def transmission(
     )
 
 
+def wrap_phase_jump(jump: float) -> float:
+    """Phase difference shifted by a multiple of 2pi into [-pi, pi]."""
+    return jump - 2.0 * math.pi * round(jump / (2.0 * math.pi))
+
+
 def phase_spectrum(
     deltas: Sequence[float],
     params: SystemParams,
@@ -178,8 +181,7 @@ def phase_spectrum(
     samples = [transmission(d, params, op, convention) for d in deltas]
     unwrapped = [samples[0].phase]
     for i in range(1, len(samples)):
-        jump = samples[i].phase - unwrapped[i - 1]
-        jump -= 2.0 * math.pi * round(jump / (2.0 * math.pi))
+        jump = wrap_phase_jump(samples[i].phase - unwrapped[i - 1])
         if abs(jump) >= PHASE_JUMP_LIMIT:
             raise GridTooCoarseError(
                 "phase jump of at least pi between adjacent samples",

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvariantViolationError
 from .params import DETUNING_LOCKED, SystemParams
 
 ROOT_IMAG_TOL = 1e-8
@@ -88,7 +89,8 @@ def photon_number_roots(a: float, delta_c: float, kappa: float, omega_l: float) 
         if deduped and abs(n - deduped[-1]) <= ROOT_DEDUPE_TOL * max(1.0, abs(n)):
             continue
         deduped.append(n)
-    assert deduped, "photon-number cubic lost all real nonnegative roots"
+    if not deduped:
+        raise InvariantViolationError("photon-number cubic lost all real nonnegative roots")
     return deduped
 
 
@@ -123,9 +125,8 @@ def solve_steady_state(params: SystemParams) -> OperatingPoint:
     q2s = -hbar * params.coupling.g_coulomb * q1s / (mech2.mass * mech2.omega**2)
     cs = omega_l / (kappa + 1j * delta_eff)
     residual = abs(_fixed_point_residual(n, a, delta_c, kappa, omega_l**2))
-    assert residual <= RESIDUAL_TOL * max(omega_l**2, 1.0), (
-        f"steady-state residual {residual!r} out of tolerance"
-    )
+    if not residual <= RESIDUAL_TOL * max(omega_l**2, 1.0):
+        raise InvariantViolationError(f"steady-state residual {residual!r} out of tolerance")
     return OperatingPoint(
         q1s=q1s,
         q2s=q2s,

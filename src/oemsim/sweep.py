@@ -1,26 +1,29 @@
 """Parameter-sweep engine: grid evaluation, parallel workers, tabular output.
 
-Grid points are independent pure computations; a process pool evaluates
-them concurrently and aggregation preserves declared row-major order
-(axis1 outermost), so serial and parallel runs emit identical bytes.
-A fresh steady state is solved at every grid point, since kappa, pump and
-coupling sweeps all move the operating point.  Physics failures at a point
-(instability, singular response) mark the row and the run continues.
+Each scenario is one `SCENARIOS` entry: data columns, axis rule, row
+evaluator.  The grid is cut into contiguous chunks in row-major order (axis1
+outermost), one at ``jobs=1`` and several over a process pool otherwise, so
+serial and parallel runs emit identical bytes.  The operating point moves
+with every axis but delta_bar, so a chunk solves the steady state again only
+when those values change.  Physics failures (instability, singular response)
+mark rows and the run continues: a steady-state failure marks every row of
+that operating point, a response failure only its own row.
 """
 from __future__ import annotations
 
 import datetime
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-
-import numpy as np
+from functools import partial
+from typing import Callable
 
 from . import __version__
 from .config import SweepAxis, SweepSpec, serialize_config
 from .errors import ConfigError, SimulationError
 from .params import DriveParams, SystemParams
-from .response import group_delay, transmission, transmission_maxima
+from .response import group_delay, transmission, transmission_maxima, wrap_phase_jump
 from .steady import solve_steady_state
 
 SPLITTING_WINDOW_FRACTION = 0.2  # half-width of the inner detuning scan, in units of omega1
@@ -57,6 +60,7 @@ _SPLITTING_COLUMNS = (
     "photon_number",
     "branch_count",
 )
+_DRIVE_FIELDS = {"P_l": "pump_power", "Omega_l": "pump_amplitude"}
 
 
 @dataclass(frozen=True)
@@ -77,205 +81,191 @@ def apply_override(params: SystemParams, name: str, value: float) -> SystemParam
         return replace(params, coupling=replace(params.coupling, g_coulomb=value))
     if name == "g_cav":
         return replace(params, coupling=replace(params.coupling, g_cav=value))
-    if name == "P_l":
+    if name in _DRIVE_FIELDS:
+        # a new DriveParams, so the pump is given only by the swept quantity
         drive = params.drive
         return replace(
             params,
             drive=DriveParams(
-                pump_power=value,
                 probe_power=drive.probe_power,
                 probe_amplitude=drive.probe_amplitude,
-            ),
-        )
-    if name == "Omega_l":
-        drive = params.drive
-        return replace(
-            params,
-            drive=DriveParams(
-                pump_amplitude=value,
-                probe_power=drive.probe_power,
-                probe_amplitude=drive.probe_amplitude,
+                **{_DRIVE_FIELDS[name]: value},
             ),
         )
     raise ValueError(f"cannot override parameter {name!r}")
 
 
-def _evaluate_point(params, scenario, convention, names, values):
-    """One grid point -> data tuple (without the axis columns) + error slug."""
-    overridden = params
-    delta = None
-    for name, value in zip(names, values):
-        if name == "delta_bar":
-            delta = params.mech1.omega + value
-        else:
-            overridden = apply_override(overridden, name, value)
-    try:
-        op = solve_steady_state(overridden)
-        if scenario in ("spectrum", "phase"):
-            sample = transmission(delta, overridden, op, convention)
-            data = (
-                sample.delta,
-                sample.X.real,
-                sample.X.imag,
-                sample.t_p.real,
-                sample.t_p.imag,
-                sample.transmission,
-                sample.transmission_corrected,
-                sample.transmission_intracavity,
-                op.photon_number,
-                float(op.branch_count),
-            )
-        elif scenario in ("delay-vs-power", "delay-vs-kappa"):
-            center = overridden.mech1.omega
-            tau_fd = group_delay(center, overridden, op, "finite-difference", convention)
-            tau_an = group_delay(center, overridden, op, "analytic", convention)
-            sample = transmission(center, overridden, op, convention)
-            data = (tau_fd, tau_an, sample.transmission, op.photon_number, float(op.branch_count))
-        elif scenario == "splitting-vs-gc":
-            w1 = overridden.mech1.omega
-            peaks = transmission_maxima(
-                overridden,
-                op,
-                convention,
-                half_width=SPLITTING_WINDOW_FRACTION * w1,
-                points=SPLITTING_POINTS,
-            )
-            top_two = sorted(sorted(peaks, key=lambda p: p[1])[-2:])
-            if len(top_two) == 2:
-                (lo, hlo), (hi, hhi) = top_two
-                sep = hi - lo
-            elif len(top_two) == 1:
-                (lo, hlo), (hi, hhi), sep = top_two[0], (math.nan, math.nan), math.nan
-            else:
-                (lo, hlo), (hi, hhi), sep = (math.nan, math.nan), (math.nan, math.nan), math.nan
-            data = (
-                float(len(peaks)),
-                lo,
-                hi,
-                sep,
-                hlo,
-                hhi,
-                op.photon_number,
-                float(op.branch_count),
-            )
-        else:
-            raise ValueError(f"scenario {scenario!r} is not grid-evaluable")
-        return data, NO_ERROR
-    except SimulationError as exc:
-        slug = type(exc).__name__.removesuffix("Error")
-        n_data = {
-            "spectrum": len(_SPECTRUM_COLUMNS),
-            "phase": len(_SPECTRUM_COLUMNS),
-            "delay-vs-power": len(_DELAY_COLUMNS),
-            "delay-vs-kappa": len(_DELAY_COLUMNS),
-            "splitting-vs-gc": len(_SPLITTING_COLUMNS),
-        }[scenario]
-        return (math.nan,) * n_data, slug
+def _spectrum_row(params, op, convention, delta):
+    sample = transmission(delta, params, op, convention)
+    return (
+        sample.delta,
+        sample.X.real,
+        sample.X.imag,
+        sample.t_p.real,
+        sample.t_p.imag,
+        sample.transmission,
+        sample.transmission_corrected,
+        sample.transmission_intracavity,
+        op.photon_number,
+        float(op.branch_count),
+    )
+
+
+def _phase_row(params, op, convention, delta):
+    # principal value of arg t_p = atan2(im_t_p, re_t_p); unwrapped by run_sweep
+    row = _spectrum_row(params, op, convention, delta)
+    return row + (math.atan2(row[4], row[3]),)
+
+
+def _delay_row(params, op, convention, delta):
+    tau_fd = group_delay(delta, params, op, "finite-difference", convention)
+    tau_an = group_delay(delta, params, op, "analytic", convention)
+    sample = transmission(delta, params, op, convention)
+    return (tau_fd, tau_an, sample.transmission, op.photon_number, float(op.branch_count))
+
+
+def _splitting_row(params, op, convention, delta):
+    w1 = params.mech1.omega
+    peaks = transmission_maxima(
+        params,
+        op,
+        convention,
+        half_width=SPLITTING_WINDOW_FRACTION * w1,
+        points=SPLITTING_POINTS,
+    )
+    top_two = sorted(sorted(peaks, key=lambda p: p[1])[-2:])
+    if len(top_two) == 2:
+        (lo, hlo), (hi, hhi) = top_two
+        sep = hi - lo
+    elif len(top_two) == 1:
+        (lo, hlo), (hi, hhi), sep = top_two[0], (math.nan, math.nan), math.nan
+    else:
+        (lo, hlo), (hi, hhi), sep = (math.nan, math.nan), (math.nan, math.nan), math.nan
+    return (float(len(peaks)), lo, hi, sep, hlo, hhi, op.photon_number, float(op.branch_count))
+
+
+def _spectrum_axes(scenario, params, axes):
+    """A delta_bar axis; one is appended (innermost) when none is given."""
+    if not any(a.name == "delta_bar" for a in axes):
+        hw = SPLITTING_WINDOW_FRACTION * params.mech1.omega
+        axes = axes + (SweepAxis("delta_bar", -hw, hw, DEFAULT_SPECTRUM_POINTS),)
+    return axes
+
+
+def _phase_axes(scenario, params, axes):
+    """As for spectra, with delta_bar innermost: the phase is unwrapped along it."""
+    if axes and axes[-1].name != "delta_bar":
+        raise ConfigError(f"{scenario} sweeps need delta_bar as the innermost axis")
+    return _spectrum_axes(scenario, params, axes)
+
+
+def _one_axis(wanted, scenario, params, axes):
+    """Exactly one axis, named from ``wanted``."""
+    if len(axes) != 1 or axes[0].name not in wanted:
+        raise ConfigError(f"{scenario} needs exactly one axis from {wanted}")
+    return axes
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Data columns, axis rule and row evaluator of one sweep scenario."""
+
+    columns: tuple[str, ...]  # a "phase" column is unwrapped along the innermost axis
+    resolve_axes: Callable  # (scenario, params, axes) -> axes to run, or ConfigError
+    evaluate: Callable  # (params, op, convention, delta) -> row data
+
+
+SCENARIOS = {
+    "spectrum": Scenario(_SPECTRUM_COLUMNS, _spectrum_axes, _spectrum_row),
+    "phase": Scenario(_SPECTRUM_COLUMNS + ("phase",), _phase_axes, _phase_row),
+    "delay-vs-power": Scenario(_DELAY_COLUMNS, partial(_one_axis, ("P_l", "Omega_l")), _delay_row),
+    "delay-vs-kappa": Scenario(_DELAY_COLUMNS, partial(_one_axis, ("kappa",)), _delay_row),
+    "splitting-vs-gc": Scenario(_SPLITTING_COLUMNS, partial(_one_axis, ("g_coulomb",)), _splitting_row),
+}
+
+
+def _slug(exc: SimulationError) -> str:
+    return type(exc).__name__.removesuffix("Error")
 
 
 def _evaluate_chunk(task):
-    params, scenario, convention, names, chunk = task
-    return [_evaluate_point(params, scenario, convention, names, values) for values in chunk]
+    """Table rows of one contiguous run of grid points, error slug last.
 
-
-def _resolve_axes(params: SystemParams, spec: SweepSpec) -> SweepSpec:
-    scenario = spec.scenario
-    axes = spec.axes
-    if scenario in ("spectrum", "phase"):
-        if not any(a.name == "delta_bar" for a in axes):
-            if axes and scenario == "phase":
-                raise ConfigError("phase sweeps need a delta_bar axis (innermost)")
-            hw = SPLITTING_WINDOW_FRACTION * params.mech1.omega
-            axes = axes + (SweepAxis("delta_bar", -hw, hw, DEFAULT_SPECTRUM_POINTS),)
-        if scenario == "phase" and axes[-1].name != "delta_bar":
-            raise ConfigError("phase sweeps need delta_bar as the innermost axis")
-    elif scenario in ("delay-vs-power", "delay-vs-kappa"):
-        wanted = ("P_l", "Omega_l") if scenario == "delay-vs-power" else ("kappa",)
-        if len(axes) != 1 or axes[0].name not in wanted:
-            raise ConfigError(f"{scenario} needs exactly one axis from {wanted}")
-    elif scenario == "splitting-vs-gc":
-        if len(axes) != 1 or axes[0].name != "g_coulomb":
-            raise ConfigError("splitting-vs-gc needs exactly one g_coulomb axis")
-    else:
-        raise ConfigError(f"scenario {scenario!r} cannot run as a sweep")
-    return replace(spec, axes=axes)
+    The probe detuning is omega1 + delta_bar, the line centre when no
+    delta_bar axis is swept; the other axis values fix the operating point.
+    """
+    params, name, convention, names, points = task
+    scenario = SCENARIOS[name]
+    nan_data = (math.nan,) * len(scenario.columns)
+    rows = []
+    last_point = None
+    for values in points:
+        point = dict(zip(names, values))
+        delta = params.mech1.omega + point.pop("delta_bar", 0.0)
+        if point != last_point:
+            last_point = point
+            overridden = params
+            for n, v in point.items():
+                overridden = apply_override(overridden, n, v)
+            try:
+                op, op_error = solve_steady_state(overridden), NO_ERROR
+            except SimulationError as exc:
+                op, op_error = None, _slug(exc)
+        if op_error != NO_ERROR:
+            rows.append(values + nan_data + (op_error,))
+            continue
+        try:
+            rows.append(values + scenario.evaluate(overridden, op, convention, delta) + (NO_ERROR,))
+        except SimulationError as exc:
+            rows.append(values + nan_data + (_slug(exc),))
+    return rows
 
 
 def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the sweep grid; row order is row-major over axes as declared."""
-    spec = _resolve_axes(params, spec)
+    if spec.scenario not in SCENARIOS:
+        raise ConfigError(f"scenario {spec.scenario!r} cannot run as a sweep")
+    scenario = SCENARIOS[spec.scenario]
+    spec = replace(spec, axes=scenario.resolve_axes(spec.scenario, params, spec.axes))
     names = tuple(axis.name for axis in spec.axes)
-    grids = [axis.values() for axis in spec.axes]
-    mesh = [g.ravel() for g in np.meshgrid(*grids, indexing="ij")] if grids else []
-    points = list(zip(*(m.tolist() for m in mesh))) if mesh else [()]
+    points = list(itertools.product(*(axis.values().tolist() for axis in spec.axes)))
 
-    if jobs > 1 and len(points) > 1:
-        chunk_size = max(1, len(points) // (jobs * 4))
-        chunks = [points[i : i + chunk_size] for i in range(0, len(points), chunk_size)]
-        tasks = [(params, spec.scenario, spec.convention, names, chunk) for chunk in chunks]
-        outcomes = []
+    chunk_size = max(1, len(points) // (jobs * 4) if jobs > 1 else len(points))
+    tasks = [
+        (params, spec.scenario, spec.convention, names, points[i : i + chunk_size])
+        for i in range(0, len(points), chunk_size)
+    ]
+    if len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk_result in pool.map(_evaluate_chunk, tasks):
-                outcomes.extend(chunk_result)
+            chunks = list(pool.map(_evaluate_chunk, tasks))
     else:
-        outcomes = [
-            _evaluate_point(params, spec.scenario, spec.convention, names, values)
-            for values in points
-        ]
+        chunks = [_evaluate_chunk(task) for task in tasks]
+    rows = [row for chunk in chunks for row in chunk]
 
-    scenario_columns = {
-        "spectrum": _SPECTRUM_COLUMNS,
-        "phase": _SPECTRUM_COLUMNS + ("phase",),
-        "delay-vs-power": _DELAY_COLUMNS,
-        "delay-vs-kappa": _DELAY_COLUMNS,
-        "splitting-vs-gc": _SPLITTING_COLUMNS,
-    }[spec.scenario]
-    columns = names + scenario_columns + ("error",)
-
-    rows = []
-    for values, (data, err) in zip(points, outcomes):
-        rows.append(tuple(values) + tuple(data) + (err,))
-    if spec.scenario == "phase":
-        rows = _attach_phase(rows, names, columns)
+    columns = names + scenario.columns + ("error",)
+    if "phase" in columns:
+        rows = _attach_phase(rows, columns.index("phase"), spec.axes[-1].points)
     return SweepResult(params=params, spec=spec, columns=columns, rows=rows)
 
 
-def _attach_phase(rows, names, columns):
-    """Unwrap arg(t_p) along each innermost delta_bar block."""
-    i_re = len(names) + _SPECTRUM_COLUMNS.index("re_t_p")
-    i_im = len(names) + _SPECTRUM_COLUMNS.index("im_t_p")
-    # input rows do not carry the phase column yet; error is their last entry
-    i_err = len(names) + len(_SPECTRUM_COLUMNS)
-    block = len(rows)
-    if len(names) > 1:
-        # rows are row-major, so contiguous runs of the last axis form blocks
-        block = _infer_block(rows, len(names))
+def _attach_phase(rows, i_phase, block):
+    """Unwrap the phase column along each block of ``block`` innermost rows.
+
+    Error rows keep their NaN phase and restart the unwrap after them.
+    """
     out = []
-    for start in range(0, len(rows), block):
-        previous = None
-        for row in rows[start : start + block]:
-            if row[i_err] != NO_ERROR:
-                out.append(row[:i_err] + (math.nan,) + row[i_err:])
-                previous = None
-                continue
-            raw = math.atan2(row[i_im], row[i_re])
-            if previous is None:
-                phase = raw
-            else:
-                jump = raw - previous
-                jump -= 2.0 * math.pi * round(jump / (2.0 * math.pi))
-                phase = previous + jump
-            previous = phase
-            out.append(row[:i_err] + (phase,) + row[i_err:])
+    previous = None
+    for i, row in enumerate(rows):
+        if i % block == 0 or row[-1] != NO_ERROR:
+            previous = None
+        if row[-1] != NO_ERROR:
+            out.append(row)
+            continue
+        raw = row[i_phase]
+        phase = raw if previous is None else previous + wrap_phase_jump(raw - previous)
+        previous = phase
+        out.append(row[:i_phase] + (phase,) + row[i_phase + 1 :])
     return out
-
-
-def _infer_block(rows, n_names):
-    first = rows[0][: n_names - 1]
-    for i, row in enumerate(rows[1:], start=1):
-        if row[: n_names - 1] != first:
-            return i
-    return len(rows)
 
 
 def _format_value(v) -> str:
@@ -309,7 +299,7 @@ def render_table(result: SweepResult, fmt: str = "csv", timestamp: bool = True) 
         lines.append(",".join(result.columns))
     block = None
     if fmt == "gnuplot" and len(result.spec.axes) > 1:
-        block = _infer_block(result.rows, len(result.spec.axes))
+        block = result.spec.axes[-1].points
     for i, row in enumerate(result.rows):
         if block and i > 0 and i % block == 0:
             lines.append("")

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oemsim.steady
+from oemsim import InvariantViolationError
 from oemsim.errors import StaticInstabilityError
 from oemsim.steady import photon_number_roots, solve_steady_state
 from oemsim.validate import dimensionless_system, system_for_beta
@@ -130,3 +132,10 @@ def test_quadratic_pump_scaling_without_backaction(scale, pump):
     n_base = solve_steady_state(base).photon_number
     n_scaled = solve_steady_state(scaled).photon_number
     assert n_scaled == pytest.approx(scale**2 * n_base, rel=1e-12)
+
+
+def test_lost_roots_raise_invariant_violation(monkeypatch):
+    # a cubic whose roots are all complex leaves no photon number
+    monkeypatch.setattr(oemsim.steady.np, "roots", lambda coeffs: np.array([1j, -1j, 2j]))
+    with pytest.raises(InvariantViolationError, match="lost all real"):
+        photon_number_roots(0.1, 1.0, 0.2, 0.3)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oemsim.config import SweepAxis, SweepSpec, parse_config
-from oemsim.errors import ConfigError
+import oemsim.steady
+import oemsim.sweep
+from oemsim.config import SCENARIOS, SweepAxis, SweepSpec, parse_config
+from oemsim.errors import ConfigError, InvariantViolationError
 from oemsim.presets import get_preset, slowfast_pump_power
+from oemsim.steady import solve_steady_state
 from oemsim.sweep import (
     NO_ERROR,
     apply_override,
@@ -14,7 +17,23 @@ from oemsim.sweep import (
     render_table,
     run_sweep,
 )
-from oemsim.validate import system_for_beta
+from oemsim.validate import dimensionless_system, system_for_beta
+
+# one small grid per sweep scenario the config accepts, plus one with unstable rows
+PARALLEL_CASES = {
+    "spectrum": SweepSpec(
+        "spectrum", (SweepAxis("g_coulomb", 0.05, 0.2, 3), SweepAxis("delta_bar", -0.1, 0.1, 4))
+    ),
+    "phase": SweepSpec(
+        "phase", (SweepAxis("g_coulomb", 0.05, 0.2, 3), SweepAxis("delta_bar", -0.1, 0.1, 7))
+    ),
+    "delay-vs-power": SweepSpec("delay-vs-power", (SweepAxis("P_l", 0.05, 0.4, 5),)),
+    "delay-vs-kappa": SweepSpec("delay-vs-kappa", (SweepAxis("kappa", 0.113, 0.34, 3),)),
+    "splitting-vs-gc": SweepSpec("splitting-vs-gc", (SweepAxis("g_coulomb", 0.05, 0.2, 4),)),
+    "static-instability": SweepSpec(
+        "phase", (SweepAxis("g_coulomb", 0.8, 1.2, 3), SweepAxis("delta_bar", -0.05, 0.05, 5))
+    ),
+}
 
 
 @pytest.fixture
@@ -121,11 +140,87 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(slowfast_spectrum, SweepSpec(scenario="validate"))
 
-    def test_parallel_matches_serial(self, slowfast_spectrum, spectrum_spec):
-        serial = run_sweep(slowfast_spectrum, spectrum_spec, jobs=1)
-        parallel = run_sweep(slowfast_spectrum, spectrum_spec, jobs=2)
-        assert serial.rows == parallel.rows
-        assert render_table(serial, timestamp=False) == render_table(parallel, timestamp=False)
+    @pytest.mark.parametrize(
+        "case", [s for s in SCENARIOS if s != "validate"] + ["static-instability"]
+    )
+    def test_parallel_matches_serial(self, slowfast_spectrum, case):
+        spec = PARALLEL_CASES[case]
+        serial = run_sweep(slowfast_spectrum, spec, jobs=1)
+        parallel = run_sweep(slowfast_spectrum, spec, jobs=3)
+        # repr, because NaN != NaN once the rows have crossed a process boundary
+        assert [tuple(map(repr, r)) for r in serial.rows] == [
+            tuple(map(repr, r)) for r in parallel.rows
+        ]
+        for fmt in ("csv", "gnuplot"):
+            assert render_table(serial, fmt, timestamp=False) == render_table(
+                parallel, fmt, timestamp=False
+            )
+        if case == "static-instability":
+            assert {"StaticInstability", NO_ERROR} <= {row[-1] for row in serial.rows}
+
+    def test_steady_state_solved_once_per_operating_point(self, monkeypatch, slowfast_spectrum):
+        calls = []
+        solve = oemsim.sweep.solve_steady_state
+
+        def counting_solve(params):
+            calls.append(params)
+            return solve(params)
+
+        monkeypatch.setattr(oemsim.sweep, "solve_steady_state", counting_solve)
+        # 3 g_coulomb x 4 delta_bar rows, then 5 P_l rows
+        assert len(run_sweep(slowfast_spectrum, PARALLEL_CASES["spectrum"], jobs=1).rows) == 12
+        assert len(calls) == 3
+        calls.clear()
+        run_sweep(slowfast_spectrum, PARALLEL_CASES["delay-vs-power"], jobs=1)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("scenario", ["spectrum", "phase"])
+    def test_response_error_marks_only_its_row(self, scenario):
+        # gamma2 = 0 puts an exact pole of mirror 2 at delta_bar = 0, the middle row of each block
+        params = system_for_beta(kappa=0.227, beta=5e-3, g_coulomb=0.1, gamma2=0.0)
+        spec = SweepSpec(
+            scenario, (SweepAxis("g_coulomb", 0.05, 0.1, 2), SweepAxis("delta_bar", -0.1, 0.1, 5))
+        )
+        result = run_sweep(params, spec)
+        slugs = [row[-1] for row in result.rows]
+        assert slugs == [NO_ERROR, NO_ERROR, "MechanicalPole", NO_ERROR, NO_ERROR] * 2
+        if scenario == "phase":
+            i_phase = result.columns.index("phase")
+            i_re = result.columns.index("re_t_p")
+            i_im = result.columns.index("im_t_p")
+            for block in (result.rows[:5], result.rows[5:]):
+                assert math.isnan(block[2][i_phase])
+                # the unwrap starts afresh at the principal value after the error row
+                for row in (block[0], block[3]):
+                    assert row[i_phase] == math.atan2(row[i_im], row[i_re])
+
+    def test_degenerate_outer_axis_keeps_phase_blocks(self, slowfast_spectrum):
+        spec = SweepSpec(
+            "phase", (SweepAxis("g_coulomb", 0.1, 0.1, 3), SweepAxis("delta_bar", -0.2, 0.2, 401))
+        )
+        result = run_sweep(slowfast_spectrum, spec)
+        i_phase = result.columns.index("phase")
+        starts = [result.rows[i][i_phase] for i in (0, 401, 802)]
+        assert starts[0] == starts[1] == starts[2]
+        body = render_table(result, fmt="gnuplot", timestamp=False).splitlines()
+        assert sum(1 for ln in body if ln == "") == 2
+
+    def test_steady_state_invariant_marks_rows(self, monkeypatch):
+        # a polish that misses the root by 1e-6 fails the steady-state residual check
+        polish = oemsim.steady._newton_polish
+        monkeypatch.setattr(
+            oemsim.steady, "_newton_polish", lambda *a, **k: polish(*a, **k) * (1.0 + 1e-6)
+        )
+        params = dimensionless_system(
+            kappa=0.227, g_coulomb=0.1, pump_amplitude=0.05, detuning_mode="explicit", detuning=1.0
+        )
+        with pytest.raises(InvariantViolationError, match="residual"):
+            solve_steady_state(params)
+        spec = SweepSpec(
+            "spectrum", (SweepAxis("g_coulomb", 0.05, 0.1, 2), SweepAxis("delta_bar", -0.1, 0.1, 3))
+        )
+        result = run_sweep(params, spec)
+        assert [row[-1] for row in result.rows] == ["InvariantViolation"] * 6
 
 
 class TestEmission:
