@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: spectrum, phase, delay, sweep, steady-state, validate.
+Subcommands: spectrum, phase, delay, sweep, steady-state, validate.  The
+table commands run a sweep scenario (spectrum, phase, delay-vs-power,
+delay-vs-kappa, splitting-vs-gc); `validate` runs the self-check suite.
 Exit codes: 0 success, 1 usage or parse error, 2 physics-domain error
 (e.g. static instability), 3 validation failure.
 """
@@ -11,10 +13,10 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import SweepSpec, parse_config_file
+from .config import CONVENTIONS, SweepSpec, parse_config_file
 from .errors import ConfigError, SimulationError
 from .steady import solve_steady_state
-from .sweep import emit_csv, render_table, run_sweep
+from .sweep import render_table, run_sweep
 from .validate import DEFAULT_SEED, run_validation
 
 EXIT_OK = 0
@@ -33,17 +35,32 @@ class SystemExit2(Exception):
     pass
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="configuration file path")
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
     sub.add_argument("--format", choices=("csv", "gnuplot"), default="csv")
     sub.add_argument(
         "--convention",
-        choices=("paper-corrected", "intracavity"),
+        choices=CONVENTIONS,
         default=None,
         help="override the transmission convention from the config",
     )
-    sub.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    sub.add_argument("--jobs", type=_at_least(1), default=1, help="parallel worker processes")
     sub.add_argument(
         "--no-timestamp", action="store_true", help="suppress the timestamp header line"
     )
@@ -61,8 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     steady.add_argument("--out", default=None)
     validate = subs.add_parser("validate", help="run the oracle cross-validation suite")
     validate.add_argument("--out", default=None, help="write the JSON report here")
-    validate.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    validate.add_argument("--jobs", type=int, default=1)
+    validate.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
+    validate.add_argument(
+        "--jobs", type=_at_least(1), default=1,
+        help="accepted for compatibility; the checks run serially",
+    )
     return parser
 
 
@@ -87,31 +107,26 @@ def _resolve_scenario(command: str, sweep: SweepSpec | None) -> SweepSpec:
 def _run_table_command(args) -> int:
     params, sweep = parse_config_file(args.config)
     spec = _resolve_scenario(args.command, sweep)
-    if spec.scenario == "validate":
-        return _run_validate_from_spec(args)
     if args.convention:
         spec = replace(spec, convention=args.convention)
     result = run_sweep(params, spec, jobs=args.jobs)
-    if args.out is None:
-        sys.stdout.write(render_table(result, fmt=args.format, timestamp=not args.no_timestamp))
-    else:
-        emit_csv(result, args.out, fmt=args.format, timestamp=not args.no_timestamp)
+    _write(render_table(result, fmt=args.format, timestamp=not args.no_timestamp), args.out)
     return EXIT_OK
 
 
-def _run_validate_from_spec(args) -> int:
-    report = run_validation()
-    return _finish_validation(report, getattr(args, "out", None))
+def _write(text: str, path) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _finish_validation(report, out_path) -> int:
     for line in report.summary_lines():
         print(line)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_json())
+    _write(report.to_json(), out_path)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -129,12 +144,7 @@ def _run_steady_state(args) -> int:
         f"branch_count = {op.branch_count}",
         f"residual = {op.residual:.17g}",
     ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

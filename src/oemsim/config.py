@@ -4,7 +4,8 @@ Sections: cavity, mech1, mech2, coupling, drive, sweep.  Every physical
 value carries an explicit unit suffix; frequency-family suffixes (Hz, kHz,
 MHz) denote ordinary frequencies and are converted by 2*pi, while ``rad_s``
 is stored as-is.  In dimensionless mode every physical value uses the
-``dimensionless`` suffix.  ``preset = <name>`` imports a named preset and
+``dimensionless`` suffix.  ``preset = <name>`` imports a named preset, which
+is itself config text (`presets.PRESET_TEXT`) read by the same parser, and
 later lines override it, in file order.  Unknown keys are hard errors.
 """
 from __future__ import annotations
@@ -23,13 +24,9 @@ from .params import (
     SystemParams,
     default_g_cav,
 )
-from .presets import PRESET_NAMES, preset_state
+from .presets import PRESET_NAMES, PRESET_TEXT
 
 TWO_PI = 2.0 * math.pi
-
-SCENARIOS = ("spectrum", "phase", "delay-vs-power", "delay-vs-kappa", "splitting-vs-gc", "validate")
-AXIS_NAMES = ("delta_bar", "P_l", "Omega_l", "g_coulomb", "kappa", "g_cav")
-SPACINGS = ("linear", "log")
 
 FREQUENCY = "frequency"
 RATE = "rate"
@@ -46,6 +43,7 @@ _SI_SUFFIXES = {
     POWER: {"W": 1.0, "uW": 1e-6},
     PURE: {"dimensionless": 1.0},
 }
+_SI_BASE_UNITS = {FREQUENCY: "rad_s", RATE: "rad_s", LENGTH: "m", MASS: "kg", POWER: "W"}
 
 AXIS_KINDS = {
     "delta_bar": FREQUENCY,
@@ -55,14 +53,19 @@ AXIS_KINDS = {
     "kappa": FREQUENCY,
     "g_cav": FREQUENCY,
 }
+AXIS_NAMES = tuple(AXIS_KINDS)
+SCENARIOS = ("spectrum", "phase", "delay-vs-power", "delay-vs-kappa", "splitting-vs-gc")
+CONVENTIONS = ("paper-corrected", "intracavity")
+SPACINGS = ("linear", "log")
 
-# key -> (kind or special handler tag)
+# key -> a physical kind, a tuple of allowed words, "int", "raw" (an axis
+# bound, parsed once the axis name is known) or "preset"
 _SECTION_KEYS = {
-    "": {"preset": "preset", "units": "units"},
+    "": {"preset": "preset", "units": (SI, DIMENSIONLESS)},
     "cavity": {
         "kappa": FREQUENCY,
         "detuning": FREQUENCY,
-        "detuning_mode": "detuning_mode",
+        "detuning_mode": ("explicit", "locked"),
         "length": LENGTH,
         "wavelength": LENGTH,
     },
@@ -76,19 +79,31 @@ _SECTION_KEYS = {
         "probe_amplitude": RATE,
     },
     "sweep": {
-        "scenario": "scenario",
-        "convention": "convention",
-        "axis1": "axis",
-        "axis2": "axis",
-        "axis1_min": "axis_value",
-        "axis1_max": "axis_value",
-        "axis2_min": "axis_value",
-        "axis2_max": "axis_value",
+        "scenario": SCENARIOS,
+        "convention": CONVENTIONS,
+        "axis1": AXIS_NAMES,
+        "axis2": AXIS_NAMES,
+        "axis1_min": "raw",
+        "axis1_max": "raw",
+        "axis2_min": "raw",
+        "axis2_max": "raw",
         "axis1_points": "int",
         "axis2_points": "int",
-        "axis1_spacing": "spacing",
-        "axis2_spacing": "spacing",
+        "axis1_spacing": SPACINGS,
+        "axis2_spacing": SPACINGS,
     },
+}
+
+# Setting a key resets another key of its section: of two ways to give one
+# quantity the later line wins, and an explicit detuning ends locked mode.
+_RESETS = {
+    "gamma": ("quality", None),
+    "quality": ("gamma", None),
+    "power": ("pump_amplitude", None),
+    "pump_amplitude": ("power", None),
+    "probe_power": ("probe_amplitude", None),
+    "probe_amplitude": ("probe_power", None),
+    "detuning": ("detuning_mode", "explicit"),
 }
 
 
@@ -120,26 +135,11 @@ class SweepSpec:
 
 
 def _blank_state() -> dict:
-    mech = {"mass": None, "omega": None, "gamma": None, "quality": None}
-    return {
-        "unit_mode": None,
-        "cavity": {
-            "kappa": None,
-            "detuning_mode": "explicit",
-            "detuning": None,
-            "length": None,
-            "wavelength": None,
-        },
-        "mech1": dict(mech),
-        "mech2": dict(mech),
-        "coupling": {"g_cav": None, "g_coulomb": 0.0},
-        "drive": {
-            "pump_power": None,
-            "pump_amplitude": None,
-            "probe_power": None,
-            "probe_amplitude": None,
-        },
-    }
+    """Every key of the key table unset, but for the two keys with defaults."""
+    state = {section: dict.fromkeys(keys) for section, keys in _SECTION_KEYS.items()}
+    state["cavity"]["detuning_mode"] = "explicit"
+    state["coupling"]["g_coulomb"] = 0.0
+    return state
 
 
 def _parse_physical(value_text: str, kind: str, unit_mode: str, line_no: int) -> float:
@@ -169,16 +169,9 @@ def _parse_physical(value_text: str, kind: str, unit_mode: str, line_no: int) ->
     return number * allowed[suffix]
 
 
-def _parse_enum(value: str, choices, what: str, line_no: int) -> str:
-    if value not in choices:
-        raise ConfigError(f"{what} must be one of {', '.join(choices)}; got {value!r}", line=line_no)
-    return value
-
-
-def parse_config(text: str):
-    """Parse configuration text into (SystemParams, SweepSpec | None)."""
+def _read(text: str) -> dict:
+    """Builder state of config text: each line sets ``state[section][key]``."""
     state = _blank_state()
-    sweep_raw: dict = {}
     section = ""
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -203,75 +196,40 @@ def parse_config(text: str):
         kind = keys[key]
 
         if kind == "preset":
-            if value not in PRESET_NAMES:
+            if value not in PRESET_TEXT:
                 raise ConfigError(
                     f"unknown preset {value!r} (available: {', '.join(PRESET_NAMES)})",
                     line=line_no,
                 )
-            state = preset_state(value)
-        elif kind == "units":
-            mode = _parse_enum(value, (SI, DIMENSIONLESS), "units", line_no)
-            state["unit_mode"] = mode
-        elif kind == "detuning_mode":
-            state["cavity"]["detuning_mode"] = _parse_enum(
-                value, ("explicit", "locked"), "detuning_mode", line_no
-            )
-        elif kind == "scenario":
-            sweep_raw["scenario"] = _parse_enum(value, SCENARIOS, "scenario", line_no)
-        elif kind == "convention":
-            sweep_raw["convention"] = _parse_enum(
-                value, ("paper-corrected", "intracavity"), "convention", line_no
-            )
-        elif kind == "axis":
-            sweep_raw[key] = _parse_enum(value, AXIS_NAMES, key, line_no)
-        elif kind == "axis_value":
-            sweep_raw[key] = (value, line_no)  # kind known once the axis name is
+            state = _read(PRESET_TEXT[value])
+            continue
+        if kind == "raw":
+            parsed = (value, line_no)  # its kind is known once the axis name is
         elif kind == "int":
             try:
-                sweep_raw[key] = int(value)
+                parsed = int(value)
             except ValueError:
                 raise ConfigError(f"expected an integer for {key}, got {value!r}", line=line_no) from None
-        elif kind == "spacing":
-            sweep_raw[key] = _parse_enum(value, SPACINGS, key, line_no)
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise ConfigError(f"{key} must be one of {', '.join(kind)}; got {value!r}", line=line_no)
+            parsed = value
         else:
-            number = _parse_physical(value, kind, state["unit_mode"], line_no)
-            _assign(state, section, key, number, line_no)
+            parsed = _parse_physical(value, kind, state[""]["units"], line_no)
+        state[section][key] = parsed
+        if key in _RESETS:
+            other, reset = _RESETS[key]
+            state[section][other] = reset
+    return state
 
+
+def parse_config(text: str):
+    """Parse configuration text into (SystemParams, SweepSpec | None)."""
+    state = _read(text)
     params = resolve_state(state)
-    sweep = _resolve_sweep(sweep_raw, state["unit_mode"] or SI) if sweep_raw else None
+    has_sweep = any(value is not None for value in state["sweep"].values())
+    sweep = _resolve_sweep(state["sweep"], state[""]["units"] or SI) if has_sweep else None
     return params, sweep
-
-
-def _assign(state: dict, section: str, key: str, number: float, line_no: int) -> None:
-    if section == "cavity":
-        if key == "detuning":
-            state["cavity"]["detuning"] = number
-            state["cavity"]["detuning_mode"] = "explicit"
-        else:
-            state["cavity"][key] = number
-    elif section in ("mech1", "mech2"):
-        state[section][key] = number
-        if key == "gamma":
-            state[section]["quality"] = None
-        elif key == "quality":
-            state[section]["gamma"] = None
-    elif section == "coupling":
-        state["coupling"][key] = number
-    elif section == "drive":
-        if key == "power":
-            state["drive"]["pump_power"] = number
-            state["drive"]["pump_amplitude"] = None
-        elif key == "pump_amplitude":
-            state["drive"]["pump_amplitude"] = number
-            state["drive"]["pump_power"] = None
-        elif key == "probe_power":
-            state["drive"]["probe_power"] = number
-            state["drive"]["probe_amplitude"] = None
-        else:
-            state["drive"]["probe_amplitude"] = number
-            state["drive"]["probe_power"] = None
-    else:  # pragma: no cover - key table prevents this
-        raise ConfigError(f"unhandled section {section!r}", line=line_no)
 
 
 def _require(value, what):
@@ -301,7 +259,7 @@ def _resolve_mech(entry: dict, label: str, unit_mode: str) -> MechanicalMode:
 
 def resolve_state(state: dict) -> SystemParams:
     """Turn raw builder state into validated SystemParams."""
-    unit_mode = state["unit_mode"] or SI
+    unit_mode = state[""]["units"] or SI
     cav = state["cavity"]
     mech1 = _resolve_mech(state["mech1"], "mech1", unit_mode)
     mech2 = _resolve_mech(state["mech2"], "mech2", unit_mode)
@@ -327,7 +285,12 @@ def resolve_state(state: dict) -> SystemParams:
         g_cav = default_g_cav(cavity, mech1.omega)
     try:
         coupling = CouplingParams(g_cav=g_cav, g_coulomb=state["coupling"]["g_coulomb"])
-        drive = DriveParams(**state["drive"])
+        drive = DriveParams(
+            pump_power=state["drive"]["power"],
+            pump_amplitude=state["drive"]["pump_amplitude"],
+            probe_power=state["drive"]["probe_power"],
+            probe_amplitude=state["drive"]["probe_amplitude"],
+        )
         return SystemParams(
             cavity=cavity,
             mech1=mech1,
@@ -341,28 +304,27 @@ def resolve_state(state: dict) -> SystemParams:
 
 
 def _resolve_sweep(raw: dict, unit_mode: str) -> SweepSpec:
-    if "scenario" not in raw:
+    if raw["scenario"] is None:
         raise ConfigError("sweep section needs a scenario")
     axes = []
     for idx in (1, 2):
-        name = raw.get(f"axis{idx}")
-        extras = [k for k in raw if k.startswith(f"axis{idx}_")]
+        name = raw[f"axis{idx}"]
         if name is None:
-            if extras:
+            if any(v is not None for k, v in raw.items() if k.startswith(f"axis{idx}_")):
                 raise ConfigError(f"axis{idx}_* keys given without axis{idx}")
             continue
         kind = AXIS_KINDS[name]
         bounds = {}
         for end in ("min", "max"):
             key = f"axis{idx}_{end}"
-            if key not in raw:
+            if raw[key] is None:
                 raise ConfigError(f"missing {key} for axis {name}")
             text, line_no = raw[key]
             bounds[end] = _parse_physical(text, kind, unit_mode, line_no)
-        points = raw.get(f"axis{idx}_points")
+        points = raw[f"axis{idx}_points"]
         if points is None:
             raise ConfigError(f"missing axis{idx}_points for axis {name}")
-        spacing = raw.get(f"axis{idx}_spacing", "linear")
+        spacing = raw[f"axis{idx}_spacing"] or "linear"
         axis = SweepAxis(name=name, lo=bounds["min"], hi=bounds["max"], points=points, spacing=spacing)
         _validate_axis(axis)
         axes.append(axis)
@@ -371,7 +333,7 @@ def _resolve_sweep(raw: dict, unit_mode: str) -> SweepSpec:
     return SweepSpec(
         scenario=raw["scenario"],
         axes=tuple(axes),
-        convention=raw.get("convention", "paper-corrected"),
+        convention=raw["convention"] or "paper-corrected",
     )
 
 
@@ -382,8 +344,6 @@ def _validate_axis(axis: SweepAxis) -> None:
         raise ConfigError(f"axis {axis.name}: range must be finite")
     if axis.spacing == "log" and (axis.lo <= 0 or axis.hi <= 0):
         raise ConfigError(f"axis {axis.name}: log spacing requires positive bounds")
-    if axis.spacing not in SPACINGS:
-        raise ConfigError(f"axis {axis.name}: unknown spacing {axis.spacing!r}")
 
 
 def _fmt(x: float) -> str:
@@ -397,9 +357,8 @@ def serialize_config(params: SystemParams, sweep: SweepSpec | None = None) -> st
     runs use the dimensionless suffix throughout.
     """
     dimless = params.unit_mode == DIMENSIONLESS
-    freq = mass = length = power = rate = "dimensionless"
-    if not dimless:
-        freq, mass, length, power, rate = "rad_s", "kg", "m", "W", "rad_s"
+    unit = {kind: "dimensionless" if dimless else base for kind, base in _SI_BASE_UNITS.items()}
+    freq, rate = unit[FREQUENCY], unit[RATE]
     lines = [f"units = {params.unit_mode}"]
     lines.append("[cavity]")
     lines.append(f"kappa = {_fmt(params.cavity.kappa)} {freq}")
@@ -408,12 +367,12 @@ def serialize_config(params: SystemParams, sweep: SweepSpec | None = None) -> st
     else:
         lines.append(f"detuning = {_fmt(params.cavity.detuning)} {freq}")
     if params.cavity.length is not None:
-        lines.append(f"length = {_fmt(params.cavity.length)} {length}")
+        lines.append(f"length = {_fmt(params.cavity.length)} {unit[LENGTH]}")
     if params.cavity.pump_wavelength is not None:
-        lines.append(f"wavelength = {_fmt(params.cavity.pump_wavelength)} {length}")
+        lines.append(f"wavelength = {_fmt(params.cavity.pump_wavelength)} {unit[LENGTH]}")
     for label, mech in (("mech1", params.mech1), ("mech2", params.mech2)):
         lines.append(f"[{label}]")
-        lines.append(f"mass = {_fmt(mech.mass)} {mass}")
+        lines.append(f"mass = {_fmt(mech.mass)} {unit[MASS]}")
         lines.append(f"omega = {_fmt(mech.omega)} {freq}")
         lines.append(f"gamma = {_fmt(mech.gamma)} {freq}")
     lines.append("[coupling]")
@@ -422,24 +381,22 @@ def serialize_config(params: SystemParams, sweep: SweepSpec | None = None) -> st
     lines.append("[drive]")
     drive = params.drive
     if drive.pump_power is not None:
-        lines.append(f"power = {_fmt(drive.pump_power)} {power}")
+        lines.append(f"power = {_fmt(drive.pump_power)} {unit[POWER]}")
     else:
         lines.append(f"pump_amplitude = {_fmt(drive.pump_amplitude)} {rate}")
     if drive.probe_power is not None:
-        lines.append(f"probe_power = {_fmt(drive.probe_power)} {power}")
+        lines.append(f"probe_power = {_fmt(drive.probe_power)} {unit[POWER]}")
     elif drive.probe_amplitude is not None:
         lines.append(f"probe_amplitude = {_fmt(drive.probe_amplitude)} {rate}")
     if sweep is not None:
         lines.append("[sweep]")
         lines.append(f"scenario = {sweep.scenario}")
         lines.append(f"convention = {sweep.convention}")
-        axis_unit = {"delta_bar": freq, "P_l": power, "Omega_l": rate,
-                     "g_coulomb": freq, "kappa": freq, "g_cav": freq}
         for idx, axis in enumerate(sweep.axes, start=1):
-            unit = axis_unit[axis.name]
+            axis_unit = unit[AXIS_KINDS[axis.name]]
             lines.append(f"axis{idx} = {axis.name}")
-            lines.append(f"axis{idx}_min = {_fmt(axis.lo)} {unit}")
-            lines.append(f"axis{idx}_max = {_fmt(axis.hi)} {unit}")
+            lines.append(f"axis{idx}_min = {_fmt(axis.lo)} {axis_unit}")
+            lines.append(f"axis{idx}_max = {_fmt(axis.hi)} {axis_unit}")
             lines.append(f"axis{idx}_points = {axis.points}")
             lines.append(f"axis{idx}_spacing = {axis.spacing}")
     return "\n".join(lines) + "\n"

@@ -28,8 +28,6 @@ import math
 PAPER_2012 = "paper-2012"
 SLOWFAST = "dimensionless-slowfast"
 
-PRESET_NAMES = (PAPER_2012, SLOWFAST)
-
 # dimensionless-slowfast knobs
 SLOWFAST_KAPPA = 0.227
 SLOWFAST_GAMMA = 1.0 / 6700.0
@@ -50,66 +48,56 @@ def slowfast_pump_power(beta_target: float, kappa: float = SLOWFAST_KAPPA,
     return beta_target * (kappa**2 + 1.0) / (g_cav**2 * kappa)
 
 
-def _slowfast_state() -> dict:
-    power = slowfast_pump_power(SLOWFAST_BETA_SPECTRUM)
-    probe = 1e-3 * math.sqrt(2.0 * SLOWFAST_KAPPA * power)
-    mech = {"mass": 1.0, "omega": 1.0, "gamma": SLOWFAST_GAMMA, "quality": None}
-    return {
-        "unit_mode": "dimensionless",
-        "cavity": {
-            "kappa": SLOWFAST_KAPPA,
-            "detuning_mode": "locked",
-            "detuning": None,
-            "length": None,
-            "wavelength": None,
-        },
-        "mech1": dict(mech),
-        "mech2": dict(mech),
-        "coupling": {"g_cav": SLOWFAST_G_CAV, "g_coulomb": 0.0},
-        "drive": {
-            "pump_power": power,
-            "pump_amplitude": None,
-            "probe_power": None,
-            "probe_amplitude": probe,
-        },
-    }
+_SLOWFAST_POWER = slowfast_pump_power(SLOWFAST_BETA_SPECTRUM)
+_SLOWFAST_PROBE = 1e-3 * math.sqrt(2.0 * SLOWFAST_KAPPA * _SLOWFAST_POWER)
 
-
-def _paper_2012_state() -> dict:
-    omega = 2.0 * math.pi * 947e3
-    mech = {"mass": 145e-12, "omega": omega, "gamma": None, "quality": 6700.0}
-    return {
-        "unit_mode": "SI",
-        "cavity": {
-            "kappa": 2.0 * math.pi * 215e3,
-            "detuning_mode": "locked",
-            "detuning": None,
-            "length": 25e-3,
-            "wavelength": 1064e-9,
-        },
-        "mech1": dict(mech),
-        "mech2": dict(mech),
-        "coupling": {"g_cav": None, "g_coulomb": 2.0 * math.pi * 8e6},
-        "drive": {
-            "pump_power": 6e-6,
-            "pump_amplitude": None,
-            "probe_power": 6e-12,
-            "probe_amplitude": None,
-        },
-    }
-
-
-def preset_state(name: str) -> dict:
-    """Raw builder state for a named preset (consumed by the config resolver)."""
-    if name == PAPER_2012:
-        return _paper_2012_state()
-    if name == SLOWFAST:
-        return _slowfast_state()
-    raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+# Config text read by `config.parse_config`.  Computed numbers are written
+# with !r in base units, so they parse back to the same bits.
+PRESET_TEXT = {
+    PAPER_2012: f"""\
+units = SI
+[cavity]
+kappa = {2.0 * math.pi * 215e3!r} rad_s
+detuning_mode = locked
+length = 25e-3 m
+wavelength = 1064e-9 m
+[mech1]
+mass = 145e-12 kg
+omega = {2.0 * math.pi * 947e3!r} rad_s
+quality = 6700 dimensionless
+[mech2]
+mass = 145e-12 kg
+omega = {2.0 * math.pi * 947e3!r} rad_s
+quality = 6700 dimensionless
+[coupling]
+g_coulomb = {2.0 * math.pi * 8e6!r} rad_s
+[drive]
+power = 6e-6 W
+probe_power = 6e-12 W
+""",
+    SLOWFAST: f"""\
+units = dimensionless
+[cavity]
+kappa = {SLOWFAST_KAPPA!r} dimensionless
+detuning_mode = locked
+[mech1]
+omega = 1 dimensionless
+gamma = {SLOWFAST_GAMMA!r} dimensionless
+[mech2]
+omega = 1 dimensionless
+gamma = {SLOWFAST_GAMMA!r} dimensionless
+[coupling]
+g_cav = {SLOWFAST_G_CAV!r} dimensionless
+[drive]
+power = {_SLOWFAST_POWER!r} dimensionless
+probe_amplitude = {_SLOWFAST_PROBE!r} dimensionless
+""",
+}
+PRESET_NAMES = tuple(PRESET_TEXT)
 
 
 def get_preset(name: str):
     """Resolved SystemParams for a named preset."""
-    from .config import resolve_state
+    from .config import parse_config
 
-    return resolve_state(preset_state(name))
+    return parse_config(PRESET_TEXT[name])[0]

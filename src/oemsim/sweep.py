@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -236,7 +237,9 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
         for i in range(0, len(points), chunk_size)
     ]
     if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the default fork start method starts every worker on the first submit
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_evaluate_chunk, tasks))
     else:
         chunks = [_evaluate_chunk(task) for task in tasks]

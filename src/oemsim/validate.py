@@ -24,7 +24,7 @@ from .params import (
 )
 from .response import group_delay, sideband_amplitude, transmission
 from .steady import photon_number_roots, solve_steady_state
-from .timedomain import TrajectoryConfig, probe_response
+from .timedomain import LEAKAGE_LIMIT, TrajectoryConfig, probe_response
 
 DEFAULT_SEED = 20260810
 ORACLE_TOL = 1e-9
@@ -291,6 +291,7 @@ def check_steady_state(rng: np.random.Generator) -> CheckResult:
 
 def check_timedomain(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
+    rejected = []
     for kappa, gamma, g_cav, g_c, power, delta in (
         (0.2, 0.05, 0.10, 0.10, 1.0, 1.03),
         (0.3, 0.06, 0.08, 0.00, 1.5, 0.97),
@@ -309,10 +310,14 @@ def check_timedomain(rng: np.random.Generator) -> CheckResult:
         reference = solve_sidebands(delta, params, op).c_minus
         demod = probe_response(params, delta, config)
         worst = max(worst, abs(demod.c_minus_est - reference) / abs(reference))
-    passed = worst <= 1e-2
-    return CheckResult(
-        "timedomain_end_to_end", passed, f"max relative error {worst:.3e} (tol 1e-02)"
-    )
+        if not demod.accepted:
+            rejected.append(
+                f"demodulation leakage {demod.leakage:.3e} at kappa = {kappa} "
+                f"(limit {LEAKAGE_LIMIT:.0e})"
+            )
+    passed = worst <= 1e-2 and not rejected
+    detail = "; ".join([f"max relative error {worst:.3e} (tol 1e-02)"] + rejected)
+    return CheckResult("timedomain_end_to_end", passed, detail)
 
 
 def check_demodulation(rng: np.random.Generator) -> CheckResult:

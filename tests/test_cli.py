@@ -116,6 +116,29 @@ class TestErrorPaths:
         cfg.write_text("preset = dimensionless-slowfast\n")
         assert main(["delay", "--config", str(cfg)]) == EXIT_USAGE
 
+    def test_validate_is_not_a_sweep_scenario(self, tmp_path, capsys):
+        cfg = tmp_path / "validate.cfg"
+        cfg.write_text("preset = dimensionless-slowfast\n[sweep]\nscenario = validate\n")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "line 3: scenario must be one of" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--seed", "-1"],
+            ["validate", "--jobs", "0"],
+            ["spectrum", "--config", "unused.cfg", "--jobs", "0"],
+            ["sweep", "--config", "unused.cfg", "--jobs", "-2"],
+        ],
+    )
+    def test_out_of_range_integer_option_exits_1(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "expected an integer >=" in captured.err
+        assert captured.out == ""
+
 
 class TestSteadyState:
     def test_prints_operating_point(self, tmp_path, capsys):

@@ -4,7 +4,15 @@ import pytest
 
 from oemsim.config import SweepAxis, SweepSpec, parse_config, serialize_config
 from oemsim.errors import ConfigError
-from oemsim.presets import SLOWFAST_BETA_SPECTRUM, get_preset
+from oemsim.params import (
+    CavityParams,
+    CouplingParams,
+    DriveParams,
+    MechanicalMode,
+    SystemParams,
+    default_g_cav,
+)
+from oemsim.presets import SLOWFAST_BETA_SPECTRUM, get_preset, slowfast_pump_power
 
 TWO_PI = 2 * math.pi
 
@@ -36,6 +44,42 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             parse_config("preset = mystery-2020\n")
+
+    def test_presets_equal_their_formulas(self):
+        omega = 2.0 * math.pi * 947e3
+        cavity = CavityParams(
+            kappa=2.0 * math.pi * 215e3,
+            detuning_mode="locked",
+            length=25e-3,
+            pump_wavelength=1064e-9,
+        )
+        mech = MechanicalMode(mass=145e-12, omega=omega, gamma=omega / 6700.0)
+        paper = SystemParams(
+            cavity=cavity,
+            mech1=mech,
+            mech2=mech,
+            coupling=CouplingParams(
+                g_cav=default_g_cav(cavity, omega), g_coulomb=2.0 * math.pi * 8e6
+            ),
+            drive=DriveParams(pump_power=6e-6, probe_power=6e-12),
+            unit_mode="SI",
+        )
+        power = slowfast_pump_power(5e-3)
+        mech = MechanicalMode(mass=1.0, omega=1.0, gamma=1.0 / 6700.0)
+        slowfast = SystemParams(
+            cavity=CavityParams(kappa=0.227, detuning_mode="locked"),
+            mech1=mech,
+            mech2=mech,
+            coupling=CouplingParams(g_cav=0.1),
+            drive=DriveParams(
+                pump_power=power, probe_amplitude=1e-3 * math.sqrt(2.0 * 0.227 * power)
+            ),
+            unit_mode="dimensionless",
+        )
+        for name, expected in (("paper-2012", paper), ("dimensionless-slowfast", slowfast)):
+            params = get_preset(name)
+            for part in ("cavity", "mech1", "mech2", "coupling", "drive", "unit_mode"):
+                assert getattr(params, part) == getattr(expected, part), (name, part)
 
 
 class TestUnits:
@@ -93,16 +137,36 @@ class TestOverridesAndResolution:
         params, _ = parse_config(text)
         assert params.mech1.gamma == 0.5
 
-    def test_probe_pair_exclusivity_by_order(self):
+    @pytest.mark.parametrize(
+        "first, first_field, second, second_field, value",
+        [
+            ("probe_amplitude", "probe_amplitude", "probe_power", "probe_power", 1e-8),
+            ("pump_amplitude", "pump_amplitude", "power", "pump_power", 0.3),
+            ("power", "pump_power", "pump_amplitude", "pump_amplitude", 0.05),
+        ],
+        ids=("probe", "pump", "pump-reversed"),
+    )
+    def test_probe_pair_exclusivity_by_order(self, first, first_field, second, second_field, value):
         text = (
             "preset = dimensionless-slowfast\n"
             "[drive]\n"
-            "probe_amplitude = 1e-4 dimensionless\n"
-            "probe_power = 1e-8 dimensionless\n"
+            f"{first} = 1e-4 dimensionless\n"
+            f"{second} = {value!r} dimensionless\n"
         )
         params, _ = parse_config(text)
-        assert params.drive.probe_amplitude is None
-        assert params.drive.probe_power == 1e-8
+        assert getattr(params.drive, first_field) is None
+        assert getattr(params.drive, second_field) == value
+
+    def test_detuning_after_locked_mode_is_explicit(self):
+        text = (
+            "preset = dimensionless-slowfast\n"
+            "[cavity]\n"
+            "detuning_mode = locked\n"
+            "detuning = 1.1 dimensionless\n"
+        )
+        params, _ = parse_config(text)
+        assert params.cavity.detuning_mode == "explicit"
+        assert params.cavity.detuning == 1.1
 
     def test_missing_required_parameter(self):
         text = (
@@ -143,6 +207,12 @@ class TestSweepSection:
         assert [a.name for a in sweep.axes] == ["g_coulomb", "delta_bar"]
         assert sweep.axes[0].points == 4
         assert sweep.axes[1].lo == -0.2
+
+    def test_validate_is_not_a_scenario(self):
+        with pytest.raises(ConfigError, match="line 3: scenario must be one of") as err:
+            parse_config(self.BASE + "[sweep]\nscenario = validate\n")
+        assert err.value.line == 3
+        assert "got 'validate'" in str(err.value)
 
     def test_axis_names_must_differ(self):
         text = self.BASE + (

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -173,6 +174,29 @@ class TestRunSweep:
         calls.clear()
         run_sweep(slowfast_spectrum, PARALLEL_CASES["delay-vs-power"], jobs=1)
         assert len(calls) == 5
+
+    def test_worker_count_capped_by_task_count(self, monkeypatch, slowfast_spectrum):
+        # a fork pool starts all max_workers processes on its first submit
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(oemsim.sweep, "ProcessPoolExecutor", SerialPool)
+        result = run_sweep(slowfast_spectrum, PARALLEL_CASES["spectrum"], jobs=64)
+        assert len(result.rows) == 12
+        assert len(requested) == 1 and 1 <= requested[0] <= 12
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("scenario", ["spectrum", "phase"])
     def test_response_error_marks_only_its_row(self, scenario):

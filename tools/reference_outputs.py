@@ -1,0 +1,223 @@
+"""Write oemsim's reference outputs into a directory, to compare two source trees.
+
+    python3 tools/reference_outputs.py SRC OUTDIR
+
+SRC is the directory that holds the ``oemsim`` package (``src`` in a checkout).
+Every case runs ``oemsim.cli.main`` in this process, with ``--no-timestamp``
+on tables, and leaves ``OUTDIR/<case>.txt`` (exit code, stdout, stderr) plus
+the ``--out`` file when there is one.  The cases:
+
+- every sweep scenario in csv and gnuplot and in both conventions, on
+  ``dimensionless-slowfast``, with ``--jobs 1`` and ``--jobs 3`` on 2-D grids;
+- ``paper-2012`` tables, whose header is written in SI base units;
+- config override cases (probe, pump, damping and detuning pairs);
+- ``steady-state`` output;
+- the exit code and message of malformed configs;
+- ``validate --seed 20260810`` and ``--seed 7``.
+
+Two trees are the same program output when ``diff -r OUT_A OUT_B`` is empty.
+This takes about half a minute; it is not part of the test suite.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+SLOWFAST = "preset = dimensionless-slowfast\n"
+PAPER = "preset = paper-2012\n"
+
+
+def _sweep(scenario, *axes):
+    """A [sweep] section; each axis is (name, lo, hi, points[, spacing])."""
+    lines = ["[sweep]", f"scenario = {scenario}"]
+    for idx, (name, lo, hi, points, *spacing) in enumerate(axes, start=1):
+        lines += [
+            f"axis{idx} = {name}",
+            f"axis{idx}_min = {lo}",
+            f"axis{idx}_max = {hi}",
+            f"axis{idx}_points = {points}",
+        ]
+        lines += [f"axis{idx}_spacing = {s}" for s in spacing]
+    return "\n".join(lines) + "\n"
+
+
+def _d(x):
+    return f"{x} dimensionless"
+
+
+# name -> (command, config text); 2-D grids also run with --jobs 3
+TABLES = {
+    "spectrum-default": ("spectrum", SLOWFAST + "[coupling]\ng_coulomb = 0.1 dimensionless\n"),
+    "spectrum-gc-delta": ("sweep", SLOWFAST + _sweep(
+        "spectrum", ("g_coulomb", _d(0), _d(0.2), 7), ("delta_bar", _d(-0.2), _d(0.2), 301))),
+    "spectrum-delta-kappa": ("sweep", SLOWFAST + _sweep(
+        "spectrum", ("delta_bar", _d(-0.1), _d(0.1), 5), ("kappa", _d(0.1), _d(0.3), 4))),
+    "spectrum-gc-kappa": ("sweep", SLOWFAST + _sweep(
+        "spectrum", ("g_coulomb", _d(0), _d(0.2), 3), ("kappa", _d(0.1), _d(0.3), 3))),
+    "phase-gc-delta": ("phase", SLOWFAST + _sweep(
+        "phase", ("g_coulomb", _d(0), _d(0.2), 9), ("delta_bar", _d(-0.2), _d(0.2), 401))),
+    "phase-unstable": ("sweep", SLOWFAST + _sweep(
+        "phase", ("g_coulomb", _d(0.8), _d(1.2), 5), ("delta_bar", _d(-0.05), _d(0.05), 51))),
+    "phase-degenerate": ("sweep", SLOWFAST + _sweep(
+        "phase", ("g_coulomb", _d(0.1), _d(0.1), 3), ("delta_bar", _d(-0.2), _d(0.2), 401))),
+    "delay-power": ("delay", SLOWFAST + _sweep(
+        "delay-vs-power", ("P_l", _d(1e-4), _d(1), 301, "log"))),
+    "delay-amplitude": ("delay", SLOWFAST + _sweep(
+        "delay-vs-power", ("Omega_l", _d(1e-3), _d(0.5), 41))),
+    "delay-kappa": ("delay", SLOWFAST + "[coupling]\ng_coulomb = 0.2 dimensionless\n" + _sweep(
+        "delay-vs-kappa", ("kappa", _d(0.113), _d(0.34), 21))),
+    "splitting-gc": ("sweep", SLOWFAST + _sweep(
+        "splitting-vs-gc", ("g_coulomb", _d(0), _d(1.2), 13))),
+    "paper-spectrum": ("spectrum", PAPER + _sweep(
+        "spectrum", ("delta_bar", "-20 kHz", "20 kHz", 41))),
+    "paper-delay-power": ("delay", PAPER + _sweep(
+        "delay-vs-power", ("P_l", "1 uW", "10 uW", 7, "log"))),
+    "paper-splitting": ("sweep", PAPER + _sweep(
+        "splitting-vs-gc", ("g_coulomb", "0 MHz", "16 MHz", 3))),
+}
+
+OVERRIDES = {
+    "probe-amplitude-then-power": "[drive]\nprobe_amplitude = 1e-4 dimensionless\nprobe_power = 1e-8 dimensionless\n",
+    "probe-power-then-amplitude": "[drive]\nprobe_power = 1e-8 dimensionless\nprobe_amplitude = 1e-4 dimensionless\n",
+    "pump-amplitude": "[drive]\npump_amplitude = 0.05 dimensionless\n",
+    "pump-amplitude-then-power": "[drive]\npump_amplitude = 0.05 dimensionless\npower = 0.3 dimensionless\n",
+    "quality-then-gamma": "[mech1]\nquality = 100 dimensionless\ngamma = 0.002 dimensionless\n",
+    "gamma-then-quality": "[mech2]\ngamma = 0.002 dimensionless\nquality = 100 dimensionless\n",
+    "explicit-detuning": "[cavity]\ndetuning = 0.9 dimensionless\n",
+    "locked-then-detuning": "[cavity]\ndetuning_mode = locked\ndetuning = 1.1 dimensionless\n",
+    "detuning-then-locked": "[cavity]\ndetuning = 1.1 dimensionless\ndetuning_mode = locked\n",
+    "g-cav-kappa": "[coupling]\ng_cav = 0.05 dimensionless\ng_coulomb = 0.15 dimensionless\n[cavity]\nkappa = 0.3 dimensionless\n",
+    "mass": "[mech2]\nmass = 2 dimensionless\n",
+}
+
+UNSTABLE = (
+    "units = dimensionless\n[cavity]\nkappa = 0.2 dimensionless\ndetuning = 1 dimensionless\n"
+    "[mech1]\nomega = 1 dimensionless\ngamma = 0.01 dimensionless\n"
+    "[mech2]\nomega = 1 dimensionless\ngamma = 0.01 dimensionless\n"
+    "[coupling]\ng_cav = 0.1 dimensionless\ng_coulomb = 2 dimensionless\n"
+    "[drive]\npump_amplitude = 0.1 dimensionless\n"
+)
+
+STEADY = {
+    "slowfast": SLOWFAST,
+    "paper": PAPER,
+    "paper-si-overrides": PAPER + "[cavity]\nkappa = 1.3e6 rad_s\ndetuning = 950 kHz\n[mech1]\nmass = 0.2 mm\n",
+    "paper-masses": PAPER + "[mech1]\nmass = 1.45e-10 kg\n[mech2]\nmass = 200 ng\nquality = 5000 dimensionless\n",
+    "paper-pump": PAPER + "[drive]\npower = 12 uW\nprobe_amplitude = 10 rad_s\n",
+    "unstable": UNSTABLE,
+    **{f"override-{k}": SLOWFAST + v for k, v in OVERRIDES.items()},
+}
+
+_AXIS = "axis1 = delta_bar\naxis1_min = -0.1 dimensionless\naxis1_max = 0.1 dimensionless\n"
+MALFORMED = {
+    "missing-unit": PAPER + "[mech1]\nmass = 145\n",
+    "three-tokens": SLOWFAST + "[cavity]\nkappa = 1 2 dimensionless\n",
+    "not-a-number": SLOWFAST + "[cavity]\nkappa = abc dimensionless\n",
+    "si-suffix-dimensionless": SLOWFAST + "[cavity]\nkappa = 215 kHz\n",
+    "wrong-si-suffix": PAPER + "[mech1]\nmass = 1 W\n",
+    "pure-si-suffix": PAPER + "[mech1]\nquality = 6700 kHz\n",
+    "unknown-key": PAPER + "[cavity]\nfinesse = 1000 dimensionless\n",
+    "unknown-top-key": "finesse = 3\n",
+    "unknown-section": "[laser]\npower = 1 W\n",
+    "empty-section": "[ ]\n",
+    "no-equals": SLOWFAST + "[cavity]\nkappa 0.2 dimensionless\n",
+    "empty-value": SLOWFAST + "[cavity]\nkappa =\n",
+    "unknown-preset": "preset = mystery-2020\n",
+    "bad-units": "units = cgs\n",
+    "bad-detuning-mode": SLOWFAST + "[cavity]\ndetuning_mode = auto\n",
+    "scenario-validate": SLOWFAST + "[sweep]\nscenario = validate\n",
+    "bad-scenario": SLOWFAST + "[sweep]\nscenario = bogus\n",
+    "bad-convention": SLOWFAST + "[sweep]\nscenario = spectrum\nconvention = other\n",
+    "bad-axis-name": SLOWFAST + "[sweep]\nscenario = spectrum\naxis1 = omega\n",
+    "bad-spacing": SLOWFAST + "[sweep]\nscenario = spectrum\n" + _AXIS + "axis1_points = 5\naxis1_spacing = cubic\n",
+    "bad-points": SLOWFAST + "[sweep]\nscenario = spectrum\n" + _AXIS + "axis1_points = five\n",
+    "axis-keys-without-axis": SLOWFAST + "[sweep]\nscenario = spectrum\naxis2_points = 5\n",
+    "missing-axis-min": SLOWFAST + "[sweep]\nscenario = spectrum\naxis1 = delta_bar\naxis1_max = 0.1 dimensionless\naxis1_points = 5\n",
+    "missing-points": SLOWFAST + "[sweep]\nscenario = spectrum\n" + _AXIS,
+    "points-below-2": SLOWFAST + "[sweep]\nscenario = spectrum\n" + _AXIS + "axis1_points = 1\n",
+    "log-nonpositive": SLOWFAST + _sweep("delay-vs-power", ("P_l", _d(0), _d(1), 5, "log")),
+    "infinite-bound": SLOWFAST + _sweep("spectrum", ("delta_bar", _d(-0.1), _d("inf"), 5)),
+    "same-axis-names": SLOWFAST + _sweep(
+        "spectrum", ("delta_bar", _d(-0.1), _d(0.1), 5), ("delta_bar", _d(-0.1), _d(0.1), 5)),
+    "bad-axis-unit": SLOWFAST + _sweep("spectrum", ("delta_bar", "-1 kHz", "1 kHz", 5)),
+    "no-scenario": SLOWFAST + "[sweep]\n" + _AXIS + "axis1_points = 5\n",
+    "missing-kappa": "units = dimensionless\n[mech1]\nomega = 1 dimensionless\ngamma = 0.01 dimensionless\n"
+                     "[mech2]\nomega = 1 dimensionless\ngamma = 0.01 dimensionless\n",
+    "missing-detuning": SLOWFAST + "[cavity]\ndetuning_mode = explicit\n",
+    "nonpositive-quality": SLOWFAST + "[mech1]\nquality = 0 dimensionless\n",
+    "omega-invariant": SLOWFAST + "[mech1]\nomega = 2 dimensionless\n",
+    "missing-si-mass": "units = SI\n[cavity]\nkappa = 215 kHz\ndetuning_mode = locked\n"
+                       "[mech1]\nomega = 947 kHz\nquality = 6700 dimensionless\n"
+                       "[mech2]\nomega = 947 kHz\nquality = 6700 dimensionless\n",
+    "missing-g-cav": "units = dimensionless\n[cavity]\nkappa = 0.2 dimensionless\ndetuning_mode = locked\n"
+                     "[mech1]\nomega = 1 dimensionless\ngamma = 0.01 dimensionless\n"
+                     "[mech2]\nomega = 1 dimensionless\ngamma = 0.01 dimensionless\n",
+    "units-then-preset": "units = dimensionless\n" + PAPER + "[cavity]\nkappa = 0.2 dimensionless\n",
+    "wrong-one-axis": SLOWFAST + _sweep("delay-vs-kappa", ("g_coulomb", _d(0), _d(0.2), 3)),
+    "phase-delta-not-inner": SLOWFAST + _sweep(
+        "phase", ("delta_bar", _d(-0.1), _d(0.1), 5), ("kappa", _d(0.1), _d(0.3), 3)),
+}
+
+
+def _run(main, out_dir: Path, name: str, argv: list[str]) -> None:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    text = f"exit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
+    (out_dir / f"{name}.txt").write_text(text, encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/reference_outputs.py SRC OUTDIR", file=sys.stderr)
+        return 1
+    src, out_dir = Path(argv[0]).resolve(), Path(argv[1])
+    sys.path.insert(0, str(src))
+    from oemsim.cli import main as oemsim_main
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    configs = out_dir / "configs"
+    configs.mkdir(exist_ok=True)
+
+    def config(name, text):
+        path = configs / f"{name}.cfg"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def run(name, argv, out=True):
+        extra = ["--out", str(out_dir / f"{name}.out")] if out else []
+        _run(oemsim_main, out_dir, name, argv + extra)
+
+    tables = dict(TABLES)
+    tables.update({f"override-{k}": ("spectrum", SLOWFAST + v + _sweep(
+        "spectrum", ("delta_bar", _d(-0.05), _d(0.05), 11))) for k, v in OVERRIDES.items()})
+    for name, (command, text) in tables.items():
+        path = config(name, text)
+        two_d = text.count("axis2 =") == 1
+        for fmt in ("csv", "gnuplot"):
+            for convention in ("paper-corrected", "intracavity"):
+                for jobs in (1, 3) if two_d else (1,):
+                    case = f"table-{name}-{fmt}-{convention}-j{jobs}"
+                    run(case, [command, "--config", path, "--format", fmt, "--convention",
+                               convention, "--jobs", str(jobs), "--no-timestamp"])
+    run("table-stdout", ["spectrum", "--config", config("stdout", SLOWFAST), "--no-timestamp"],
+        out=False)
+    for name, text in STEADY.items():
+        run(f"steady-{name}", ["steady-state", "--config", config(f"steady-{name}", text)])
+    run("steady-stdout", ["steady-state", "--config", config("steady-stdout", SLOWFAST)], out=False)
+    for name, text in MALFORMED.items():
+        path = config(f"bad-{name}", text)
+        command = "delay" if "delay" in text else "sweep" if "[sweep]" in text else "spectrum"
+        run(f"bad-{name}", [command, "--config", path, "--no-timestamp"])
+    run("bad-sweep-without-section", ["sweep", "--config", config("no-sweep", SLOWFAST)])
+    run("bad-delay-without-axis", ["delay", "--config", config("no-axis", SLOWFAST)])
+    run("bad-missing-file", ["spectrum", "--config", "absent-oemsim-config.cfg"])
+    for seed in ("20260810", "7"):
+        run(f"validate-{seed}", ["validate", "--seed", seed, "--jobs", "2"])
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
