@@ -37,11 +37,9 @@ from .params import (
 from .presets import get_preset
 from .response import (
     ResponseSample,
-    SusceptibilityParts,
     group_delay,
     phase_spectrum,
     sideband_amplitude,
-    susceptibility_parts,
     transmission,
     transmission_maxima,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "SimulationError",
     "SingularResponseError",
     "StaticInstabilityError",
-    "SusceptibilityParts",
     "SweepAxis",
     "SweepResult",
     "SweepSpec",
@@ -104,7 +101,6 @@ __all__ = [
     "sideband_amplitude",
     "solve_sidebands",
     "solve_steady_state",
-    "susceptibility_parts",
     "transmission",
     "transmission_maxima",
 ]

@@ -25,6 +25,7 @@ from .params import (
     default_g_cav,
 )
 from .presets import PRESET_NAMES, PRESET_TEXT
+from .response import CONVENTIONS
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,7 +56,6 @@ AXIS_KINDS = {
 }
 AXIS_NAMES = tuple(AXIS_KINDS)
 SCENARIOS = ("spectrum", "phase", "delay-vs-power", "delay-vs-kappa", "splitting-vs-gc")
-CONVENTIONS = ("paper-corrected", "intracavity")
 SPACINGS = ("linear", "log")
 
 # key -> a physical kind, a tuple of allowed words, "int", "raw" (an axis

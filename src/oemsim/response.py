@@ -11,12 +11,40 @@ The probe transmission is reported in two conventions: ``paper-corrected``
 t_p = 1 - 2 kappa X (a lossless single-port all-pass when the pump is off)
 and ``intracavity`` t_p = 2 kappa X (a Lorentzian of half-width kappa when
 the pump is off).
+
+One kernel, `amplitude_kernel`, evaluates X and dX/d delta on Python floats
+(one point) or on numpy arrays that broadcast over delta and the
+`Coefficients` of each operating point, and returns a per-element status
+instead of raising.  The public functions are thin calls of it.
+
+Arithmetic contract.  An array element must be bit-identical to the closed
+form written with Python complex numbers, because the tables are, and numpy's
+complex ufuncs (multiply, divide, abs, arctan2) round differently.  So
+complex numbers are (re, im) pairs of float64, and each pair operation copies
+one CPython 3.11 complex operation:
+- a float operand is promoted to complex(f, 0.0) and its 0*x terms are kept;
+  they decide signed zeros;
+- ``/`` is CPython's Smith division; on arrays both branches are computed
+  and one is picked per element;
+- z**2 is z*z (CPython's (1+0j)*(z*z) differs only where it overflows, and
+  there CPython raises);
+- a float square is libm ``pow``, as Python's ``**`` is (x*x differs near 1);
+- abs is ``hypot``; the phase is ``math.atan2`` per element, while the
+  finite-difference slope uses numpy's ``arctan2``, as ``np.angle`` does;
+- an operating point on a branch solved from the cubic's roots (explicit
+  detuning with a pump) has a numpy-scalar Delta, with which the closed form
+  divides by its denominator in numpy's way, times the reciprocal;
+  `Coefficients.numpy_division` marks such points.
+CPython 3.14 changes mixed real/complex arithmetic; the property test in
+``tests/test_response.py`` pins this contract.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,17 +64,19 @@ CONVENTIONS = (CONVENTION_CORRECTED, CONVENTION_INTRACAVITY)
 SINGULAR_DENOMINATOR_RATIO = 1e-30
 PHASE_JUMP_LIMIT = math.pi * (1.0 - 1e-12)
 FD_STEP_SCALE = 1e-6
+FD_OFFSETS = (1.0, -1.0, 0.5, -0.5)  # finite-difference points delta0 + s h, in evaluation order
 MIN_ABS_T = 1e-12
 
+OK, POLE, SINGULAR, UNDEFINED_PHASE = 0, 1, 2, 3  # per-element status
+STATUS_ERRORS = {
+    POLE: MechanicalPoleError,
+    SINGULAR: SingularResponseError,
+    UNDEFINED_PHASE: UndefinedPhaseError,
+}
 
-@dataclass(frozen=True)
-class SusceptibilityParts:
-    """Ingredients of the response at one probe detuning."""
-
-    alpha: complex  # Coulomb-mediated self-energy of mode 1, s^-2
-    beta: float  # radiation-pressure coefficient, s^-2
-    chi_m1: complex  # delta^2 - w1^2 + i delta gamma1
-    chi_m2: complex  # delta^2 - w2^2 + i delta gamma2
+_ONE, _I, _2I, _MINUS_I = (1.0, 0.0), (0.0, 1.0), (0.0, 2.0), (-0.0, -1.0)  # 1, 1j, 2j, -1j
+_pow = np.frompyfunc(math.pow, 2, 1)
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -63,74 +93,211 @@ class ResponseSample:
     t_corrected: complex
     t_intracavity: complex
 
-    @property
-    def transmission_corrected(self) -> float:
-        return abs(self.t_corrected) ** 2
 
-    @property
-    def transmission_intracavity(self) -> float:
-        return abs(self.t_intracavity) ** 2
+class Coefficients(NamedTuple):
+    """Kernel inputs fixed by an operating point: floats, or arrays that broadcast with delta."""
+
+    kappa: float
+    detuning: float  # Delta
+    detuning_sq: float
+    omega1: float
+    omega1_sq: float
+    omega2_sq: float
+    gamma1: float
+    gamma2: float
+    coulomb: float  # (hbar g_c)^2
+    masses: float  # m1 m2
+    beta: float
+    numpy_division: float  # 1.0 when Delta is a numpy scalar, else 0.0
 
 
-def susceptibility_parts(delta: float, params: SystemParams, op: OperatingPoint) -> SusceptibilityParts:
-    """Mechanical susceptibilities and coupling coefficients at one detuning."""
-    m1, m2 = params.mech1, params.mech2
-    hbar = params.hbar
-    chi1 = delta**2 - m1.omega**2 + 1j * delta * m1.gamma
-    chi2 = delta**2 - m2.omega**2 + 1j * delta * m2.gamma
-    if chi2 == 0:
-        raise MechanicalPoleError(
-            "second-resonator susceptibility vanishes exactly at this detuning; "
-            "use gamma2 > 0"
-        )
-    alpha = (hbar * params.coupling.g_coulomb) ** 2 / (m1.mass * m2.mass * chi2)
+def coefficients(params: SystemParams, op: OperatingPoint) -> Coefficients:
+    """Kernel inputs of one operating point, each computed as the scalar closed form does."""
+    m1, m2, hbar = params.mech1, params.mech2, params.hbar
     beta = hbar * params.coupling.g_cav**2 * op.photon_number / (2.0 * m1.mass * m1.omega)
-    return SusceptibilityParts(alpha=alpha, beta=beta, chi_m1=chi1, chi_m2=chi2)
+    return Coefficients(*map(float, (
+        params.cavity.kappa, op.delta_eff, op.delta_eff**2, m1.omega, m1.omega**2, m2.omega**2,
+        m1.gamma, m2.gamma, (hbar * params.coupling.g_coulomb) ** 2, m1.mass * m2.mass, beta,
+        isinstance(op.delta_eff, np.generic),
+    )))
 
 
-def _amplitude_terms(delta, params, op):
-    parts = susceptibility_parts(delta, params, op)
-    w1 = params.mech1.omega
-    kappa = params.cavity.kappa
-    big_delta = op.delta_eff
-    a_fac = kappa - 1j * (big_delta + delta)
-    d_fac = big_delta**2 - (delta + 1j * kappa) ** 2
-    b_fac = parts.chi_m1 - parts.alpha
-    numerator = a_fac * b_fac - 2j * w1 * parts.beta
-    denominator = d_fac * b_fac + 4.0 * big_delta * w1 * parts.beta
-    if denominator == 0 or abs(denominator) < SINGULAR_DENOMINATOR_RATIO * abs(numerator):
+def _where(cond, a, b):
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _re(x):
+    return x, 0.0
+
+
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _quot(a, b, reciprocal=False):
+    """a / b by CPython's Smith division, or numpy's (times 1/denominator) where ``reciprocal``."""
+    (ar, ai), (br, bi) = a, b
+    by_real = abs(br) >= abs(bi)
+    if isinstance(by_real, np.ndarray):
+        ratio = np.where(by_real, bi / br, br / bi)
+    elif not abs(br) + abs(bi) > 0:  # a zero or NaN divisor; the status marks the point
+        return math.nan, math.nan
+    else:
+        ratio = bi / br if by_real else br / bi
+    denominator = _where(by_real, br + bi * ratio, br * ratio + bi)
+    re_num = _where(by_real, ar + ai * ratio, ar * ratio + ai)
+    im_num = _where(by_real, ai - ar * ratio, ai * ratio - ar)
+    scale = 1.0 / denominator
+    return (
+        _where(reciprocal, re_num * scale, re_num / denominator),
+        _where(reciprocal, im_num * scale, im_num / denominator),
+    )
+
+
+def _float_square(x):
+    return _pow(x, 2.0).astype(float) if isinstance(x, np.ndarray) else x**2
+
+
+def _abs(z):
+    return np.hypot(*z) if isinstance(z[0], np.ndarray) else abs(complex(*z))
+
+
+def abs_squared(z):
+    """abs(z)**2 of a complex pair."""
+    return _float_square(_abs(z))
+
+
+def phase(z):
+    """Principal arg of a complex pair, math.atan2 per element."""
+    if isinstance(z[0], np.ndarray):
+        return _atan2(z[1], z[0]).astype(float)
+    return math.atan2(z[1], z[0])
+
+
+def amplitude_kernel(delta, c: Coefficients, derivative: bool = False):
+    """X(delta), dX/d delta (None unless ``derivative``) and a per-element status.
+
+    X and dX are (re, im) pairs.  The status is OK, POLE (chi2 = 0) or
+    SINGULAR (|denominator| < 1e-30 |numerator|); the values of other
+    elements are meaningless.
+    """
+    with np.errstate(all="ignore") if isinstance(delta, np.ndarray) else contextlib.nullcontext():
+        i_delta = _mul(_I, _re(delta))
+        delta_sq = _float_square(delta)
+        chi1 = _add(_re(delta_sq - c.omega1_sq), _mul(i_delta, _re(c.gamma1)))
+        chi2 = _add(_re(delta_sq - c.omega2_sq), _mul(i_delta, _re(c.gamma2)))
+        alpha = _quot(_re(c.coulomb), _mul(_re(c.masses), chi2))
+        a_fac = _sub(_re(c.kappa), _mul(_I, _re(c.detuning + delta)))
+        z = _add(_re(delta), _mul(_I, _re(c.kappa)))  # delta + i kappa
+        d_fac = _sub(_re(c.detuning_sq), _mul(z, z))
+        b_fac = _sub(chi1, alpha)
+        numerator = _sub(_mul(a_fac, b_fac), _mul(_mul(_2I, _re(c.omega1)), _re(c.beta)))
+        denominator = _add(_mul(d_fac, b_fac), _re(4.0 * c.detuning * c.omega1 * c.beta))
+        pole = (chi2[0] == 0) & (chi2[1] == 0)
+        singular = (denominator[0] == 0) & (denominator[1] == 0) | (
+            _abs(denominator) < SINGULAR_DENOMINATOR_RATIO * _abs(numerator)
+        )
+        status = _where(pole, POLE, _where(singular, SINGULAR, OK))
+        x = _quot(numerator, denominator, c.numpy_division)
+        if not derivative:
+            return x, None, status
+        chi1_p = _add(_re(2.0 * delta), _mul(_I, _re(c.gamma1)))
+        chi2_p = _add(_re(2.0 * delta), _mul(_I, _re(c.gamma2)))
+        b_p = _sub(chi1_p, _quot(_mul((-alpha[0], -alpha[1]), chi2_p), chi2))
+        num_p = _add(_mul(_MINUS_I, b_fac), _mul(a_fac, b_p))
+        den_p = _add(_mul(_mul(_re(-2.0), z), b_fac), _mul(d_fac, b_p))
+        num_p_den = _sub(_mul(num_p, denominator), _mul(numerator, den_p))
+        dx = _quot(num_p_den, _mul(denominator, denominator), c.numpy_division)
+        return x, dx, status
+
+
+def transmissions(x, kappa):
+    """t_p in both conventions, (1 - 2 kappa X, 2 kappa X), as complex pairs."""
+    two_kappa_x = _mul(_re(2.0 * kappa), x)
+    return _sub(_ONE, two_kappa_x), two_kappa_x
+
+
+def t_p_pair(x, kappa, convention):
+    """t_p of one convention, as a complex pair."""
+    return transmissions(x, kappa)[CONVENTIONS.index(convention)]
+
+
+def _analytic_delay(t0, dx0, c, convention):
+    sign = -1.0 if convention == CONVENTION_CORRECTED else 1.0
+    return _quot(_mul(_re(sign * 2.0 * c.kappa), dx0), t0, c.numpy_division)[1]
+
+
+def _fd_delay(t, h):
+    """Central-difference phase slope plus one Richardson level, from t_p at FD_OFFSETS."""
+
+    def slope(plus, minus, step):
+        z = _mul(plus, (minus[0], -minus[1]))
+        return np.arctan2(z[1], z[0]) / (2.0 * step)
+
+    return (4.0 * slope(t[2], t[3], h / 2.0) - slope(t[0], t[1], h)) / 3.0
+
+
+def group_delays(delta, c: Coefficients, convention: str):
+    """(tau_fd, tau_analytic, |t_p|^2, status) over an array of centre detunings.
+
+    One kernel call covers each centre and its finite-difference points.  The
+    status is the first failure in the order `group_delay` meets them: the
+    centre, an undefined phase there, then delta + h, - h, + h/2, - h/2.
+    """
+    h = FD_STEP_SCALE * c.omega1
+    points = np.stack([delta] + [delta + s * h for s in FD_OFFSETS])
+    x, dx, status = amplitude_kernel(points, c, derivative=True)
+    with np.errstate(all="ignore"):
+        t = list(zip(*t_p_pair(x, c.kappa, convention)))  # t_p pairs at the centre, then FD_OFFSETS
+        undefined = np.where(_abs(t[0]) < MIN_ABS_T, UNDEFINED_PHASE, OK)
+        ordered = np.vstack([status[:1], undefined, status[1:]])
+        first = ordered[np.argmax(ordered != OK, axis=0), np.arange(ordered.shape[1])]
+        tau_analytic = _analytic_delay(t[0], (dx[0][0], dx[1][0]), c, convention)
+        return _fd_delay(t[1:], h), tau_analytic, abs_squared(t[0]), first
+
+
+def _raise_for(status, delta):
+    """Raise the error of a non-OK status; of an array status, the first one (delta a sequence)."""
+    if isinstance(status, np.ndarray):
+        bad = np.flatnonzero(status)
+        if not bad.size:
+            return
+        status, delta = status[bad[0]], delta[bad[0]]
+    if status == POLE:
+        raise MechanicalPoleError(
+            "second-resonator susceptibility vanishes exactly at this detuning; use gamma2 > 0"
+        )
+    if status == SINGULAR:
         raise SingularResponseError("response denominator vanished", delta=delta)
-    return parts, a_fac, d_fac, b_fac, numerator, denominator
+
+
+def _checked(delta, c, derivative=False):
+    x, dx, status = amplitude_kernel(float(delta), c, derivative)
+    _raise_for(status, delta)
+    return x, dx
+
+
+def _check_convention(convention):
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
 
 
 def sideband_amplitude(delta: float, params: SystemParams, op: OperatingPoint) -> complex:
     """Normalized sideband amplitude X(delta) = c_-/eps_p."""
-    _, _, _, _, numerator, denominator = _amplitude_terms(delta, params, op)
-    return numerator / denominator
+    return complex(*_checked(delta, coefficients(params, op))[0])
 
 
 def sideband_amplitude_derivative(delta: float, params: SystemParams, op: OperatingPoint) -> complex:
     """Exact dX/d delta from term-by-term differentiation of the rational form."""
-    parts, a_fac, d_fac, b_fac, numerator, denominator = _amplitude_terms(delta, params, op)
-    m1, m2 = params.mech1, params.mech2
-    w1 = params.mech1.omega
-    kappa = params.cavity.kappa
-    big_delta = op.delta_eff
-    chi1_p = 2.0 * delta + 1j * m1.gamma
-    chi2_p = 2.0 * delta + 1j * m2.gamma
-    alpha_p = -parts.alpha * chi2_p / parts.chi_m2
-    b_p = chi1_p - alpha_p
-    a_p = -1j
-    d_p = -2.0 * (delta + 1j * kappa)
-    num_p = a_p * b_fac + a_fac * b_p
-    den_p = d_p * b_fac + d_fac * b_p
-    return (num_p * denominator - numerator * den_p) / denominator**2
-
-
-def _both_conventions(delta, params, op):
-    x = sideband_amplitude(delta, params, op)
-    two_kappa_x = 2.0 * params.cavity.kappa * x
-    return x, 1.0 - two_kappa_x, two_kappa_x
+    return complex(*_checked(delta, coefficients(params, op), derivative=True)[1])
 
 
 def transmission(
@@ -140,14 +307,15 @@ def transmission(
     convention: str = CONVENTION_CORRECTED,
 ) -> ResponseSample:
     """Probe transmission sample at one detuning."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
-    x, t_corr, t_intra = _both_conventions(delta, params, op)
+    _check_convention(convention)
+    c = coefficients(params, op)
+    x, _ = _checked(delta, c)
+    t_corr, t_intra = (complex(*t) for t in transmissions(x, c.kappa))
     t_p = t_corr if convention == CONVENTION_CORRECTED else t_intra
     return ResponseSample(
         delta=delta,
         delta_bar=delta - params.mech1.omega,
-        X=x,
+        X=complex(*x),
         convention=convention,
         t_p=t_p,
         transmission=abs(t_p) ** 2,
@@ -160,6 +328,11 @@ def transmission(
 def wrap_phase_jump(jump: float) -> float:
     """Phase difference shifted by a multiple of 2pi into [-pi, pi]."""
     return jump - 2.0 * math.pi * round(jump / (2.0 * math.pi))
+
+
+def unwrap_phase(phases: Sequence[float]) -> list[float]:
+    """Cumulative +-2pi correction of a phase sequence, seeded at its first value."""
+    return list(itertools.accumulate(phases, lambda prev, p: prev + wrap_phase_jump(p - prev)))
 
 
 def phase_spectrum(
@@ -178,22 +351,30 @@ def phase_spectrum(
         raise ValueError("phase spectra need at least 3 grid points")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("detuning grid must be strictly increasing")
-    samples = [transmission(d, params, op, convention) for d in deltas]
-    unwrapped = [samples[0].phase]
-    for i in range(1, len(samples)):
-        jump = wrap_phase_jump(samples[i].phase - unwrapped[i - 1])
-        if abs(jump) >= PHASE_JUMP_LIMIT:
-            raise GridTooCoarseError(
-                "phase jump of at least pi between adjacent samples",
-                interval=(deltas[i - 1], deltas[i]),
-            )
-        unwrapped.append(unwrapped[i - 1] + jump)
-    return [replace(s, phase=p) for s, p in zip(samples, unwrapped)]
-
-
-def _t_p_value(delta, params, op, convention):
-    _, t_corr, t_intra = _both_conventions(delta, params, op)
-    return t_corr if convention == CONVENTION_CORRECTED else t_intra
+    _check_convention(convention)
+    c = coefficients(params, op)
+    x, _, status = amplitude_kernel(np.array(deltas, dtype=float), c)
+    _raise_for(status, deltas)
+    t_corr, t_intra = transmissions(x, c.kappa)
+    t_p = (t_corr, t_intra)[CONVENTIONS.index(convention)]
+    raw = phase(t_p).tolist()
+    unwrapped = unwrap_phase(raw)
+    jumps = np.subtract(raw[1:], unwrapped[:-1])
+    wrapped = jumps - 2.0 * math.pi * np.round(jumps / (2.0 * math.pi))  # wrap_phase_jump per element
+    coarse = np.flatnonzero(np.abs(wrapped) >= PHASE_JUMP_LIMIT)
+    if coarse.size:
+        i = coarse[0]
+        raise GridTooCoarseError(
+            "phase jump of at least pi between adjacent samples", interval=(deltas[i], deltas[i + 1])
+        )
+    power = abs_squared(t_p).tolist()
+    x, t_p, t_corr, t_intra = (
+        [complex(*v) for v in zip(*np.array(z).tolist())] for z in (x, t_p, t_corr, t_intra)
+    )
+    return [
+        ResponseSample(d, d - params.mech1.omega, xd, convention, td, pd, ph, tc, ti)
+        for d, xd, td, pd, ph, tc, ti in zip(deltas, x, t_p, power, unwrapped, t_corr, t_intra)
+    ]
 
 
 def group_delay(
@@ -209,28 +390,25 @@ def group_delay(
     uses central differences with step 1e-6 * omega1 plus one Richardson
     extrapolation level.  Positive values mean slow light, negative fast.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
-    t_center = _t_p_value(delta0, params, op, convention)
-    if abs(t_center) < MIN_ABS_T:
-        raise UndefinedPhaseError(f"|t_p| = {abs(t_center)!r} too small at delta = {delta0!r}")
+    _check_convention(convention)
+    if method not in ("analytic", "finite-difference"):
+        raise ValueError(f"unknown method {method!r}; use 'analytic' or 'finite-difference'")
+    c = coefficients(params, op)
+    x, dx = _checked(delta0, c, derivative=method == "analytic")
+    t_center = t_p_pair(x, c.kappa, convention)
+    if _abs(t_center) < MIN_ABS_T:
+        raise UndefinedPhaseError(f"|t_p| = {_abs(t_center)!r} too small at delta = {delta0!r}")
     if method == "analytic":
-        dx = sideband_amplitude_derivative(delta0, params, op)
-        sign = -1.0 if convention == CONVENTION_CORRECTED else 1.0
-        t_prime = sign * 2.0 * params.cavity.kappa * dx
-        return (t_prime / t_center).imag
-    if method == "finite-difference":
-        h = FD_STEP_SCALE * params.mech1.omega
+        return _analytic_delay(t_center, dx, c, convention)
+    h = FD_STEP_SCALE * params.mech1.omega
+    t = [t_p_pair(_checked(delta0 + s * h, c)[0], c.kappa, convention) for s in FD_OFFSETS]
+    return _fd_delay(t, h)
 
-        def slope(step):
-            t_plus = _t_p_value(delta0 + step, params, op, convention)
-            t_minus = _t_p_value(delta0 - step, params, op, convention)
-            return np.angle(t_plus * np.conj(t_minus)) / (2.0 * step)
 
-        coarse = slope(h)
-        fine = slope(h / 2.0)
-        return (4.0 * fine - coarse) / 3.0
-    raise ValueError(f"unknown method {method!r}; use 'analytic' or 'finite-difference'")
+def strict_maxima(values):
+    """Mask of the interior strict local maxima along the first axis (endpoints excluded)."""
+    inner = values[1:-1]
+    return (inner > values[:-2]) & (inner > values[2:])
 
 
 def transmission_maxima(
@@ -245,15 +423,14 @@ def transmission_maxima(
     Returns (delta_bar, transmission) pairs in ascending delta_bar order;
     endpoints are never counted.
     """
+    _check_convention(convention)
     w1 = params.mech1.omega
     if half_width is None:
         half_width = 0.2 * w1
     grid = np.linspace(w1 - half_width, w1 + half_width, points)
-    values = np.empty(points)
-    for i, d in enumerate(grid):
-        values[i] = transmission(float(d), params, op, convention).transmission
-    peaks = []
-    for i in range(1, points - 1):
-        if values[i] > values[i - 1] and values[i] > values[i + 1]:
-            peaks.append((float(grid[i] - w1), float(values[i])))
-    return peaks
+    c = coefficients(params, op)
+    x, _, status = amplitude_kernel(grid, c)
+    _raise_for(status, grid.tolist())
+    values = abs_squared(t_p_pair(x, c.kappa, convention))
+    peaks = np.flatnonzero(strict_maxima(values)) + 1
+    return list(zip((grid[peaks] - w1).tolist(), values[peaks].tolist()))

@@ -1,13 +1,18 @@
 """Parameter-sweep engine: grid evaluation, parallel workers, tabular output.
 
-Each scenario is one `SCENARIOS` entry: data columns, axis rule, row
+Each scenario is one `SCENARIOS` entry: data columns, axis rule, block
 evaluator.  The grid is cut into contiguous chunks in row-major order (axis1
 outermost), one at ``jobs=1`` and several over a process pool otherwise, so
 serial and parallel runs emit identical bytes.  The operating point moves
 with every axis but delta_bar, so a chunk solves the steady state again only
-when those values change.  Physics failures (instability, singular response)
-mark rows and the run continues: a steady-state failure marks every row of
-that operating point, a response failure only its own row.
+when those values change.  The rows whose steady state solved are then
+evaluated in blocks: an evaluator takes the detunings and the stacked
+`response.Coefficients` of up to BLOCK_ELEMENTS kernel elements' worth of
+rows, makes one `response.amplitude_kernel` call on them, and returns column
+arrays plus a per-row status.  Physics failures (instability, singular
+response) mark rows and the run continues: a steady-state failure marks every
+row of that operating point, a response failure only its own row, with the
+slug of the error the scalar functions of `response` raise there.
 """
 from __future__ import annotations
 
@@ -20,17 +25,21 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
-from . import __version__
+import numpy as np
+
+from . import __version__, response
 from .config import SweepAxis, SweepSpec, serialize_config
 from .errors import ConfigError, SimulationError
 from .params import DriveParams, SystemParams
-from .response import group_delay, transmission, transmission_maxima, wrap_phase_jump
 from .steady import solve_steady_state
 
 SPLITTING_WINDOW_FRACTION = 0.2  # half-width of the inner detuning scan, in units of omega1
 SPLITTING_POINTS = 4001
 DEFAULT_SPECTRUM_POINTS = 2001
 NO_ERROR = "-"
+# kernel elements per call: bounds a block's memory, holds one splitting scan
+# and is a multiple of the 5 points of a delay row
+BLOCK_ELEMENTS = 4100
 
 _SPECTRUM_COLUMNS = (
     "delta",
@@ -96,53 +105,48 @@ def apply_override(params: SystemParams, name: str, value: float) -> SystemParam
     raise ValueError(f"cannot override parameter {name!r}")
 
 
-def _spectrum_row(params, op, convention, delta):
-    sample = transmission(delta, params, op, convention)
-    return (
-        sample.delta,
-        sample.X.real,
-        sample.X.imag,
-        sample.t_p.real,
-        sample.t_p.imag,
-        sample.transmission,
-        sample.transmission_corrected,
-        sample.transmission_intracavity,
-        op.photon_number,
-        float(op.branch_count),
-    )
+def _spectrum_block(delta, c, convention):
+    x, _, status = response.amplitude_kernel(delta, c)
+    t = dict(zip(response.CONVENTIONS, response.transmissions(x, c.kappa)))
+    power = {name: response.abs_squared(t[name]) for name in response.CONVENTIONS}
+    # in _SPECTRUM_COLUMNS order
+    values = (delta, *x, *t[convention], power[convention], *power.values())
+    return dict(zip(_SPECTRUM_COLUMNS, values)), status
 
 
-def _phase_row(params, op, convention, delta):
-    # principal value of arg t_p = atan2(im_t_p, re_t_p); unwrapped by run_sweep
-    row = _spectrum_row(params, op, convention, delta)
-    return row + (math.atan2(row[4], row[3]),)
+def _phase_block(delta, c, convention):
+    columns, status = _spectrum_block(delta, c, convention)
+    # principal value of arg t_p; unwrapped by run_sweep
+    columns["phase"] = response.phase((columns["re_t_p"], columns["im_t_p"]))
+    return columns, status
 
 
-def _delay_row(params, op, convention, delta):
-    tau_fd = group_delay(delta, params, op, "finite-difference", convention)
-    tau_an = group_delay(delta, params, op, "analytic", convention)
-    sample = transmission(delta, params, op, convention)
-    return (tau_fd, tau_an, sample.transmission, op.photon_number, float(op.branch_count))
+def _delay_block(delta, c, convention):
+    *values, status = response.group_delays(delta, c, convention)
+    return dict(zip(_DELAY_COLUMNS, values)), status
 
 
-def _splitting_row(params, op, convention, delta):
-    w1 = params.mech1.omega
-    peaks = transmission_maxima(
-        params,
-        op,
-        convention,
-        half_width=SPLITTING_WINDOW_FRACTION * w1,
-        points=SPLITTING_POINTS,
-    )
-    top_two = sorted(sorted(peaks, key=lambda p: p[1])[-2:])
-    if len(top_two) == 2:
-        (lo, hlo), (hi, hhi) = top_two
-        sep = hi - lo
-    elif len(top_two) == 1:
-        (lo, hlo), (hi, hhi), sep = top_two[0], (math.nan, math.nan), math.nan
-    else:
-        (lo, hlo), (hi, hhi), sep = (math.nan, math.nan), (math.nan, math.nan), math.nan
-    return (float(len(peaks)), lo, hi, sep, hlo, hhi, op.photon_number, float(op.branch_count))
+def _splitting_block(delta, c, convention):
+    """Window maxima of |t_p|^2 over delta_bar in +-0.2 omega1; the scans run along axis 0."""
+    half_width = SPLITTING_WINDOW_FRACTION * c.omega1
+    grid = np.linspace(c.omega1 - half_width, c.omega1 + half_width, SPLITTING_POINTS)
+    x, _, status = response.amplitude_kernel(grid, c)
+    values = response.abs_squared(response.t_p_pair(x, c.kappa, convention))
+    peaks = response.strict_maxima(values)
+    count = peaks.sum(axis=0)
+    # the two highest peaks; of equal heights the later ranks higher, as in a stable sort
+    top, second = np.argsort(np.where(peaks, values[1:-1], -np.inf), axis=0, kind="stable")[-2:][::-1]
+    rows = np.arange(grid.shape[1])
+
+    def peak(i, present):  # (delta_bar, height) at interior index i, NaN where absent
+        return (np.where(present, grid[i + 1, rows] - c.omega1, np.nan),
+                np.where(present, values[i + 1, rows], np.nan))
+
+    lo, height_lo = peak(np.where(count >= 2, np.minimum(top, second), top), count >= 1)
+    hi, height_hi = peak(np.maximum(top, second), count >= 2)
+    columns = (count.astype(float), lo, hi, hi - lo, height_lo, height_hi)
+    first_error = status[np.argmax(status != response.OK, axis=0), rows]
+    return dict(zip(_SPLITTING_COLUMNS, columns)), first_error
 
 
 def _spectrum_axes(scenario, params, axes):
@@ -169,24 +173,35 @@ def _one_axis(wanted, scenario, params, axes):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Data columns, axis rule and row evaluator of one sweep scenario."""
+    """Data columns, axis rule and block evaluator of one sweep scenario."""
 
     columns: tuple[str, ...]  # a "phase" column is unwrapped along the innermost axis
     resolve_axes: Callable  # (scenario, params, axes) -> axes to run, or ConfigError
-    evaluate: Callable  # (params, op, convention, delta) -> row data
+    evaluate: Callable  # (delta, Coefficients, convention) -> ({column: array}, status), per row
+    kernel_points: int  # kernel elements per row
 
 
 SCENARIOS = {
-    "spectrum": Scenario(_SPECTRUM_COLUMNS, _spectrum_axes, _spectrum_row),
-    "phase": Scenario(_SPECTRUM_COLUMNS + ("phase",), _phase_axes, _phase_row),
-    "delay-vs-power": Scenario(_DELAY_COLUMNS, partial(_one_axis, ("P_l", "Omega_l")), _delay_row),
-    "delay-vs-kappa": Scenario(_DELAY_COLUMNS, partial(_one_axis, ("kappa",)), _delay_row),
-    "splitting-vs-gc": Scenario(_SPLITTING_COLUMNS, partial(_one_axis, ("g_coulomb",)), _splitting_row),
+    "spectrum": Scenario(_SPECTRUM_COLUMNS, _spectrum_axes, _spectrum_block, 1),
+    "phase": Scenario(_SPECTRUM_COLUMNS + ("phase",), _phase_axes, _phase_block, 1),
+    "delay-vs-power": Scenario(
+        _DELAY_COLUMNS, partial(_one_axis, ("P_l", "Omega_l")), _delay_block, 1 + len(response.FD_OFFSETS)
+    ),
+    "delay-vs-kappa": Scenario(
+        _DELAY_COLUMNS, partial(_one_axis, ("kappa",)), _delay_block, 1 + len(response.FD_OFFSETS)
+    ),
+    "splitting-vs-gc": Scenario(
+        _SPLITTING_COLUMNS, partial(_one_axis, ("g_coulomb",)), _splitting_block, SPLITTING_POINTS
+    ),
 }
 
 
-def _slug(exc: SimulationError) -> str:
-    return type(exc).__name__.removesuffix("Error")
+def _slug(error: type[SimulationError]) -> str:
+    return error.__name__.removesuffix("Error")
+
+
+_STATUS_SLUGS = {response.OK: NO_ERROR}
+_STATUS_SLUGS.update((status, _slug(error)) for status, error in response.STATUS_ERRORS.items())
 
 
 def _evaluate_chunk(task):
@@ -194,13 +209,17 @@ def _evaluate_chunk(task):
 
     The probe detuning is omega1 + delta_bar, the line centre when no
     delta_bar axis is swept; the other axis values fix the operating point.
+    Rows whose steady state solved wait in a block, which is evaluated once
+    it holds BLOCK_ELEMENTS kernel elements' worth of rows.
     """
     params, name, convention, names, points = task
     scenario = SCENARIOS[name]
     nan_data = (math.nan,) * len(scenario.columns)
-    rows = []
+    per_block = max(1, BLOCK_ELEMENTS // scenario.kernel_points)
+    rows = [None] * len(points)
+    block = []  # (row index, delta, kernel inputs + photon number + branch count)
     last_point = None
-    for values in points:
+    for i, values in enumerate(points):
         point = dict(zip(names, values))
         delta = params.mech1.omega + point.pop("delta_bar", 0.0)
         if point != last_point:
@@ -209,17 +228,35 @@ def _evaluate_chunk(task):
             for n, v in point.items():
                 overridden = apply_override(overridden, n, v)
             try:
-                op, op_error = solve_steady_state(overridden), NO_ERROR
+                op = solve_steady_state(overridden)
+                inputs = response.coefficients(overridden, op) + (op.photon_number, op.branch_count)
+                op_error = NO_ERROR
             except SimulationError as exc:
-                op, op_error = None, _slug(exc)
+                op_error = _slug(type(exc))
         if op_error != NO_ERROR:
-            rows.append(values + nan_data + (op_error,))
+            rows[i] = values + nan_data + (op_error,)
             continue
-        try:
-            rows.append(values + scenario.evaluate(overridden, op, convention, delta) + (NO_ERROR,))
-        except SimulationError as exc:
-            rows.append(values + nan_data + (_slug(exc),))
+        block.append((i, delta, inputs))
+        if len(block) == per_block:
+            _evaluate_block(scenario, convention, block, points, rows)
+            block = []
+    if block:
+        _evaluate_block(scenario, convention, block, points, rows)
     return rows
+
+
+def _evaluate_block(scenario, convention, block, points, rows):
+    """Fill the rows of one block from one evaluator call."""
+    index, deltas, inputs = zip(*block)
+    inputs = np.array(inputs)
+    coefficients = response.Coefficients(*inputs[:, :-2].T)
+    with np.errstate(all="ignore"):
+        data, status = scenario.evaluate(np.array(deltas), coefficients, convention)
+    data["photon_number"], data["branch_count"] = inputs[:, -2], inputs[:, -1]
+    nan_data = (math.nan,) * len(scenario.columns)
+    table = zip(*(data[column].tolist() for column in scenario.columns))
+    for i, values, s in zip(index, table, status.tolist()):
+        rows[i] = points[i] + (values if s == response.OK else nan_data) + (_STATUS_SLUGS[s],)
 
 
 def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResult:
@@ -257,17 +294,13 @@ def _attach_phase(rows, i_phase, block):
     Error rows keep their NaN phase and restart the unwrap after them.
     """
     out = []
-    previous = None
-    for i, row in enumerate(rows):
-        if i % block == 0 or row[-1] != NO_ERROR:
-            previous = None
-        if row[-1] != NO_ERROR:
-            out.append(row)
-            continue
-        raw = row[i_phase]
-        phase = raw if previous is None else previous + wrap_phase_jump(raw - previous)
-        previous = phase
-        out.append(row[:i_phase] + (phase,) + row[i_phase + 1 :])
+    for start in range(0, len(rows), block):
+        for solved, run in itertools.groupby(rows[start : start + block], lambda row: row[-1] == NO_ERROR):
+            run = list(run)
+            if solved:
+                phases = response.unwrap_phase([row[i_phase] for row in run])
+                run = [row[:i_phase] + (p,) + row[i_phase + 1 :] for row, p in zip(run, phases)]
+            out += run
     return out
 
 

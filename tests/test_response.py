@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oemsim.errors import (
     GridTooCoarseError,
@@ -10,15 +13,35 @@ from oemsim.errors import (
     UndefinedPhaseError,
 )
 from oemsim.linsys import solve_sidebands
+from oemsim.params import (
+    DIMENSIONLESS,
+    HBAR,
+    SI,
+    CavityParams,
+    CouplingParams,
+    DriveParams,
+    MechanicalMode,
+    SystemParams,
+)
 from oemsim.response import (
+    CONVENTIONS,
+    OK,
+    STATUS_ERRORS,
+    Coefficients,
+    abs_squared,
+    amplitude_kernel,
+    coefficients,
     group_delay,
+    group_delays,
+    phase,
     phase_spectrum,
     sideband_amplitude,
-    susceptibility_parts,
+    sideband_amplitude_derivative,
     transmission,
     transmission_maxima,
+    transmissions,
 )
-from oemsim.steady import solve_steady_state
+from oemsim.steady import OperatingPoint, solve_steady_state
 from oemsim.validate import dimensionless_system, system_for_beta
 
 
@@ -28,28 +51,38 @@ def allpass_reference(delta, delta_c, kappa):
 
 class TestSusceptibilityParts:
     def test_decoupled_resonators_have_zero_alpha(self):
+        # alpha = 0 when g_c = 0: mirror 2 drops out of X bit for bit
         params = dimensionless_system(kappa=0.2, g_coulomb=0.0, pump_amplitude=0.3)
+        other = dimensionless_system(kappa=0.2, g_coulomb=0.0, pump_amplitude=0.3,
+                                     gamma2=0.01, omega2=1.3, mass2=2.0)
         op = solve_steady_state(params)
         for delta in (0.1, 0.9, 1.0, 1.7):
-            assert susceptibility_parts(delta, params, op).alpha == 0.0
+            assert sideband_amplitude(delta, params, op) == sideband_amplitude(delta, other, op)
 
     def test_pump_off_has_zero_beta(self, pump_off):
+        # beta = 0 without photons: g_cav drops out of X bit for bit
         op = solve_steady_state(pump_off)
-        assert susceptibility_parts(1.2, pump_off, op).beta == 0.0
+        other = dataclasses.replace(pump_off, coupling=dataclasses.replace(pump_off.coupling, g_cav=0.7))
+        assert sideband_amplitude(1.2, pump_off, op) == sideband_amplitude(1.2, other, op)
 
     def test_hand_evaluated_alpha_near_pole(self):
         # alpha = g_c^2 / chi2 = 0.0025 / (1e-3 i) = -2.5i at delta = omega2 = 1
         params = dimensionless_system(kappa=0.2, gamma2=1e-3, g_coulomb=0.05,
                                       pump_amplitude=0.2)
         op = solve_steady_state(params)
-        parts = susceptibility_parts(1.0, params, op)
-        assert parts.alpha == pytest.approx(-2.5j, rel=1e-12)
+        kappa, gamma1, big_delta = 0.2, params.mech1.gamma, op.delta_eff
+        beta = params.coupling.g_cav**2 * op.photon_number / 2.0
+        b = 1j * gamma1 + 2.5j  # chi1 - alpha
+        a = kappa - 1j * (big_delta + 1.0)
+        d = big_delta**2 - (1.0 + 1j * kappa) ** 2
+        x = (a * b - 2j * beta) / (d * b + 4.0 * big_delta * beta)
+        assert sideband_amplitude(1.0, params, op) == pytest.approx(x, rel=1e-12)
 
     def test_exact_pole_raises(self):
         params = dimensionless_system(kappa=0.2, gamma2=0.0, pump_amplitude=0.2)
         op = solve_steady_state(params)
         with pytest.raises(MechanicalPoleError):
-            susceptibility_parts(1.0, params, op)
+            sideband_amplitude(1.0, params, op)
 
 
 class TestSidebandAmplitude:
@@ -83,15 +116,15 @@ class TestSidebandAmplitude:
         params = system_for_beta(kappa=0.3, beta=4e-3, g_coulomb=0.15)
         op = solve_steady_state(params)
         delta = 1.02
-        parts = susceptibility_parts(delta, params, op)
-        w1 = params.mech1.omega
         big_delta = op.delta_eff
-        kappa = params.cavity.kappa
-        b = parts.chi_m1 - parts.alpha
+        kappa, gamma1, gamma2 = params.cavity.kappa, params.mech1.gamma, params.mech2.gamma
+        beta = params.coupling.g_cav**2 * op.photon_number / 2.0
+        alpha = 0.15**2 / (delta**2 - 1.0 + 1j * delta * gamma2)
+        b = delta**2 - 1.0 + 1j * delta * gamma1 - alpha
         a = kappa - 1j * (big_delta + delta)
         d = big_delta**2 - (delta + 1j * kappa) ** 2
-        flipped = (a.conjugate() * b.conjugate() + 2j * w1 * parts.beta) / (
-            d.conjugate() * b.conjugate() + 4.0 * big_delta * w1 * parts.beta
+        flipped = (a.conjugate() * b.conjugate() + 2j * beta) / (
+            d.conjugate() * b.conjugate() + 4.0 * big_delta * beta
         )
         x = sideband_amplitude(delta, params, op)
         assert flipped == pytest.approx(x.conjugate(), rel=1e-14)
@@ -254,3 +287,165 @@ class TestGroupDelay:
         op = solve_steady_state(pump_off)
         with pytest.raises(ValueError):
             group_delay(1.0, pump_off, op, method="secant")
+
+
+# --- the kernel's arithmetic contract -------------------------------------------------------
+
+
+def closed_form(delta, kappa, big_delta, w1, w2, gamma1, gamma2, m1, m2, hbar, g_c, g_cav, n):
+    """The scalar closed form with Python complex numbers: (X, dX/d delta) or the error it raises."""
+    chi1 = delta**2 - w1**2 + 1j * delta * gamma1
+    chi2 = delta**2 - w2**2 + 1j * delta * gamma2
+    if chi2 == 0:
+        return MechanicalPoleError
+    alpha = (hbar * g_c) ** 2 / (m1 * m2 * chi2)
+    beta = hbar * g_cav**2 * n / (2.0 * m1 * w1)
+    a = kappa - 1j * (big_delta + delta)
+    d = big_delta**2 - (delta + 1j * kappa) ** 2
+    b = chi1 - alpha
+    num = a * b - 2j * w1 * beta
+    den = d * b + 4.0 * big_delta * w1 * beta
+    if den == 0 or abs(den) < 1e-30 * abs(num):
+        return SingularResponseError
+    alpha_p = -alpha * (2.0 * delta + 1j * gamma2) / chi2
+    b_p = 2.0 * delta + 1j * gamma1 - alpha_p
+    num_p = -1j * b + a * b_p
+    den_p = -2.0 * (delta + 1j * kappa) * b + d * b_p
+    return num / den, (num_p * den - num * den_p) / den**2
+
+
+def closed_form_delays(case, convention):
+    """(tau_fd, tau_analytic, |t_p|^2 at the centre) or the first error, in the scalar order."""
+    kappa, w1 = case[1], case[3]
+    sign = -1.0 if convention == "paper-corrected" else 1.0
+
+    def t_p(x):
+        return 1.0 - 2.0 * kappa * x if convention == "paper-corrected" else 2.0 * kappa * x
+
+    centre = closed_form(*case)
+    if not isinstance(centre, tuple):
+        return centre
+    t0 = t_p(centre[0])
+    if abs(t0) < 1e-12:
+        return UndefinedPhaseError
+    h = 1e-6 * w1
+    t = []
+    for point in (case[0] + h, case[0] - h, case[0] + h / 2.0, case[0] - h / 2.0):
+        result = closed_form(point, *case[1:])
+        if not isinstance(result, tuple):
+            return result
+        t.append(t_p(result[0]))
+
+    def slope(plus, minus, step):
+        return np.angle(plus * np.conj(minus)) / (2.0 * step)
+
+    tau_fd = (4.0 * slope(t[2], t[3], h / 2.0) - slope(t[0], t[1], h)) / 3.0
+    tau_analytic = (sign * 2.0 * kappa * centre[1] / t0).imag
+    return tau_fd, tau_analytic, abs(t0) ** 2
+
+
+def _unit(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _strength(hi):
+    # zero, or not tiny: a denominator below 1e-154 squares to 0 in dX, where
+    # the scalar form raises ZeroDivisionError and the kernel gives NaN
+    return st.one_of(st.just(0.0), _unit(1e-6, hi))
+
+
+@st.composite
+def operating_points(draw):
+    """(params, op, delta, closed-form arguments), the operating point drawn, not solved.
+
+    Delta and n are numpy scalars on an explicit-detuning branch with a pump
+    (the solver takes them from np.roots), and the closed form then divides
+    with numpy's complex division, so both kinds are drawn.
+    """
+    si = draw(st.booleans())
+    w1 = draw(_unit(1e5, 1e7)) if si else 1.0
+    m1, m2 = (draw(_unit(1e-11, 1e-9)), draw(_unit(1e-11, 1e-9))) if si else (1.0, draw(_unit(0.2, 5.0)))
+    hbar = HBAR if si else 1.0
+    w2 = w1 * draw(st.one_of(st.just(1.0), _unit(0.5, 1.5)))
+    gamma1, gamma2 = (w1 * draw(_strength(0.1)) for _ in range(2))
+    # couplings from their dimensionless strengths: alpha ~ g^2 w1^2, beta ~ b w1^2
+    g_c = draw(_strength(0.5)) * math.sqrt(m1 * m2) * w1**2 / hbar
+    g_cav, n = 1.0, draw(_strength(1e-2)) * 2.0 * m1 * w1**3 / hbar
+    kappa = w1 * draw(_unit(0.01, 1.0))
+    big_delta = w1 * draw(_unit(0.5, 1.5))
+    delta = draw(st.one_of(st.just(w2), st.just(w1), _unit(0.5 * w1, 1.5 * w1)))
+    if draw(st.booleans()):
+        big_delta, n = np.float64(big_delta), np.float64(n)
+    cavity = CavityParams(kappa=kappa, length=1e-3, pump_wavelength=1e-6) if si else CavityParams(kappa=kappa)
+    params = SystemParams(
+        cavity=cavity,
+        mech1=MechanicalMode(mass=m1, omega=w1, gamma=gamma1),
+        mech2=MechanicalMode(mass=m2, omega=w2, gamma=gamma2),
+        coupling=CouplingParams(g_cav=g_cav, g_coulomb=g_c),
+        drive=DriveParams(pump_amplitude=0.0),
+        unit_mode=SI if si else DIMENSIONLESS,
+    )
+    op = OperatingPoint(q1s=0.0, q2s=0.0, cs=0j, photon_number=n, delta_eff=big_delta,
+                        delta_c=big_delta, branch_count=1, residual=0.0)
+    return params, op, delta, (delta, kappa, big_delta, w1, w2, gamma1, gamma2, m1, m2, hbar, g_c, g_cav, n)
+
+
+def _bits(value):
+    """The bits of a real or complex value, signed zeros and NaNs included."""
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(operating_points(), min_size=1, max_size=30))
+def test_kernel_matches_scalar_closed_form_bit_for_bit(cases):
+    delta = np.array([case[2] for case in cases])
+    coefs = Coefficients(*np.array([coefficients(case[0], case[1]) for case in cases]).T)
+    x, dx, status = amplitude_kernel(delta, coefs, derivative=True)
+    for k, (params, op, delta_k, args) in enumerate(cases):
+        expected = closed_form(*args)
+        if not isinstance(expected, tuple):
+            assert STATUS_ERRORS[status[k]] is expected
+            continue
+        assert status[k] == OK
+        assert _bits(complex(x[0][k], x[1][k])) == _bits(expected[0])
+        assert _bits(complex(dx[0][k], dx[1][k])) == _bits(expected[1])
+        if k < 3:  # the scalar path: the same pair code on Python floats
+            assert _bits(sideband_amplitude(delta_k, params, op)) == _bits(expected[0])
+            assert _bits(sideband_amplitude_derivative(delta_k, params, op)) == _bits(expected[1])
+    for convention in CONVENTIONS:
+        t_p = dict(zip(CONVENTIONS, transmissions(x, coefs.kappa)))[convention]
+        power, phases = abs_squared(t_p), phase(t_p)
+        tau_fd, tau_analytic, centre_power, delay_status = group_delays(delta, coefs, convention)
+        for k, (params, op, delta_k, args) in enumerate(cases):
+            expected = closed_form(*args)
+            if not isinstance(expected, tuple):
+                continue
+            two_kappa_x = 2.0 * args[1] * expected[0]
+            t_expected = 1.0 - two_kappa_x if convention == "paper-corrected" else two_kappa_x
+            assert _bits(complex(t_p[0][k], t_p[1][k])) == _bits(t_expected)
+            assert _bits(power[k]) == _bits(abs(t_expected) ** 2)
+            assert _bits(phases[k]) == _bits(math.atan2(t_expected.imag, t_expected.real))
+            delays = closed_form_delays(args, convention)
+            if not isinstance(delays, tuple):
+                assert STATUS_ERRORS[delay_status[k]] is delays
+                continue
+            assert delay_status[k] == OK
+            assert [_bits(v[k]) for v in (tau_fd, tau_analytic, centre_power)] == list(map(_bits, delays))
+            if k < 3:
+                for method, tau in zip(("finite-difference", "analytic"), delays):
+                    assert _bits(group_delay(delta_k, params, op, method, convention)) == _bits(tau)
+
+
+def test_kernel_squares_delta_through_pow():
+    # detunings where delta*delta and delta**2 (libm pow) round differently
+    grid = [d for d in np.linspace(0.8, 1.2, 100001).tolist() if d * d != d**2][:40]
+    assert len(grid) == 40
+    params = system_for_beta(kappa=0.227, beta=5e-3, g_coulomb=0.2)
+    op = solve_steady_state(params)
+    x, _, status = amplitude_kernel(np.array(grid), coefficients(params, op))
+    args = (0.227, op.delta_eff, 1.0, 1.0, params.mech1.gamma, params.mech2.gamma,
+            1.0, 1.0, 1.0, 0.2, params.coupling.g_cav, op.photon_number)
+    for k, d in enumerate(grid):
+        assert status[k] == OK
+        assert _bits(complex(x[0][k], x[1][k])) == _bits(closed_form(d, *args)[0])

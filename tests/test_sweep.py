@@ -4,11 +4,13 @@ import multiprocessing
 import numpy as np
 import pytest
 
+import oemsim.response
 import oemsim.steady
 import oemsim.sweep
 from oemsim.config import SCENARIOS, SweepAxis, SweepSpec, parse_config
-from oemsim.errors import ConfigError, InvariantViolationError
+from oemsim.errors import ConfigError, InvariantViolationError, SimulationError
 from oemsim.presets import get_preset, slowfast_pump_power
+from oemsim.response import group_delay
 from oemsim.steady import solve_steady_state
 from oemsim.sweep import (
     NO_ERROR,
@@ -141,9 +143,7 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(slowfast_spectrum, SweepSpec(scenario="validate"))
 
-    @pytest.mark.parametrize(
-        "case", [s for s in SCENARIOS if s != "validate"] + ["static-instability"]
-    )
+    @pytest.mark.parametrize("case", list(SCENARIOS) + ["static-instability"])
     def test_parallel_matches_serial(self, slowfast_spectrum, case):
         spec = PARALLEL_CASES[case]
         serial = run_sweep(slowfast_spectrum, spec, jobs=1)
@@ -217,6 +217,36 @@ class TestRunSweep:
                 # the unwrap starts afresh at the principal value after the error row
                 for row in (block[0], block[3]):
                     assert row[i_phase] == math.atan2(row[i_im], row[i_re])
+
+    def test_delay_sweep_calls_the_kernel_once_per_block(self, monkeypatch, slowfast_spectrum):
+        sizes = []
+        kernel = oemsim.response.amplitude_kernel
+
+        def counting_kernel(delta, c, derivative=False):
+            sizes.append(np.size(delta))
+            return kernel(delta, c, derivative)
+
+        monkeypatch.setattr(oemsim.response, "amplitude_kernel", counting_kernel)
+        rows = 2001
+        spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-4, 1.0, rows, "log"),))
+        result = run_sweep(slowfast_spectrum, spec)
+        assert all(row[-1] == NO_ERROR for row in result.rows)
+        cap = oemsim.sweep.BLOCK_ELEMENTS
+        assert len(sizes) <= math.ceil(5 * rows / cap)
+        assert sum(sizes) == 5 * rows and max(sizes) <= cap
+
+    def test_finite_difference_pole_gives_the_group_delay_slug(self):
+        # the pole of an undamped mirror 2 sits on delta + h of the line-centre delay only
+        params = system_for_beta(kappa=0.227, beta=5e-3, g_coulomb=0.1, gamma2=0.0, omega2=1.0 + 1e-6)
+        spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 0.05, 0.4, 3),))
+        result = run_sweep(params, spec)
+        for (power, *_, slug) in result.rows:
+            powered = apply_override(params, "P_l", power)
+            op = solve_steady_state(powered)
+            group_delay(1.0, powered, op, "analytic")  # the centre itself is regular
+            with pytest.raises(SimulationError) as raised:
+                group_delay(1.0, powered, op, "finite-difference")
+            assert slug == type(raised.value).__name__.removesuffix("Error") == "MechanicalPole"
 
     def test_degenerate_outer_axis_keeps_phase_blocks(self, slowfast_spectrum):
         spec = SweepSpec(

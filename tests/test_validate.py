@@ -19,3 +19,12 @@ def test_timedomain_check_enforces_demodulation_leakage(monkeypatch, leakage, pa
     result = oemsim.validate.check_timedomain(np.random.default_rng(0))
     assert result.passed is passed
     assert ("demodulation leakage" in result.detail) is not passed
+
+
+def test_linsys_properties_pass_on_seeds_0_to_39():
+    # the rng stream run_validation gives the check (index 4) for each seed
+    failing = [
+        seed for seed in range(40)
+        if not oemsim.validate.check_linsys_properties(np.random.default_rng([seed, 4])).passed
+    ]
+    assert failing == []

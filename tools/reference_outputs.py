@@ -10,6 +10,10 @@ the ``--out`` file when there is one.  The cases:
 - every sweep scenario in csv and gnuplot and in both conventions, on
   ``dimensionless-slowfast``, with ``--jobs 1`` and ``--jobs 3`` on 2-D grids;
 - ``paper-2012`` tables, whose header is written in SI base units;
+- tables with response-error rows: spectrum and phase grids through the
+  exact pole of an undamped second resonator (the unwrap restarts after
+  it), and delay tables where every line centre, or only each row's
+  delta + h finite-difference point, sits on that pole;
 - config override cases (probe, pump, damping and detuning pairs);
 - ``steady-state`` output;
 - the exit code and message of malformed configs;
@@ -27,6 +31,11 @@ from pathlib import Path
 
 SLOWFAST = "preset = dimensionless-slowfast\n"
 PAPER = "preset = paper-2012\n"
+# gamma2 = 0 puts an exact pole of mirror 2 at delta = omega2; the second
+# one moves it to the delta + h point of the finite-difference delay at
+# line centre (h = 1e-6 omega1)
+POLE = "[mech2]\ngamma = 0 dimensionless\n"
+POLE_FD = POLE + f"omega = {1.0 + 1e-6!r} dimensionless\n"
 
 
 def _sweep(scenario, *axes):
@@ -70,6 +79,14 @@ TABLES = {
         "delay-vs-kappa", ("kappa", _d(0.113), _d(0.34), 21))),
     "splitting-gc": ("sweep", SLOWFAST + _sweep(
         "splitting-vs-gc", ("g_coulomb", _d(0), _d(1.2), 13))),
+    "spectrum-pole": ("sweep", SLOWFAST + POLE + _sweep(
+        "spectrum", ("g_coulomb", _d(0.05), _d(0.1), 2), ("delta_bar", _d(-0.1), _d(0.1), 5))),
+    "phase-pole": ("sweep", SLOWFAST + POLE + _sweep(
+        "phase", ("g_coulomb", _d(0.05), _d(0.1), 2), ("delta_bar", _d(-0.1), _d(0.1), 9))),
+    "delay-pole-centre": ("delay", SLOWFAST + POLE + _sweep(
+        "delay-vs-power", ("P_l", _d(1e-4), _d(1), 11, "log"))),
+    "delay-pole-fd-point": ("delay", SLOWFAST + POLE_FD + _sweep(
+        "delay-vs-power", ("P_l", _d(1e-4), _d(1), 11, "log"))),
     "paper-spectrum": ("spectrum", PAPER + _sweep(
         "spectrum", ("delta_bar", "-20 kHz", "20 kHz", 41))),
     "paper-delay-power": ("delay", PAPER + _sweep(
