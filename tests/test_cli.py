@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import oemsim
 from oemsim.cli import (
     EXIT_OK,
     EXIT_PHYSICS,
@@ -169,3 +173,18 @@ class TestValidation:
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "oemsim" in capsys.readouterr().out
+
+
+def test_package_import_does_not_load_scipy():
+    # table commands never integrate, so importing the package and its CLI
+    # must not pay for scipy; only timedomain.integrate imports it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oemsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys, oemsim, oemsim.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
