@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PHYSICS = 2
 EXIT_VALIDATION = 3
+_DELAY_SCENARIOS = {"P_l": "delay-vs-power", "Omega_l": "delay-vs-power", "kappa": "delay-vs-kappa"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,10 +97,9 @@ def _resolve_scenario(command: str, sweep: SweepSpec | None) -> SweepSpec:
             return SweepSpec(scenario=command)
         return replace(sweep, scenario=command)
     if command == "delay":
-        if sweep is None or not sweep.axes:
+        scenario = _DELAY_SCENARIOS.get(sweep.axes[0].name) if sweep and sweep.axes else None
+        if scenario is None:
             raise ConfigError("delay needs a [sweep] axis: P_l, Omega_l or kappa")
-        axis = sweep.axes[0].name
-        scenario = "delay-vs-power" if axis in ("P_l", "Omega_l") else "delay-vs-kappa"
         return replace(sweep, scenario=scenario)
     raise ConfigError(f"unhandled command {command!r}")  # pragma: no cover
 

@@ -30,11 +30,11 @@ one CPython 3.11 complex operation:
   there CPython raises);
 - a float square is libm ``pow``, as Python's ``**`` is (x*x differs near 1);
 - abs is ``hypot``; the phase is ``math.atan2`` per element, while the
-  finite-difference slope uses numpy's ``arctan2``, as ``np.angle`` does;
-- an operating point on a branch solved from the cubic's roots (explicit
-  detuning with a pump) has a numpy-scalar Delta, with which the closed form
-  divides by its denominator in numpy's way, times the reciprocal;
-  `Coefficients.numpy_division` marks such points.
+  finite-difference slope uses numpy's ``arctan2``, as ``np.angle`` does.
+The closed form's rounding follows its operand types: with a numpy-scalar
+Delta or n every complex division would be numpy's, times the reciprocal.
+`steady` therefore hands out Python floats on every branch, and the one
+division rule above holds for every operating point.
 CPython 3.14 changes mixed real/complex arithmetic; the property test in
 ``tests/test_response.py`` pins this contract.
 """
@@ -66,6 +66,8 @@ PHASE_JUMP_LIMIT = math.pi * (1.0 - 1e-12)
 FD_STEP_SCALE = 1e-6
 FD_OFFSETS = (1.0, -1.0, 0.5, -0.5)  # finite-difference points delta0 + s h, in evaluation order
 MIN_ABS_T = 1e-12
+SPLITTING_WINDOW_FRACTION = 0.2  # half-width of the window scan, in units of omega1
+SPLITTING_POINTS = 4001
 
 OK, POLE, SINGULAR, UNDEFINED_PHASE = 0, 1, 2, 3  # per-element status
 STATUS_ERRORS = {
@@ -81,17 +83,13 @@ _atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 @dataclass(frozen=True)
 class ResponseSample:
-    """Probe response at one detuning, both conventions attached."""
+    """Probe response at one detuning, t_p in the convention asked for."""
 
     delta: float
-    delta_bar: float
     X: complex  # normalized sideband amplitude c_-/eps_p, units of seconds
-    convention: str
-    t_p: complex  # selected convention
+    t_p: complex
     transmission: float  # |t_p|^2
     phase: float  # rad; unwrapped along a grid, principal value pointwise
-    t_corrected: complex
-    t_intracavity: complex
 
 
 class Coefficients(NamedTuple):
@@ -108,7 +106,6 @@ class Coefficients(NamedTuple):
     coulomb: float  # (hbar g_c)^2
     masses: float  # m1 m2
     beta: float
-    numpy_division: float  # 1.0 when Delta is a numpy scalar, else 0.0
 
 
 def coefficients(params: SystemParams, op: OperatingPoint) -> Coefficients:
@@ -118,7 +115,6 @@ def coefficients(params: SystemParams, op: OperatingPoint) -> Coefficients:
     return Coefficients(*map(float, (
         params.cavity.kappa, op.delta_eff, op.delta_eff**2, m1.omega, m1.omega**2, m2.omega**2,
         m1.gamma, m2.gamma, (hbar * params.coupling.g_coulomb) ** 2, m1.mass * m2.mass, beta,
-        isinstance(op.delta_eff, np.generic),
     )))
 
 
@@ -142,8 +138,8 @@ def _mul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _quot(a, b, reciprocal=False):
-    """a / b by CPython's Smith division, or numpy's (times 1/denominator) where ``reciprocal``."""
+def _quot(a, b):
+    """a / b by CPython's Smith division."""
     (ar, ai), (br, bi) = a, b
     by_real = abs(br) >= abs(bi)
     if isinstance(by_real, np.ndarray):
@@ -155,11 +151,7 @@ def _quot(a, b, reciprocal=False):
     denominator = _where(by_real, br + bi * ratio, br * ratio + bi)
     re_num = _where(by_real, ar + ai * ratio, ar * ratio + ai)
     im_num = _where(by_real, ai - ar * ratio, ai * ratio - ar)
-    scale = 1.0 / denominator
-    return (
-        _where(reciprocal, re_num * scale, re_num / denominator),
-        _where(reciprocal, im_num * scale, im_num / denominator),
-    )
+    return re_num / denominator, im_num / denominator
 
 
 def _float_square(x):
@@ -206,7 +198,7 @@ def amplitude_kernel(delta, c: Coefficients, derivative: bool = False):
             _abs(denominator) < SINGULAR_DENOMINATOR_RATIO * _abs(numerator)
         )
         status = _where(pole, POLE, _where(singular, SINGULAR, OK))
-        x = _quot(numerator, denominator, c.numpy_division)
+        x = _quot(numerator, denominator)
         if not derivative:
             return x, None, status
         chi1_p = _add(_re(2.0 * delta), _mul(_I, _re(c.gamma1)))
@@ -215,7 +207,7 @@ def amplitude_kernel(delta, c: Coefficients, derivative: bool = False):
         num_p = _add(_mul(_MINUS_I, b_fac), _mul(a_fac, b_p))
         den_p = _add(_mul(_mul(_re(-2.0), z), b_fac), _mul(d_fac, b_p))
         num_p_den = _sub(_mul(num_p, denominator), _mul(numerator, den_p))
-        dx = _quot(num_p_den, _mul(denominator, denominator), c.numpy_division)
+        dx = _quot(num_p_den, _mul(denominator, denominator))
         return x, dx, status
 
 
@@ -232,7 +224,7 @@ def t_p_pair(x, kappa, convention):
 
 def _analytic_delay(t0, dx0, c, convention):
     sign = -1.0 if convention == CONVENTION_CORRECTED else 1.0
-    return _quot(_mul(_re(sign * 2.0 * c.kappa), dx0), t0, c.numpy_division)[1]
+    return _quot(_mul(_re(sign * 2.0 * c.kappa), dx0), t0)[1]
 
 
 def _fd_delay(t, h):
@@ -310,19 +302,8 @@ def transmission(
     _check_convention(convention)
     c = coefficients(params, op)
     x, _ = _checked(delta, c)
-    t_corr, t_intra = (complex(*t) for t in transmissions(x, c.kappa))
-    t_p = t_corr if convention == CONVENTION_CORRECTED else t_intra
-    return ResponseSample(
-        delta=delta,
-        delta_bar=delta - params.mech1.omega,
-        X=complex(*x),
-        convention=convention,
-        t_p=t_p,
-        transmission=abs(t_p) ** 2,
-        phase=math.atan2(t_p.imag, t_p.real),
-        t_corrected=t_corr,
-        t_intracavity=t_intra,
-    )
+    t_p = t_p_pair(x, c.kappa, convention)
+    return ResponseSample(delta, complex(*x), complex(*t_p), abs_squared(t_p), phase(t_p))
 
 
 def wrap_phase_jump(jump: float) -> float:
@@ -355,26 +336,17 @@ def phase_spectrum(
     c = coefficients(params, op)
     x, _, status = amplitude_kernel(np.array(deltas, dtype=float), c)
     _raise_for(status, deltas)
-    t_corr, t_intra = transmissions(x, c.kappa)
-    t_p = (t_corr, t_intra)[CONVENTIONS.index(convention)]
+    t_p = t_p_pair(x, c.kappa, convention)
     raw = phase(t_p).tolist()
     unwrapped = unwrap_phase(raw)
-    jumps = np.subtract(raw[1:], unwrapped[:-1])
-    wrapped = jumps - 2.0 * math.pi * np.round(jumps / (2.0 * math.pi))  # wrap_phase_jump per element
-    coarse = np.flatnonzero(np.abs(wrapped) >= PHASE_JUMP_LIMIT)
-    if coarse.size:
-        i = coarse[0]
-        raise GridTooCoarseError(
-            "phase jump of at least pi between adjacent samples", interval=(deltas[i], deltas[i + 1])
-        )
+    for i, (prev, p) in enumerate(zip(unwrapped, raw[1:])):
+        if abs(wrap_phase_jump(p - prev)) >= PHASE_JUMP_LIMIT:
+            raise GridTooCoarseError(
+                "phase jump of at least pi between adjacent samples", interval=(deltas[i], deltas[i + 1])
+            )
     power = abs_squared(t_p).tolist()
-    x, t_p, t_corr, t_intra = (
-        [complex(*v) for v in zip(*np.array(z).tolist())] for z in (x, t_p, t_corr, t_intra)
-    )
-    return [
-        ResponseSample(d, d - params.mech1.omega, xd, convention, td, pd, ph, tc, ti)
-        for d, xd, td, pd, ph, tc, ti in zip(deltas, x, t_p, power, unwrapped, t_corr, t_intra)
-    ]
+    x, t_p = ([complex(*v) for v in zip(real.tolist(), imag.tolist())] for real, imag in (x, t_p))
+    return list(map(ResponseSample, deltas, x, t_p, power, unwrapped))
 
 
 def group_delay(
@@ -411,26 +383,35 @@ def strict_maxima(values):
     return (inner > values[:-2]) & (inner > values[2:])
 
 
+def window_scan(c: Coefficients, convention: str, half_width, points: int):
+    """(grid, |t_p|^2, status) on ``points`` detunings over omega1 +- half_width.
+
+    With array coefficients the scans run along axis 0, one column per
+    operating point.
+    """
+    grid = np.linspace(c.omega1 - half_width, c.omega1 + half_width, points)
+    x, _, status = amplitude_kernel(grid, c)
+    return grid, abs_squared(t_p_pair(x, c.kappa, convention)), status
+
+
 def transmission_maxima(
     params: SystemParams,
     op: OperatingPoint,
     convention: str = CONVENTION_CORRECTED,
     half_width: float | None = None,
-    points: int = 4001,
+    points: int = SPLITTING_POINTS,
 ) -> list[tuple[float, float]]:
     """Interior strict local maxima of |t_p|^2 over delta_bar in [-hw, +hw].
 
     Returns (delta_bar, transmission) pairs in ascending delta_bar order;
-    endpoints are never counted.
+    endpoints are never counted.  The default half-width is
+    SPLITTING_WINDOW_FRACTION * omega1.
     """
     _check_convention(convention)
-    w1 = params.mech1.omega
-    if half_width is None:
-        half_width = 0.2 * w1
-    grid = np.linspace(w1 - half_width, w1 + half_width, points)
     c = coefficients(params, op)
-    x, _, status = amplitude_kernel(grid, c)
+    if half_width is None:
+        half_width = SPLITTING_WINDOW_FRACTION * c.omega1
+    grid, values, status = window_scan(c, convention, half_width, points)
     _raise_for(status, grid.tolist())
-    values = abs_squared(t_p_pair(x, c.kappa, convention))
     peaks = np.flatnonzero(strict_maxima(values)) + 1
-    return list(zip((grid[peaks] - w1).tolist(), values[peaks].tolist()))
+    return list(zip((grid[peaks] - c.omega1).tolist(), values[peaks].tolist()))

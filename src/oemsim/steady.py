@@ -5,6 +5,9 @@ The intracavity photon number n solves the cubic fixed point
 pull coefficient ``a = hbar g_cav^2 / K``.  All real nonnegative roots are
 located; the returned root is the branch continuously connected to n = 0
 (unless the detuning is locked, which pins the root with Delta = omega1).
+Roots leave as Python floats, so every operating point carries Python
+numbers on every branch: the response closed form rounds by operand type,
+and a numpy scalar would switch its complex divisions to numpy's.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Static solution the probe response is linearized around."""
+    """Static solution the probe response is linearized around; Python numbers on every branch."""
 
     q1s: float  # m
     q2s: float  # m
@@ -57,7 +60,7 @@ def _newton_polish(n, a, delta_c, kappa, omega_sq, iterations=4):
 
 
 def photon_number_roots(a: float, delta_c: float, kappa: float, omega_l: float) -> list[float]:
-    """All distinct real nonnegative photon-number roots, ascending."""
+    """All distinct real nonnegative photon-number roots, ascending, as Python floats."""
     omega_sq = omega_l**2
     if omega_sq == 0.0:
         return [0.0]
@@ -82,7 +85,7 @@ def photon_number_roots(a: float, delta_c: float, kappa: float, omega_l: float) 
         n = _newton_polish(max(n, 0.0), a, delta_c, kappa, omega_sq)
         if n < 0.0:
             continue
-        roots.append(n)
+        roots.append(float(n))
     roots.sort()
     deduped: list[float] = []
     for n in roots:

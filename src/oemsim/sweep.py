@@ -31,10 +31,9 @@ from . import __version__, response
 from .config import SweepAxis, SweepSpec, serialize_config
 from .errors import ConfigError, SimulationError
 from .params import DriveParams, SystemParams
+from .response import SPLITTING_POINTS, SPLITTING_WINDOW_FRACTION
 from .steady import solve_steady_state
 
-SPLITTING_WINDOW_FRACTION = 0.2  # half-width of the inner detuning scan, in units of omega1
-SPLITTING_POINTS = 4001
 DEFAULT_SPECTRUM_POINTS = 2001
 NO_ERROR = "-"
 # kernel elements per call: bounds a block's memory, holds one splitting scan
@@ -128,10 +127,9 @@ def _delay_block(delta, c, convention):
 
 def _splitting_block(delta, c, convention):
     """Window maxima of |t_p|^2 over delta_bar in +-0.2 omega1; the scans run along axis 0."""
-    half_width = SPLITTING_WINDOW_FRACTION * c.omega1
-    grid = np.linspace(c.omega1 - half_width, c.omega1 + half_width, SPLITTING_POINTS)
-    x, _, status = response.amplitude_kernel(grid, c)
-    values = response.abs_squared(response.t_p_pair(x, c.kappa, convention))
+    grid, values, status = response.window_scan(
+        c, convention, SPLITTING_WINDOW_FRACTION * c.omega1, SPLITTING_POINTS
+    )
     peaks = response.strict_maxima(values)
     count = peaks.sum(axis=0)
     # the two highest peaks; of equal heights the later ranks higher, as in a stable sort

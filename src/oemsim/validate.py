@@ -24,7 +24,7 @@ from .params import (
 )
 from .response import group_delay, sideband_amplitude, transmission
 from .steady import photon_number_roots, solve_steady_state
-from .timedomain import LEAKAGE_LIMIT, TrajectoryConfig, probe_response
+from .timedomain import LEAKAGE_LIMIT, Trajectory, TrajectoryConfig, demodulate, probe_response
 
 DEFAULT_SEED = 20260810
 ORACLE_TOL = 1e-9
@@ -332,8 +332,6 @@ def check_timedomain(rng: np.random.Generator) -> CheckResult:
 
 
 def check_demodulation(rng: np.random.Generator) -> CheckResult:
-    from .timedomain import Trajectory, demodulate
-
     problems = []
     delta = 1.1
     t = np.arange(0.0, 4000.0, 0.3)

@@ -120,6 +120,15 @@ class TestErrorPaths:
         cfg.write_text("preset = dimensionless-slowfast\n")
         assert main(["delay", "--config", str(cfg)]) == EXIT_USAGE
 
+    def test_delay_with_an_axis_it_cannot_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "gc-axis.cfg"
+        cfg.write_text(
+            "preset = dimensionless-slowfast\n[sweep]\nscenario = delay-vs-kappa\naxis1 = g_coulomb\n"
+            "axis1_min = 0 dimensionless\naxis1_max = 0.2 dimensionless\naxis1_points = 3\n"
+        )
+        assert main(["delay", "--config", str(cfg)]) == EXIT_USAGE
+        assert "delay needs a [sweep] axis: P_l, Omega_l or kappa" in capsys.readouterr().err
+
     def test_validate_is_not_a_sweep_scenario(self, tmp_path, capsys):
         cfg = tmp_path / "validate.cfg"
         cfg.write_text("preset = dimensionless-slowfast\n[sweep]\nscenario = validate\n")

@@ -114,6 +114,25 @@ class TestUnits:
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config("[laser]\npower = 1 W\n")
 
+    @pytest.mark.parametrize("number", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[mech1]\ngamma = {} dimensionless",
+            "[mech2]\nquality = {} dimensionless",
+            "[cavity]\nkappa = {} dimensionless",
+            "[cavity]\ndetuning = {} dimensionless",
+            "[coupling]\ng_coulomb = {} dimensionless",
+            "[sweep]\nscenario = spectrum\naxis1 = delta_bar\naxis1_min = {} dimensionless",
+        ],
+        ids=["gamma", "quality", "kappa", "detuning", "g_coulomb", "axis1_min"],
+    )
+    def test_non_finite_number_names_the_line(self, number, line):
+        text = "preset = dimensionless-slowfast\n" + line.format(number) + "\n"
+        with pytest.raises(ConfigError, match="not a finite number") as err:
+            parse_config(text)
+        assert err.value.line == text.count("\n")
+
 
 class TestOverridesAndResolution:
     def test_overrides_apply_in_file_order(self):

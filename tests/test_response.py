@@ -358,9 +358,7 @@ def _strength(hi):
 def operating_points(draw):
     """(params, op, delta, closed-form arguments), the operating point drawn, not solved.
 
-    Delta and n are numpy scalars on an explicit-detuning branch with a pump
-    (the solver takes them from np.roots), and the closed form then divides
-    with numpy's complex division, so both kinds are drawn.
+    Delta and n are Python floats, as the solver returns them on every branch.
     """
     si = draw(st.booleans())
     w1 = draw(_unit(1e5, 1e7)) if si else 1.0
@@ -374,8 +372,6 @@ def operating_points(draw):
     kappa = w1 * draw(_unit(0.01, 1.0))
     big_delta = w1 * draw(_unit(0.5, 1.5))
     delta = draw(st.one_of(st.just(w2), st.just(w1), _unit(0.5 * w1, 1.5 * w1)))
-    if draw(st.booleans()):
-        big_delta, n = np.float64(big_delta), np.float64(n)
     cavity = CavityParams(kappa=kappa, length=1e-3, pump_wavelength=1e-6) if si else CavityParams(kappa=kappa)
     params = SystemParams(
         cavity=cavity,

@@ -38,6 +38,25 @@ def test_undriven_cavity():
     assert op.branch_count == 1
 
 
+@pytest.mark.parametrize(
+    "params, branches",
+    [
+        (bistable_system(0.25), 3),  # explicit detuning with a pump: roots of the cubic
+        (system_for_beta(kappa=0.2, beta=5e-3), 1),  # locked detuning
+        (dimensionless_system(kappa=0.3, pump_amplitude=0.0, detuning_mode="explicit", detuning=0.8), 1),
+    ],
+    ids=["explicit-bistable", "locked", "pump-off"],
+)
+def test_operating_point_carries_python_numbers(params, branches):
+    # the response closed form rounds by operand type: a numpy scalar here
+    # would switch its complex divisions to numpy's
+    op = solve_steady_state(params)
+    assert op.branch_count == branches
+    for name in ("photon_number", "delta_eff", "delta_c", "q1s", "q2s", "residual"):
+        assert type(getattr(op, name)) is float, name
+    assert type(op.cs) is complex
+
+
 def test_linear_cavity_on_resonance():
     params = dimensionless_system(kappa=0.25, g_cav=0.0, pump_amplitude=0.4,
                                   detuning_mode="explicit", detuning=0.0)

@@ -4,8 +4,9 @@
 
 SRC is the directory that holds the ``oemsim`` package (``src`` in a checkout).
 Every case runs ``oemsim.cli.main`` in this process, with ``--no-timestamp``
-on tables, and leaves ``OUTDIR/<case>.txt`` (exit code, stdout, stderr) plus
-the ``--out`` file when there is one.  The cases:
+on tables, and leaves ``OUTDIR/<case>.txt`` (exit code, or the exception that
+escaped ``main``, then stdout and stderr) plus the ``--out`` file when there
+is one.  The cases:
 
 - every sweep scenario in csv and gnuplot and in both conventions, on
   ``dimensionless-slowfast``, with ``--jobs 1`` and ``--jobs 3`` on 2-D grids;
@@ -14,9 +15,11 @@ the ``--out`` file when there is one.  The cases:
   exact pole of an undamped second resonator (the unwrap restarts after
   it), and delay tables where every line centre, or only each row's
   delta + h finite-difference point, sits on that pole;
-- config override cases (probe, pump, damping and detuning pairs);
+- config override cases (probe, pump, damping and detuning pairs), and
+  phase, delay and splitting tables on the explicit-detuning override, whose
+  operating points come from the roots of the photon-number cubic;
 - ``steady-state`` output;
-- the exit code and message of malformed configs;
+- the exit code and message of malformed configs, non-finite numbers among them;
 - ``validate --seed 20260810`` and ``--seed 7``.
 
 Two trees are the same program output when ``diff -r OUT_A OUT_B`` is empty.
@@ -36,6 +39,7 @@ PAPER = "preset = paper-2012\n"
 # line centre (h = 1e-6 omega1)
 POLE = "[mech2]\ngamma = 0 dimensionless\n"
 POLE_FD = POLE + f"omega = {1.0 + 1e-6!r} dimensionless\n"
+EXPLICIT = "[cavity]\ndetuning = 0.9 dimensionless\n"
 
 
 def _sweep(scenario, *axes):
@@ -93,6 +97,12 @@ TABLES = {
         "delay-vs-power", ("P_l", "1 uW", "10 uW", 7, "log"))),
     "paper-splitting": ("sweep", PAPER + _sweep(
         "splitting-vs-gc", ("g_coulomb", "0 MHz", "16 MHz", 3))),
+    "explicit-phase": ("phase", SLOWFAST + EXPLICIT + _sweep(
+        "phase", ("g_coulomb", _d(0), _d(0.2), 3), ("delta_bar", _d(-0.2), _d(0.2), 201))),
+    "explicit-delay-power": ("delay", SLOWFAST + EXPLICIT + _sweep(
+        "delay-vs-power", ("P_l", _d(1e-4), _d(1), 101, "log"))),
+    "explicit-splitting": ("sweep", SLOWFAST + EXPLICIT + _sweep(
+        "splitting-vs-gc", ("g_coulomb", _d(0), _d(1.2), 13))),
 }
 
 OVERRIDES = {
@@ -102,7 +112,7 @@ OVERRIDES = {
     "pump-amplitude-then-power": "[drive]\npump_amplitude = 0.05 dimensionless\npower = 0.3 dimensionless\n",
     "quality-then-gamma": "[mech1]\nquality = 100 dimensionless\ngamma = 0.002 dimensionless\n",
     "gamma-then-quality": "[mech2]\ngamma = 0.002 dimensionless\nquality = 100 dimensionless\n",
-    "explicit-detuning": "[cavity]\ndetuning = 0.9 dimensionless\n",
+    "explicit-detuning": EXPLICIT,
     "locked-then-detuning": "[cavity]\ndetuning_mode = locked\ndetuning = 1.1 dimensionless\n",
     "detuning-then-locked": "[cavity]\ndetuning = 1.1 dimensionless\ndetuning_mode = locked\n",
     "g-cav-kappa": "[coupling]\ng_cav = 0.05 dimensionless\ng_coulomb = 0.15 dimensionless\n[cavity]\nkappa = 0.3 dimensionless\n",
@@ -156,6 +166,12 @@ MALFORMED = {
     "points-below-2": SLOWFAST + "[sweep]\nscenario = spectrum\n" + _AXIS + "axis1_points = 1\n",
     "log-nonpositive": SLOWFAST + _sweep("delay-vs-power", ("P_l", _d(0), _d(1), 5, "log")),
     "infinite-bound": SLOWFAST + _sweep("spectrum", ("delta_bar", _d(-0.1), _d("inf"), 5)),
+    "nan-gamma": SLOWFAST + "[mech1]\ngamma = nan dimensionless\n",
+    "inf-kappa": SLOWFAST + "[cavity]\nkappa = inf dimensionless\n",
+    "nan-g-coulomb": SLOWFAST + "[coupling]\ng_coulomb = nan dimensionless\n",
+    "nan-detuning": SLOWFAST + "[cavity]\ndetuning = nan dimensionless\n",
+    "inf-quality": SLOWFAST + "[mech2]\nquality = inf dimensionless\n",
+    "minus-inf-power": SLOWFAST + "[drive]\npower = -inf dimensionless\n",
     "same-axis-names": SLOWFAST + _sweep(
         "spectrum", ("delta_bar", _d(-0.1), _d(0.1), 5), ("delta_bar", _d(-0.1), _d(0.1), 5)),
     "bad-axis-unit": SLOWFAST + _sweep("spectrum", ("delta_bar", "-1 kHz", "1 kHz", 5)),
@@ -181,7 +197,10 @@ MALFORMED = {
 def _run(main, out_dir: Path, name: str, argv: list[str]) -> None:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as exc:  # a crash is an output too; record it and go on
+            code = f"raised {type(exc).__name__}: {exc}"
     text = f"exit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
     (out_dir / f"{name}.txt").write_text(text, encoding="utf-8")
 
