@@ -43,7 +43,7 @@ from .response import (
     transmission,
     transmission_maxima,
 )
-from .steady import OperatingPoint, photon_number_roots, solve_steady_state
+from .steady import OperatingPoint, photon_number_roots, solve_steady_state, solve_steady_states
 from .sweep import SweepResult, emit_csv, read_sweep_csv, run_sweep
 from .timedomain import (
     DemodResult,
@@ -101,6 +101,7 @@ __all__ = [
     "sideband_amplitude",
     "solve_sidebands",
     "solve_steady_state",
+    "solve_steady_states",
     "transmission",
     "transmission_maxima",
 ]

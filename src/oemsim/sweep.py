@@ -3,16 +3,18 @@
 Each scenario is one `SCENARIOS` entry: data columns, axis rule, block
 evaluator.  The grid is cut into contiguous chunks in row-major order (axis1
 outermost), one at ``jobs=1`` and several over a process pool otherwise, so
-serial and parallel runs emit identical bytes.  The operating point moves
-with every axis but delta_bar, so a chunk solves the steady state again only
-when those values change.  The rows whose steady state solved are then
-evaluated in blocks: an evaluator takes the detunings and the stacked
-`response.Coefficients` of up to BLOCK_ELEMENTS kernel elements' worth of
-rows, makes one `response.amplitude_kernel` call on them, and returns column
-arrays plus a per-row status.  Physics failures (instability, singular
-response) mark rows and the run continues: a steady-state failure marks every
-row of that operating point, a response failure only its own row, with the
-slug of the error the scalar functions of `response` raise there.
+serial and parallel runs emit identical bytes.  A chunk is evaluated in
+blocks of up to BLOCK_ELEMENTS kernel elements' worth of rows.  The
+operating point moves with every axis but delta_bar, so a block solves each
+of its distinct operating points once, all in one batched
+`steady.solve_steady_states` call.  The rows whose steady state solved then
+go to one evaluator call: it takes their detunings and stacked
+`response.Coefficients`, makes one `response.amplitude_kernel` call on them,
+and returns column arrays plus a per-row status.  Physics failures
+(instability, singular response) mark rows and the run continues: a
+steady-state failure marks every row of that operating point, a response
+failure only its own row, with the slug of the error the scalar functions of
+`response` raise there.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .config import SweepAxis, SweepSpec, serialize_config
 from .errors import ConfigError, SimulationError
 from .params import DriveParams, SystemParams
 from .response import SPLITTING_POINTS, SPLITTING_WINDOW_FRACTION
-from .steady import solve_steady_state
+from .steady import solve_steady_states
 
 DEFAULT_SPECTRUM_POINTS = 2001
 NO_ERROR = "-"
@@ -205,56 +207,71 @@ _STATUS_SLUGS.update((status, _slug(error)) for status, error in response.STATUS
 def _evaluate_chunk(task):
     """Table rows of one contiguous run of grid points, error slug last.
 
-    The probe detuning is omega1 + delta_bar, the line centre when no
-    delta_bar axis is swept; the other axis values fix the operating point.
-    Rows whose steady state solved wait in a block, which is evaluated once
-    it holds BLOCK_ELEMENTS kernel elements' worth of rows.
+    The run is cut into blocks of BLOCK_ELEMENTS kernel elements' worth of
+    rows, each evaluated by `_evaluate_block`.
     """
     params, name, convention, names, points = task
     scenario = SCENARIOS[name]
-    nan_data = (math.nan,) * len(scenario.columns)
     per_block = max(1, BLOCK_ELEMENTS // scenario.kernel_points)
-    rows = [None] * len(points)
-    block = []  # (row index, delta, kernel inputs + photon number + branch count)
-    last_point = None
-    for i, values in enumerate(points):
-        point = dict(zip(names, values))
-        delta = params.mech1.omega + point.pop("delta_bar", 0.0)
-        if point != last_point:
-            last_point = point
-            overridden = params
-            for n, v in point.items():
-                overridden = apply_override(overridden, n, v)
-            try:
-                op = solve_steady_state(overridden)
-                inputs = response.coefficients(overridden, op) + (op.photon_number, op.branch_count)
-                op_error = NO_ERROR
-            except SimulationError as exc:
-                op_error = _slug(type(exc))
-        if op_error != NO_ERROR:
-            rows[i] = values + nan_data + (op_error,)
-            continue
-        block.append((i, delta, inputs))
-        if len(block) == per_block:
-            _evaluate_block(scenario, convention, block, points, rows)
-            block = []
-    if block:
-        _evaluate_block(scenario, convention, block, points, rows)
+    rows = []
+    for start in range(0, len(points), per_block):
+        rows += _evaluate_block(params, scenario, convention, names, points[start : start + per_block])
     return rows
 
 
-def _evaluate_block(scenario, convention, block, points, rows):
-    """Fill the rows of one block from one evaluator call."""
-    index, deltas, inputs = zip(*block)
-    inputs = np.array(inputs)
-    coefficients = response.Coefficients(*inputs[:, :-2].T)
-    with np.errstate(all="ignore"):
-        data, status = scenario.evaluate(np.array(deltas), coefficients, convention)
-    data["photon_number"], data["branch_count"] = inputs[:, -2], inputs[:, -1]
+def _evaluate_block(params, scenario, convention, names, points):
+    """Rows of one block: one steady-state solve of its distinct operating points, one evaluator call.
+
+    The probe detuning is omega1 + delta_bar, the line centre when no
+    delta_bar axis is swept; the other axis values fix the operating point.
+    Rows whose operating point failed carry its slug and skip the evaluator.
+    """
+    deltas, keys = [], []
+    for values in points:
+        point = dict(zip(names, values))
+        deltas.append(params.mech1.omega + point.pop("delta_bar", 0.0))
+        keys.append(tuple(point.items()))
+    inputs = _operating_points(params, keys)
     nan_data = (math.nan,) * len(scenario.columns)
-    table = zip(*(data[column].tolist() for column in scenario.columns))
-    for i, values, s in zip(index, table, status.tolist()):
+    rows = [None] * len(points)
+    solved = []
+    for i, key in enumerate(keys):
+        if isinstance(inputs[key], str):
+            rows[i] = points[i] + nan_data + (inputs[key],)
+        else:
+            solved.append(i)
+    if not solved:
+        return rows
+    table = np.array([inputs[keys[i]] for i in solved])
+    coefficients = response.Coefficients(*table[:, :-2].T)
+    with np.errstate(all="ignore"):
+        data, status = scenario.evaluate(np.array([deltas[i] for i in solved]), coefficients, convention)
+    data["photon_number"], data["branch_count"] = table[:, -2], table[:, -1]
+    columns = zip(*(data[column].tolist() for column in scenario.columns))
+    for i, values, s in zip(solved, columns, status.tolist()):
         rows[i] = points[i] + (values if s == response.OK else nan_data) + (_STATUS_SLUGS[s],)
+    return rows
+
+
+def _operating_points(params, points):
+    """Kernel inputs + photon number + branch count, or the error slug, of each distinct point.
+
+    A point is a tuple of (name, value) overrides; all are solved in one call.
+    """
+    overridden = {}
+    for point in points:
+        if point not in overridden:
+            p = params
+            for name, value in point:
+                p = apply_override(p, name, value)
+            overridden[point] = p
+    inputs = {}
+    for (point, p), op in zip(overridden.items(), solve_steady_states(overridden.values())):
+        if isinstance(op, SimulationError):
+            inputs[point] = _slug(type(op))
+        else:
+            inputs[point] = response.coefficients(p, op) + (op.photon_number, op.branch_count)
+    return inputs
 
 
 def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResult:
@@ -302,12 +319,6 @@ def _attach_phase(rows, i_phase, block):
     return out
 
 
-def _format_value(v) -> str:
-    if isinstance(v, str):
-        return v
-    return f"{v:.17g}"
-
-
 def render_table(result: SweepResult, fmt: str = "csv", timestamp: bool = True) -> str:
     """Render a sweep table with a provenance header that reproduces the run.
 
@@ -331,13 +342,14 @@ def render_table(result: SweepResult, fmt: str = "csv", timestamp: bool = True) 
     sep = "," if fmt == "csv" else " "
     if fmt == "csv":
         lines.append(",".join(result.columns))
+    row_format = sep.join("%s" if column == "error" else "%.17g" for column in result.columns)
     block = None
     if fmt == "gnuplot" and len(result.spec.axes) > 1:
         block = result.spec.axes[-1].points
     for i, row in enumerate(result.rows):
         if block and i > 0 and i % block == 0:
             lines.append("")
-        lines.append(sep.join(_format_value(v) for v in row))
+        lines.append(row_format % row)
     return "\n".join(lines) + "\n"
 
 

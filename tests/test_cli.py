@@ -162,6 +162,14 @@ class TestSteadyState:
         assert "photon_number = 1" in out
         assert "branch_count = 1" in out
 
+    def test_huge_pump_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("preset = dimensionless-slowfast\n[drive]\npower = 1e300 dimensionless\n")
+        assert main(["steady-state", "--config", str(cfg)]) == EXIT_PHYSICS
+        captured = capsys.readouterr()
+        assert "steady state leaves the float range" in captured.err
+        assert captured.out == ""
+
 
 class TestValidation:
     def test_failing_report_maps_to_exit_3(self, tmp_path, capsys):

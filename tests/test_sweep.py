@@ -8,7 +8,7 @@ import oemsim.response
 import oemsim.steady
 import oemsim.sweep
 from oemsim.config import SCENARIOS, SweepAxis, SweepSpec, parse_config
-from oemsim.errors import ConfigError, InvariantViolationError, SimulationError
+from oemsim.errors import ConfigError, InvariantViolationError, SimulationError, StaticInstabilityError
 from oemsim.presets import get_preset, slowfast_pump_power
 from oemsim.response import group_delay
 from oemsim.steady import solve_steady_state
@@ -61,6 +61,20 @@ class TestApplyOverride:
         assert amped.drive.pump_amplitude == 0.25 and amped.drive.pump_power is None
         with pytest.raises(ValueError):
             apply_override(slowfast_spectrum, "delta_bar", 0.1)
+
+
+@pytest.fixture
+def eigvals_sizes(monkeypatch):
+    """Stack sizes of the np.linalg.eigvals calls made while the test runs."""
+    sizes = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(companion):
+        sizes.append(len(companion))
+        return eigvals(companion)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    return sizes
 
 
 class TestRunSweep:
@@ -161,13 +175,14 @@ class TestRunSweep:
 
     def test_steady_state_solved_once_per_operating_point(self, monkeypatch, slowfast_spectrum):
         calls = []
-        solve = oemsim.sweep.solve_steady_state
+        solve = oemsim.sweep.solve_steady_states
 
-        def counting_solve(params):
-            calls.append(params)
-            return solve(params)
+        def counting_solve(params_seq):
+            params_seq = list(params_seq)
+            calls.extend(params_seq)
+            return solve(params_seq)
 
-        monkeypatch.setattr(oemsim.sweep, "solve_steady_state", counting_solve)
+        monkeypatch.setattr(oemsim.sweep, "solve_steady_states", counting_solve)
         # 3 g_coulomb x 4 delta_bar rows, then 5 P_l rows
         assert len(run_sweep(slowfast_spectrum, PARALLEL_CASES["spectrum"], jobs=1).rows) == 12
         assert len(calls) == 3
@@ -234,6 +249,46 @@ class TestRunSweep:
         cap = oemsim.sweep.BLOCK_ELEMENTS
         assert len(sizes) <= math.ceil(5 * rows / cap)
         assert sum(sizes) == 5 * rows and max(sizes) <= cap
+
+    def test_delay_sweep_solves_each_block_in_one_eigvals_call(self, eigvals_sizes, slowfast_spectrum):
+        rows = 2001
+        spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-4, 1.0, rows, "log"),))
+        result = run_sweep(slowfast_spectrum, spec)
+        assert all(row[-1] == NO_ERROR for row in result.rows)
+        per_block = oemsim.sweep.BLOCK_ELEMENTS // (1 + len(oemsim.response.FD_OFFSETS))
+        assert len(eigvals_sizes) <= math.ceil(rows / per_block)
+        assert sum(eigvals_sizes) == rows
+
+    def test_unstable_rows_share_a_block_with_solved_rows(self, eigvals_sizes, slowfast_spectrum):
+        spec = SweepSpec(
+            "phase", (SweepAxis("g_coulomb", 0.8, 1.2, 5), SweepAxis("delta_bar", -0.05, 0.05, 51))
+        )
+        result = run_sweep(slowfast_spectrum, spec)
+        # the one block's stable operating points went to one eigvals call
+        solved = sum(row[-1] == NO_ERROR for row in result.rows[::51])
+        assert eigvals_sizes == [solved] and 0 < solved < 5
+        i_n = result.columns.index("photon_number")
+        for start in range(0, 255, 51):
+            block = result.rows[start : start + 51]
+            try:
+                op = solve_steady_state(apply_override(slowfast_spectrum, "g_coulomb", block[0][0]))
+            except StaticInstabilityError:
+                assert {row[-1] for row in block} == {"StaticInstability"}
+            else:
+                assert {(row[i_n], row[-1]) for row in block} == {(op.photon_number, NO_ERROR)}
+
+    def test_huge_pump_marks_only_its_rows(self, slowfast_spectrum):
+        spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-3, 1e300, 31, "log"),))
+        result = run_sweep(slowfast_spectrum, spec)
+        i_n = result.columns.index("photon_number")
+        for row in result.rows:
+            try:
+                op = solve_steady_state(apply_override(slowfast_spectrum, "P_l", row[0]))
+            except InvariantViolationError:
+                assert row[-1] == "InvariantViolation"
+            else:
+                assert row[i_n] == op.photon_number and row[-1] == NO_ERROR
+        assert {NO_ERROR, "InvariantViolation"} == {row[-1] for row in result.rows}
 
     def test_finite_difference_pole_gives_the_group_delay_slug(self):
         # the pole of an undamped mirror 2 sits on delta + h of the line-centre delay only

@@ -18,7 +18,9 @@ is one.  The cases:
 - config override cases (probe, pump, damping and detuning pairs), and
   phase, delay and splitting tables on the explicit-detuning override, whose
   operating points come from the roots of the photon-number cubic;
-- ``steady-state`` output;
+- delay tables whose pump is so weak that the cubic's leading coefficient
+  underflows (a quadratic is left), or so strong that floats overflow;
+- ``steady-state`` output, a pump that overflows floats among it;
 - the exit code and message of malformed configs, non-finite numbers among them;
 - ``validate --seed 20260810`` and ``--seed 7``.
 
@@ -103,6 +105,10 @@ TABLES = {
         "delay-vs-power", ("P_l", _d(1e-4), _d(1), 101, "log"))),
     "explicit-splitting": ("sweep", SLOWFAST + EXPLICIT + _sweep(
         "splitting-vs-gc", ("g_coulomb", _d(0), _d(1.2), 13))),
+    "delay-power-underflow": ("delay", SLOWFAST + _sweep(
+        "delay-vs-power", ("P_l", _d(1e-130), _d(1e-90), 41, "log"))),
+    "delay-power-overflow": ("delay", SLOWFAST + _sweep(
+        "delay-vs-power", ("P_l", _d(1e-3), _d(1e300), 31, "log"))),
 }
 
 OVERRIDES = {
@@ -134,6 +140,7 @@ STEADY = {
     "paper-masses": PAPER + "[mech1]\nmass = 1.45e-10 kg\n[mech2]\nmass = 200 ng\nquality = 5000 dimensionless\n",
     "paper-pump": PAPER + "[drive]\npower = 12 uW\nprobe_amplitude = 10 rad_s\n",
     "unstable": UNSTABLE,
+    "huge-pump": SLOWFAST + "[drive]\npower = 1e300 dimensionless\n",
     **{f"override-{k}": SLOWFAST + v for k, v in OVERRIDES.items()},
 }
 
