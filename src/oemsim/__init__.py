@@ -30,9 +30,6 @@ from .params import (
     DriveParams,
     MechanicalMode,
     SystemParams,
-    derive_probe_amplitude,
-    derive_pump_amplitude,
-    effective_stiffness,
 )
 from .presets import get_preset
 from .response import (
@@ -83,9 +80,6 @@ __all__ = [
     "UndefinedPhaseError",
     "build_linear_system",
     "demodulate",
-    "derive_probe_amplitude",
-    "derive_pump_amplitude",
-    "effective_stiffness",
     "emit_csv",
     "get_preset",
     "group_delay",

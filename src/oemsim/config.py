@@ -7,11 +7,15 @@ suffixes (Hz, kHz, MHz) denote ordinary frequencies and are converted by
 value uses the ``dimensionless`` suffix.  ``preset = <name>`` imports a named preset, which
 is itself config text (`presets.PRESET_TEXT`) read by the same parser, and
 later lines override it, in file order.  Unknown keys are hard errors.
+
+`AXES` is the one table of swept names: each one's unit kind and the
+`SystemParams` field that `apply_override` sets.  An axis bound outside that
+field's domain is a config error at the bound's line.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,15 +52,18 @@ _SI_SUFFIXES = {
 }
 _SI_BASE_UNITS = {FREQUENCY: "rad_s", RATE: "rad_s", LENGTH: "m", MASS: "kg", POWER: "W"}
 
-AXIS_KINDS = {
-    "delta_bar": FREQUENCY,
-    "P_l": POWER,
-    "Omega_l": RATE,
-    "g_coulomb": FREQUENCY,
-    "kappa": FREQUENCY,
-    "g_cav": FREQUENCY,
+# swept name -> (unit kind, SystemParams section, field it sets, field it sets
+# to None so that the swept value alone gives the pump); delta_bar moves the
+# probe and sets no field
+AXES = {
+    "delta_bar": (FREQUENCY, None, None, None),
+    "P_l": (POWER, "drive", "pump_power", "pump_amplitude"),
+    "Omega_l": (RATE, "drive", "pump_amplitude", "pump_power"),
+    "g_coulomb": (FREQUENCY, "coupling", "g_coulomb", None),
+    "kappa": (FREQUENCY, "cavity", "kappa", None),
+    "g_cav": (FREQUENCY, "coupling", "g_cav", None),
 }
-AXIS_NAMES = tuple(AXIS_KINDS)
+AXIS_NAMES = tuple(AXES)
 SCENARIOS = ("spectrum", "phase", "delay-vs-power", "delay-vs-kappa", "splitting-vs-gc")
 SPACINGS = ("linear", "log")
 
@@ -134,6 +141,15 @@ class SweepSpec:
     convention: str = "paper-corrected"
 
 
+def apply_override(params: SystemParams, name: str, value: float) -> SystemParams:
+    """Params with the field swept by ``name`` set to ``value``; ValueError if none or out of domain."""
+    _, section, field, cleared = AXES[name]
+    if field is None:
+        raise ValueError(f"cannot override parameter {name!r}")
+    changes = {field: value} if cleared is None else {field: value, cleared: None}
+    return replace(params, **{section: replace(getattr(params, section), **changes)})
+
+
 def _blank_state() -> dict:
     """Every key of the key table unset, but for the two keys with defaults."""
     state = {section: dict.fromkeys(keys) for section, keys in _SECTION_KEYS.items()}
@@ -156,12 +172,7 @@ def _parse_physical(value_text: str, kind: str, unit_mode: str, line_no: int) ->
     if not math.isfinite(number):
         raise ConfigError(f"not a finite number: {number_text!r}", line=line_no)
     mode = unit_mode or SI
-    if kind == PURE:
-        allowed = {"dimensionless": 1.0}
-    elif mode == DIMENSIONLESS:
-        allowed = {"dimensionless": 1.0}
-    else:
-        allowed = _SI_SUFFIXES[kind]
+    allowed = _SI_SUFFIXES[PURE if kind == PURE or mode == DIMENSIONLESS else kind]
     if suffix not in allowed:
         raise ConfigError(
             f"unit {suffix!r} not valid for a {kind} value in {mode} mode "
@@ -230,7 +241,7 @@ def parse_config(text: str):
     state = _read(text)
     params = resolve_state(state)
     has_sweep = any(value is not None for value in state["sweep"].values())
-    sweep = _resolve_sweep(state["sweep"], state[""]["units"] or SI) if has_sweep else None
+    sweep = _resolve_sweep(state["sweep"], params) if has_sweep else None
     return params, sweep
 
 
@@ -305,7 +316,7 @@ def resolve_state(state: dict) -> SystemParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_sweep(raw: dict, unit_mode: str) -> SweepSpec:
+def _resolve_sweep(raw: dict, params: SystemParams) -> SweepSpec:
     if raw["scenario"] is None:
         raise ConfigError("sweep section needs a scenario")
     axes = []
@@ -315,21 +326,30 @@ def _resolve_sweep(raw: dict, unit_mode: str) -> SweepSpec:
             if any(v is not None for k, v in raw.items() if k.startswith(f"axis{idx}_")):
                 raise ConfigError(f"axis{idx}_* keys given without axis{idx}")
             continue
-        kind = AXIS_KINDS[name]
+        kind, section, _, _ = AXES[name]
         bounds = {}
         for end in ("min", "max"):
             key = f"axis{idx}_{end}"
             if raw[key] is None:
                 raise ConfigError(f"missing {key} for axis {name}")
             text, line_no = raw[key]
-            bounds[end] = _parse_physical(text, kind, unit_mode, line_no)
+            bounds[end] = _parse_physical(text, kind, params.unit_mode, line_no)
+            # a bound outside its field's domain fails here, so no grid value
+            # can: each lies between the bounds, and each domain is an interval
+            if section is not None:
+                try:
+                    apply_override(params, name, bounds[end])
+                except ValueError as exc:
+                    raise ConfigError(f"axis {name}: {exc}", line=line_no) from exc
         points = raw[f"axis{idx}_points"]
         if points is None:
             raise ConfigError(f"missing axis{idx}_points for axis {name}")
         spacing = raw[f"axis{idx}_spacing"] or "linear"
-        axis = SweepAxis(name=name, lo=bounds["min"], hi=bounds["max"], points=points, spacing=spacing)
-        _validate_axis(axis)
-        axes.append(axis)
+        if points < 2:
+            raise ConfigError(f"axis {name}: points must be >= 2, got {points}")
+        if spacing == "log" and (bounds["min"] <= 0 or bounds["max"] <= 0):
+            raise ConfigError(f"axis {name}: log spacing requires positive bounds")
+        axes.append(SweepAxis(name, bounds["min"], bounds["max"], points, spacing))
     if len(axes) == 2 and axes[0].name == axes[1].name:
         raise ConfigError("swept parameter names must be distinct")
     return SweepSpec(
@@ -337,13 +357,6 @@ def _resolve_sweep(raw: dict, unit_mode: str) -> SweepSpec:
         axes=tuple(axes),
         convention=raw["convention"] or "paper-corrected",
     )
-
-
-def _validate_axis(axis: SweepAxis) -> None:
-    if axis.points < 2:
-        raise ConfigError(f"axis {axis.name}: points must be >= 2, got {axis.points}")
-    if axis.spacing == "log" and (axis.lo <= 0 or axis.hi <= 0):
-        raise ConfigError(f"axis {axis.name}: log spacing requires positive bounds")
 
 
 def _fmt(x: float) -> str:
@@ -393,7 +406,7 @@ def serialize_config(params: SystemParams, sweep: SweepSpec | None = None) -> st
         lines.append(f"scenario = {sweep.scenario}")
         lines.append(f"convention = {sweep.convention}")
         for idx, axis in enumerate(sweep.axes, start=1):
-            axis_unit = unit[AXIS_KINDS[axis.name]]
+            axis_unit = unit[AXES[axis.name][0]]
             lines.append(f"axis{idx} = {axis.name}")
             lines.append(f"axis{idx}_min = {_fmt(axis.lo)} {axis_unit}")
             lines.append(f"axis{idx}_max = {_fmt(axis.hi)} {axis_unit}")

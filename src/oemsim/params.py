@@ -1,16 +1,18 @@
 """Physical parameters of the driven cavity with two Coulomb-coupled resonators.
 
 All internal rates are angular (rad/s); SI quantities are kg, m, W.  In
-dimensionless mode the first resonator frequency is the unit of rate,
-masses and hbar are scaled to one, and the same formulas apply verbatim.
+dimensionless mode the first resonator frequency is the unit of rate;
+masses, hbar and (with no wavelength set) the pump frequency are one, and
+the same formulas apply verbatim.  The classes only validate; `SystemParams`
+derives the drive amplitudes and the stiffness.  Responses are per unit probe,
+so the probe is checked for being perturbative only in `timedomain.integrate`.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import PerturbativeRegimeWarning, StaticInstabilityError
+from .errors import StaticInstabilityError
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 299_792_458.0  # m/s
@@ -20,8 +22,6 @@ DIMENSIONLESS = "dimensionless"
 
 DETUNING_EXPLICIT = "explicit"
 DETUNING_LOCKED = "locked"
-
-PERTURBATIVE_RATIO = 0.05
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,6 @@ class MechanicalMode:
             raise ValueError(f"mechanical frequency must be positive, got {self.omega}")
         if self.gamma < 0:
             raise ValueError(f"mechanical damping must be nonnegative, got {self.gamma}")
-
-    @property
-    def quality(self) -> float:
-        """Quality factor omega/gamma (inf for an undamped mode)."""
-        return math.inf if self.gamma == 0 else self.omega / self.gamma
 
 
 @dataclass(frozen=True)
@@ -123,53 +118,6 @@ class DriveParams:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-def derive_pump_amplitude(drive: DriveParams, cavity: CavityParams, hbar: float = HBAR) -> float:
-    """Pump amplitude |Omega_l| = sqrt(2 kappa P_l / (hbar omega_l)).
-
-    Pass-through when the drive already carries an amplitude.  In
-    dimensionless mode call with hbar=1; the pump frequency defaults to 1
-    when no wavelength is set, so Omega = sqrt(2 kappa P).
-    """
-    if drive.pump_amplitude is not None:
-        return drive.pump_amplitude
-    if drive.pump_power < 0:  # pragma: no cover - guarded at construction
-        raise ValueError("pump power must be nonnegative")
-    return math.sqrt(2.0 * cavity.kappa * drive.pump_power / (hbar * cavity.omega_l))
-
-
-def derive_probe_amplitude(
-    drive: DriveParams, cavity: CavityParams, delta: float = 0.0, hbar: float = HBAR
-) -> float:
-    """Probe amplitude eps_p = sqrt(2 kappa P_p / (hbar omega_p)), omega_p = omega_l + delta."""
-    if drive.probe_amplitude is not None:
-        return drive.probe_amplitude
-    if drive.probe_power is None:
-        return 0.0
-    omega_p = cavity.omega_l + (delta if cavity.pump_wavelength is not None else 0.0)
-    return math.sqrt(2.0 * cavity.kappa * drive.probe_power / (hbar * omega_p))
-
-
-def effective_stiffness(
-    mech1: MechanicalMode,
-    mech2: MechanicalMode,
-    coupling: CouplingParams,
-    hbar: float = HBAR,
-) -> float:
-    """Static stiffness K = m1 w1^2 - hbar^2 g_c^2 / (m2 w2^2) of the first mirror.
-
-    Raises StaticInstabilityError when the Coulomb term softens the mirror
-    past the stability boundary (K <= 0); no steady state exists there.
-    """
-    k = mech1.mass * mech1.omega**2 - (hbar * coupling.g_coulomb) ** 2 / (
-        mech2.mass * mech2.omega**2
-    )
-    if k <= 0:
-        raise StaticInstabilityError(
-            f"Coulomb softening exceeds mechanical stiffness (K = {k!r} <= 0)"
-        )
-    return k
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Full description of the driven system in one unit convention."""
@@ -189,33 +137,43 @@ class SystemParams:
         if self.unit_mode == SI:
             if self.cavity.length is None or self.cavity.pump_wavelength is None:
                 raise ValueError("SI mode requires cavity length and pump wavelength")
-        omega = self.pump_amplitude()
-        eps = self.probe_amplitude()
-        if omega > 0 and eps / omega > PERTURBATIVE_RATIO:
-            warnings.warn(
-                f"probe/pump ratio {eps / omega:.3g} exceeds {PERTURBATIVE_RATIO}; "
-                "perturbative regime violated",
-                PerturbativeRegimeWarning,
-                stacklevel=2,
-            )
 
     @property
     def hbar(self) -> float:
         return 1.0 if self.unit_mode == DIMENSIONLESS else HBAR
 
     def pump_amplitude(self) -> float:
-        return derive_pump_amplitude(self.drive, self.cavity, hbar=self.hbar)
+        """|Omega_l| = sqrt(2 kappa P_l / (hbar omega_l)), or the amplitude given."""
+        drive, cavity = self.drive, self.cavity
+        if drive.pump_amplitude is not None:
+            return drive.pump_amplitude
+        return math.sqrt(2.0 * cavity.kappa * drive.pump_power / (self.hbar * cavity.omega_l))
 
     def probe_amplitude(self, delta: float = 0.0) -> float:
-        return derive_probe_amplitude(self.drive, self.cavity, delta=delta, hbar=self.hbar)
+        """eps_p = sqrt(2 kappa P_p / (hbar omega_p)), omega_p = omega_l + delta; 0 when unset."""
+        drive, cavity = self.drive, self.cavity
+        if drive.probe_amplitude is not None:
+            return drive.probe_amplitude
+        if drive.probe_power is None:
+            return 0.0
+        omega_p = cavity.omega_l + (delta if cavity.pump_wavelength is not None else 0.0)
+        return math.sqrt(2.0 * cavity.kappa * drive.probe_power / (self.hbar * omega_p))
 
     def stiffness(self) -> float:
-        return effective_stiffness(self.mech1, self.mech2, self.coupling, hbar=self.hbar)
+        """Static stiffness K = m1 w1^2 - hbar^2 g_c^2 / (m2 w2^2) of the first mirror.
 
-    def g_zpf(self) -> float:
-        """Display-only single-photon coupling g_cav * x_zpf (rad/s)."""
-        x_zpf = math.sqrt(self.hbar / (self.mech1.mass * self.mech1.omega))
-        return self.coupling.g_cav * x_zpf
+        Raises StaticInstabilityError when the Coulomb term softens the mirror
+        past the stability boundary (K <= 0); no steady state exists there.
+        """
+        mech1, mech2 = self.mech1, self.mech2
+        k = mech1.mass * mech1.omega**2 - (self.hbar * self.coupling.g_coulomb) ** 2 / (
+            mech2.mass * mech2.omega**2
+        )
+        if k <= 0:
+            raise StaticInstabilityError(
+                f"Coulomb softening exceeds mechanical stiffness (K = {k!r} <= 0)"
+            )
+        return k
 
 
 def default_g_cav(cavity: CavityParams, mech1_omega: float) -> float:

@@ -10,7 +10,8 @@ of its distinct operating points once, all in one batched
 `steady.solve_steady_states` call.  The rows whose steady state solved then
 go to one evaluator call: it takes their detunings and stacked
 `response.Coefficients`, makes one `response.amplitude_kernel` call on them,
-and returns column arrays plus a per-row status.  Physics failures
+and returns column arrays plus a per-row status.  `config.apply_override`
+sets the swept values, whose bounds the parser has checked.  Physics failures
 (instability, singular response) mark rows and the run continues: a
 steady-state failure marks every row of that operating point, a response
 failure only its own row, with the slug of the error the scalar functions of
@@ -30,9 +31,9 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, response
-from .config import SweepAxis, SweepSpec, serialize_config
+from .config import SweepAxis, SweepSpec, apply_override, serialize_config
 from .errors import ConfigError, SimulationError
-from .params import DriveParams, SystemParams
+from .params import SystemParams
 from .response import SPLITTING_POINTS, SPLITTING_WINDOW_FRACTION
 from .steady import solve_steady_states
 
@@ -71,7 +72,6 @@ _SPLITTING_COLUMNS = (
     "photon_number",
     "branch_count",
 )
-_DRIVE_FIELDS = {"P_l": "pump_power", "Omega_l": "pump_amplitude"}
 
 
 @dataclass(frozen=True)
@@ -82,28 +82,6 @@ class SweepResult:
     spec: SweepSpec
     columns: tuple[str, ...]
     rows: list[tuple]
-
-
-def apply_override(params: SystemParams, name: str, value: float) -> SystemParams:
-    """Return params with one swept quantity replaced."""
-    if name == "kappa":
-        return replace(params, cavity=replace(params.cavity, kappa=value))
-    if name == "g_coulomb":
-        return replace(params, coupling=replace(params.coupling, g_coulomb=value))
-    if name == "g_cav":
-        return replace(params, coupling=replace(params.coupling, g_cav=value))
-    if name in _DRIVE_FIELDS:
-        # a new DriveParams, so the pump is given only by the swept quantity
-        drive = params.drive
-        return replace(
-            params,
-            drive=DriveParams(
-                probe_power=drive.probe_power,
-                probe_amplitude=drive.probe_amplitude,
-                **{_DRIVE_FIELDS[name]: value},
-            ),
-        )
-    raise ValueError(f"cannot override parameter {name!r}")
 
 
 def _spectrum_block(delta, c, convention):

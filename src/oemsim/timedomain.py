@@ -20,7 +20,7 @@ from .errors import (
     PerturbativeRegimeWarning,
     TrajectoryConfigWarning,
 )
-from .params import PERTURBATIVE_RATIO, SystemParams
+from .params import SystemParams
 from .steady import OperatingPoint, solve_steady_state
 
 TRAJECTORY_COLUMNS = ("t", "q1", "p1", "q2", "p2", "re_c", "im_c")
@@ -28,6 +28,7 @@ MIN_BEAT_SAMPLES = 16
 RECOMMENDED_RINGDOWNS = 20
 RECOMMENDED_BEATS = 32
 LEAKAGE_LIMIT = 1e-4
+PERTURBATIVE_RATIO = 0.05
 # DOP853 gets a quarter of the requested tolerance.  At the full tolerance its
 # energy drift on the dissipation-free test system is 31.6 x rtol, above the
 # 30 x that tests/test_timedomain.py allows; at a quarter it is 8.8 x, and at
@@ -147,6 +148,9 @@ def integrate(
     Dormand-Prince 8(5,3) (DOP853) with dense output sampled every
     ``config.dt``, run at ``DOP853_TOLERANCE_FACTOR`` times the requested
     ``config.integrator_tolerance``.
+
+    The package's one perturbative check is here, where the probe drives the
+    run: a probe/pump ratio above PERTURBATIVE_RATIO warns `PerturbativeRegimeWarning`.
     """
     # imported here so that table commands, which never integrate, do not
     # pay for loading scipy

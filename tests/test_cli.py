@@ -55,6 +55,37 @@ pump_amplitude = 0.1 dimensionless
 """
 
 
+# axes that leave their parameter's domain: (command, [sweep] section, stderr)
+OUT_OF_DOMAIN_AXES = {
+    "kappa": (
+        "delay",
+        "scenario = delay-vs-kappa\naxis1 = kappa\naxis1_min = -0.1 dimensionless\n"
+        "axis1_max = 0.3 dimensionless\naxis1_points = 5\n",
+        "line 5: axis kappa: cavity decay rate must be positive, got -0.1",
+    ),
+    "g_coulomb": (
+        "sweep",
+        "scenario = splitting-vs-gc\naxis1 = g_coulomb\naxis1_min = -0.1 dimensionless\n"
+        "axis1_max = 0.1 dimensionless\naxis1_points = 5\n",
+        "line 5: axis g_coulomb: g_coulomb must be nonnegative, got -0.1",
+    ),
+    "P_l": (
+        "delay",
+        "scenario = delay-vs-power\naxis1 = P_l\naxis1_min = -1 dimensionless\n"
+        "axis1_max = 1 dimensionless\naxis1_points = 5\n",
+        "line 5: axis P_l: pump_power must be nonnegative, got -1.0",
+    ),
+}
+
+
+def _run_python(*args):
+    """Run the interpreter on the package under test; the completed process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oemsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 @pytest.fixture
 def spectrum_config(tmp_path):
     path = tmp_path / "spectrum.cfg"
@@ -137,6 +168,20 @@ class TestErrorPaths:
         assert "line 3: scenario must be one of" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("axis", sorted(OUT_OF_DOMAIN_AXES))
+    def test_axis_out_of_domain_exits_1(self, tmp_path, capsys, axis, jobs):
+        command, section, message = OUT_OF_DOMAIN_AXES[axis]
+        cfg = tmp_path / "axis.cfg"
+        cfg.write_text("preset = dimensionless-slowfast\n[sweep]\n" + section)
+        table = tmp_path / "table.csv"
+        argv = [command, "--config", str(cfg), "--jobs", jobs, "--out", str(table)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"oemsim: config error: {message}\n"
+        assert captured.out == ""
+        assert not table.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -195,13 +240,30 @@ def test_version_flag(capsys):
 def test_package_import_does_not_load_scipy():
     # table commands never integrate, so importing the package and its CLI
     # must not pay for scipy; only timedomain.integrate imports it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(oemsim.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = (
         "import sys, oemsim, oemsim.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
+    result = _run_python("-c", code)
+    assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in oemsim.__all__ if not hasattr(oemsim, name)] == []
+
+
+def test_delay_rows_of_a_nonperturbative_probe_do_not_warn(tmp_path):
+    # P_l from 1e-130 makes the fixed probe far larger than the pump; the table
+    # is per unit probe, so the run must leave stderr empty (no line per row)
+    cfg = tmp_path / "underflow.cfg"
+    cfg.write_text(
+        "preset = dimensionless-slowfast\n[sweep]\nscenario = delay-vs-power\naxis1 = P_l\n"
+        "axis1_min = 1e-130 dimensionless\naxis1_max = 1e-90 dimensionless\n"
+        "axis1_points = 41\naxis1_spacing = log\n"
+    )
+    table = tmp_path / "table.csv"
+    result = _run_python("-m", "oemsim.cli", "delay", "--config", str(cfg), "--out", str(table))
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stderr == ""
+    assert len(read_sweep_csv(table)[2]) == 41

@@ -28,7 +28,7 @@ class TestPresets:
         assert params.mech1.mass == pytest.approx(145e-12)
         assert params.cavity.length == pytest.approx(25e-3)
         assert params.cavity.pump_wavelength == pytest.approx(1064e-9)
-        assert params.mech1.quality == pytest.approx(6700.0)
+        assert params.mech1.omega / params.mech1.gamma == pytest.approx(6700.0)
         assert params.drive.pump_power == pytest.approx(6e-6)
         assert params.coupling.g_coulomb == pytest.approx(TWO_PI * 8e6)
         assert params.cavity.detuning_mode == "locked"

@@ -65,9 +65,7 @@ class TestTrajectoryConfig:
             integrate(params, 1.0, config)
 
     def test_nonperturbative_probe_warns(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # construction-time warning
-            params = quick_system(ratio=0.2)
+        params = quick_system(ratio=0.2)
         config = quick_config()
         with pytest.warns(PerturbativeRegimeWarning):
             integrate(params, 1.03, config)

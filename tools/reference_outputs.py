@@ -21,7 +21,8 @@ is one.  The cases:
 - delay tables whose pump is so weak that the cubic's leading coefficient
   underflows (a quadratic is left), or so strong that floats overflow;
 - ``steady-state`` output, a pump that overflows floats among it;
-- the exit code and message of malformed configs, non-finite numbers among them;
+- the exit code and message of malformed configs, non-finite numbers and
+  axes that leave their parameter's domain among them;
 - ``validate --seed 20260810`` and ``--seed 7``.
 
 Two trees are the same program output when ``diff -r OUT_A OUT_B`` is empty.
@@ -198,6 +199,9 @@ MALFORMED = {
     "wrong-one-axis": SLOWFAST + _sweep("delay-vs-kappa", ("g_coulomb", _d(0), _d(0.2), 3)),
     "phase-delta-not-inner": SLOWFAST + _sweep(
         "phase", ("delta_bar", _d(-0.1), _d(0.1), 5), ("kappa", _d(0.1), _d(0.3), 3)),
+    "axis-kappa": SLOWFAST + _sweep("delay-vs-kappa", ("kappa", _d(-0.1), _d(0.3), 5)),
+    "axis-g-coulomb": SLOWFAST + _sweep("splitting-vs-gc", ("g_coulomb", _d(-0.1), _d(0.1), 5)),
+    "axis-power": SLOWFAST + _sweep("delay-vs-power", ("P_l", _d(-1), _d(1), 5)),
 }
 
 
