@@ -105,11 +105,17 @@ class TestInvariants:
         with pytest.raises(ValueError):
             DriveParams()
 
-    def test_construction_does_not_warn(self):
+    def test_perturbative_warning(self):
         # a probe/pump ratio of 0.2 warns only where the probe drives a run
+        # (timedomain.integrate), never at construction
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             dimensionless_system(kappa=0.2, pump_amplitude=1.0, probe_amplitude=0.2)
+
+    def test_no_warning_in_perturbative_regime(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dimensionless_system(kappa=0.2, pump_amplitude=1.0, probe_amplitude=1e-3)
 
 
 def test_coulomb_coupling_from_charges_matches_direct_formula():
