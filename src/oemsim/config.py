@@ -9,8 +9,9 @@ is itself config text (`presets.PRESET_TEXT`) read by the same parser, and
 later lines override it, in file order.  Unknown keys are hard errors.
 
 `AXES` is the one table of swept names: each one's unit kind and the
-`SystemParams` field that `apply_override` sets.  An axis bound outside that
-field's domain is a config error at the bound's line.
+`SystemParams` field that `axis_changes` sets, for one value (`apply_override`)
+or for a sweep's array of them.  An axis bound outside that field's domain is
+a config error at the bound's line.
 """
 from __future__ import annotations
 
@@ -141,12 +142,21 @@ class SweepSpec:
     convention: str = "paper-corrected"
 
 
-def apply_override(params: SystemParams, name: str, value: float) -> SystemParams:
-    """Params with the field swept by ``name`` set to ``value``; ValueError if none or out of domain."""
+def axis_changes(name: str, value) -> tuple[str, dict]:
+    """(section, {field: value}) that sweeping ``name`` to ``value`` sets; ValueError if it sets none.
+
+    ``value`` is one value or an array of them.  A pump axis also clears the
+    pump field it does not set.
+    """
     _, section, field, cleared = AXES[name]
     if field is None:
         raise ValueError(f"cannot override parameter {name!r}")
-    changes = {field: value} if cleared is None else {field: value, cleared: None}
+    return section, ({field: value} if cleared is None else {field: value, cleared: None})
+
+
+def apply_override(params: SystemParams, name: str, value: float) -> SystemParams:
+    """Params with the field swept by ``name`` set to ``value``; ValueError if none or out of domain."""
+    section, changes = axis_changes(name, value)
     return replace(params, **{section: replace(getattr(params, section), **changes)})
 
 

@@ -6,12 +6,19 @@ masses, hbar and (with no wavelength set) the pump frequency are one, and
 the same formulas apply verbatim.  The classes only validate; `SystemParams`
 derives the drive amplitudes and the stiffness.  Responses are per unit probe,
 so the probe is checked for being perturbative only in `timedomain.integrate`.
+
+The pump amplitude and the stiffness are written for Python floats (one
+operating point) and for fields that hold one array element per point (a
+batch of `steady.solve_steady_states`), with the rounding of `arith`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .arith import power, sqrt
 from .errors import StaticInstabilityError
 
 HBAR = 1.054571817e-34  # J s
@@ -147,7 +154,7 @@ class SystemParams:
         drive, cavity = self.drive, self.cavity
         if drive.pump_amplitude is not None:
             return drive.pump_amplitude
-        return math.sqrt(2.0 * cavity.kappa * drive.pump_power / (self.hbar * cavity.omega_l))
+        return sqrt(2.0 * cavity.kappa * drive.pump_power / (self.hbar * cavity.omega_l))
 
     def probe_amplitude(self, delta: float = 0.0) -> float:
         """eps_p = sqrt(2 kappa P_p / (hbar omega_p)), omega_p = omega_l + delta; 0 when unset."""
@@ -164,12 +171,14 @@ class SystemParams:
 
         Raises StaticInstabilityError when the Coulomb term softens the mirror
         past the stability boundary (K <= 0); no steady state exists there.
+        On a batch K comes back for every point, and `steady` refuses the
+        points where K <= 0.
         """
         mech1, mech2 = self.mech1, self.mech2
-        k = mech1.mass * mech1.omega**2 - (self.hbar * self.coupling.g_coulomb) ** 2 / (
-            mech2.mass * mech2.omega**2
+        k = mech1.mass * power(mech1.omega, 2) - power(self.hbar * self.coupling.g_coulomb, 2) / (
+            mech2.mass * power(mech2.omega, 2)
         )
-        if k <= 0:
+        if not isinstance(k, np.ndarray) and k <= 0:
             raise StaticInstabilityError(
                 f"Coulomb softening exceeds mechanical stiffness (K = {k!r} <= 0)"
             )

@@ -28,8 +28,9 @@ one CPython 3.11 complex operation:
   and one is picked per element;
 - z**2 is z*z (CPython's (1+0j)*(z*z) differs only where it overflows, and
   there CPython raises);
-- a float square is libm ``pow``, as Python's ``**`` is (x*x differs near 1);
-- abs is ``hypot``; the phase is ``math.atan2`` per element, while the
+- a float square is libm ``pow``, as Python's ``**`` is (x*x differs near 1;
+  `arith.power`);
+- abs is ``hypot`` (`arith.hypot`); the phase is ``math.atan2`` per element, while the
   finite-difference slope uses numpy's ``arctan2``, as ``np.angle`` does.
 The closed form's rounding follows its operand types: with a numpy-scalar
 Delta or n every complex division would be numpy's, times the reciprocal.
@@ -44,10 +45,11 @@ import contextlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
+from .arith import hypot, power, where
 from .errors import (
     GridTooCoarseError,
     MechanicalPoleError,
@@ -55,7 +57,9 @@ from .errors import (
     UndefinedPhaseError,
 )
 from .params import SystemParams
-from .steady import OperatingPoint
+
+if TYPE_CHECKING:
+    from .steady import OperatingPoint
 
 CONVENTION_CORRECTED = "paper-corrected"
 CONVENTION_INTRACAVITY = "intracavity"
@@ -77,7 +81,6 @@ STATUS_ERRORS = {
 }
 
 _ONE, _I, _2I, _MINUS_I = (1.0, 0.0), (0.0, 1.0), (0.0, 2.0), (-0.0, -1.0)  # 1, 1j, 2j, -1j
-_pow = np.frompyfunc(math.pow, 2, 1)
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
@@ -109,17 +112,20 @@ class Coefficients(NamedTuple):
 
 
 def coefficients(params: SystemParams, op: OperatingPoint) -> Coefficients:
-    """Kernel inputs of one operating point, each computed as the scalar closed form does."""
+    """Kernel inputs of an operating point, each computed as the scalar closed form does.
+
+    On one point they are Python floats; on a batch (`steady.solve_steady_states`,
+    whose parameters and operating points hold one array element per point)
+    they are arrays.
+    """
     m1, m2, hbar = params.mech1, params.mech2, params.hbar
-    beta = hbar * params.coupling.g_cav**2 * op.photon_number / (2.0 * m1.mass * m1.omega)
-    return Coefficients(*map(float, (
-        params.cavity.kappa, op.delta_eff, op.delta_eff**2, m1.omega, m1.omega**2, m2.omega**2,
-        m1.gamma, m2.gamma, (hbar * params.coupling.g_coulomb) ** 2, m1.mass * m2.mass, beta,
-    )))
-
-
-def _where(cond, a, b):
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+    beta = hbar * power(params.coupling.g_cav, 2) * op.photon_number / (2.0 * m1.mass * m1.omega)
+    values = (
+        params.cavity.kappa, op.delta_eff, power(op.delta_eff, 2), m1.omega, power(m1.omega, 2),
+        power(m2.omega, 2), m1.gamma, m2.gamma, power(hbar * params.coupling.g_coulomb, 2),
+        m1.mass * m2.mass, beta,
+    )
+    return Coefficients(*(values if isinstance(beta, np.ndarray) else map(float, values)))
 
 
 def _re(x):
@@ -148,23 +154,19 @@ def _quot(a, b):
         return math.nan, math.nan
     else:
         ratio = bi / br if by_real else br / bi
-    denominator = _where(by_real, br + bi * ratio, br * ratio + bi)
-    re_num = _where(by_real, ar + ai * ratio, ar * ratio + ai)
-    im_num = _where(by_real, ai - ar * ratio, ai * ratio - ar)
+    denominator = where(by_real, br + bi * ratio, br * ratio + bi)
+    re_num = where(by_real, ar + ai * ratio, ar * ratio + ai)
+    im_num = where(by_real, ai - ar * ratio, ai * ratio - ar)
     return re_num / denominator, im_num / denominator
 
 
-def _float_square(x):
-    return _pow(x, 2.0).astype(float) if isinstance(x, np.ndarray) else x**2
-
-
 def _abs(z):
-    return np.hypot(*z) if isinstance(z[0], np.ndarray) else abs(complex(*z))
+    return hypot(*z)
 
 
 def abs_squared(z):
     """abs(z)**2 of a complex pair."""
-    return _float_square(_abs(z))
+    return power(_abs(z), 2)
 
 
 def phase(z):
@@ -183,7 +185,7 @@ def amplitude_kernel(delta, c: Coefficients, derivative: bool = False):
     """
     with np.errstate(all="ignore") if isinstance(delta, np.ndarray) else contextlib.nullcontext():
         i_delta = _mul(_I, _re(delta))
-        delta_sq = _float_square(delta)
+        delta_sq = power(delta, 2)
         chi1 = _add(_re(delta_sq - c.omega1_sq), _mul(i_delta, _re(c.gamma1)))
         chi2 = _add(_re(delta_sq - c.omega2_sq), _mul(i_delta, _re(c.gamma2)))
         alpha = _quot(_re(c.coulomb), _mul(_re(c.masses), chi2))
@@ -197,7 +199,7 @@ def amplitude_kernel(delta, c: Coefficients, derivative: bool = False):
         singular = (denominator[0] == 0) & (denominator[1] == 0) | (
             _abs(denominator) < SINGULAR_DENOMINATOR_RATIO * _abs(numerator)
         )
-        status = _where(pole, POLE, _where(singular, SINGULAR, OK))
+        status = where(pole, POLE, where(singular, SINGULAR, OK))
         x = _quot(numerator, denominator)
         if not derivative:
             return x, None, status

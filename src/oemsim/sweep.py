@@ -3,19 +3,24 @@
 Each scenario is one `SCENARIOS` entry: data columns, axis rule, block
 evaluator.  The grid is cut into contiguous chunks in row-major order (axis1
 outermost), one at ``jobs=1`` and several over a process pool otherwise, so
-serial and parallel runs emit identical bytes.  A chunk is evaluated in
-blocks of up to BLOCK_ELEMENTS kernel elements' worth of rows.  The
-operating point moves with every axis but delta_bar, so a block solves each
-of its distinct operating points once, all in one batched
-`steady.solve_steady_states` call.  The rows whose steady state solved then
-go to one evaluator call: it takes their detunings and stacked
-`response.Coefficients`, makes one `response.amplitude_kernel` call on them,
-and returns column arrays plus a per-row status.  `config.apply_override`
-sets the swept values, whose bounds the parser has checked.  Physics failures
-(instability, singular response) mark rows and the run continues: a
-steady-state failure marks every row of that operating point, a response
-failure only its own row, with the slug of the error the scalar functions of
-`response` raise there.
+serial and parallel runs emit identical bytes.
+
+Within a chunk two things are batched.  The operating point moves with every
+axis but delta_bar, and a steady pass (`steady.solve_steady_states`) solves
+the distinct operating points of up to PASS_ROWS rows at once: the swept
+values go in as arrays, set and cleared as `config.axis_changes` says, and
+come back as columns of status, photon number, branch count and
+`response.Coefficients`, from which each row takes its own.  Then a block
+of up to BLOCK_ELEMENTS kernel elements' worth of rows goes to one evaluator
+call: it takes the rows' detunings and kernel inputs, calls
+`response.amplitude_kernel` on them, and returns column arrays plus a
+per-row status.  Passes and blocks are sized apart, so the 1-row blocks of a
+splitting sweep share one pass, and a pass's memory stays bounded when the
+4,100-row spectrum blocks hold many operating points.  Physics failures
+(instability, float overflow, singular response) mark rows and the run
+continues: a steady-state failure marks every row of that operating point, a
+response failure only its own row, with the slug of the error the scalar
+functions of `steady` and `response` raise there.
 """
 from __future__ import annotations
 
@@ -30,8 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, response
-from .config import SweepAxis, SweepSpec, apply_override, serialize_config
+from . import __version__, response, steady
+from .config import SweepAxis, SweepSpec, apply_override, axis_changes, serialize_config  # noqa: F401
 from .errors import ConfigError, SimulationError
 from .params import SystemParams
 from .response import SPLITTING_POINTS, SPLITTING_WINDOW_FRACTION
@@ -42,6 +47,8 @@ NO_ERROR = "-"
 # kernel elements per call: bounds a block's memory, holds one splitting scan
 # and is a multiple of the 5 points of a delay row
 BLOCK_ELEMENTS = 4100
+# rows per steady pass: one block of delay rows, whose operating points all differ
+PASS_ROWS = BLOCK_ELEMENTS // (1 + len(response.FD_OFFSETS))
 
 _SPECTRUM_COLUMNS = (
     "delta",
@@ -180,76 +187,81 @@ def _slug(error: type[SimulationError]) -> str:
 
 _STATUS_SLUGS = {response.OK: NO_ERROR}
 _STATUS_SLUGS.update((status, _slug(error)) for status, error in response.STATUS_ERRORS.items())
+_STEADY_SLUGS = {status: _slug(error) for status, error in steady.STATUS_ERRORS.items()}
 
 
 def _evaluate_chunk(task):
     """Table rows of one contiguous run of grid points, error slug last.
 
-    The run is cut into blocks of BLOCK_ELEMENTS kernel elements' worth of
-    rows, each evaluated by `_evaluate_block`.
+    The run is cut into spans that hold whole blocks and whole passes: a
+    span is one block of several passes (spectra) or one pass of several
+    blocks (delay, splitting).  The probe detuning is omega1 + delta_bar, the
+    line centre when no delta_bar axis is swept.
     """
     params, name, convention, names, points = task
     scenario = SCENARIOS[name]
     per_block = max(1, BLOCK_ELEMENTS // scenario.kernel_points)
+    span = max(per_block, PASS_ROWS)
+    swept = [k for k, axis in enumerate(names) if axis != "delta_bar"]
     rows = []
-    for start in range(0, len(points), per_block):
-        rows += _evaluate_block(params, scenario, convention, names, points[start : start + per_block])
+    for start in range(0, len(points), span):
+        span_points = points[start : start + span]
+        grid = np.array(span_points, dtype=float).reshape(len(span_points), len(names))
+        delta_bar = grid[:, names.index("delta_bar")] if "delta_bar" in names else np.zeros(len(grid))
+        delta = params.mech1.omega + delta_bar
+        states = _steady_rows(params, [names[k] for k in swept], grid[:, swept])
+        for first in range(0, len(grid), per_block):
+            block = slice(first, first + per_block)
+            rows += _evaluate_block(
+                scenario, convention, span_points[block], delta[block], [column[block] for column in states]
+            )
     return rows
 
 
-def _evaluate_block(params, scenario, convention, names, points):
-    """Rows of one block: one steady-state solve of its distinct operating points, one evaluator call.
+def _steady_rows(params, names, values):
+    """Status, photon number, branch count and kernel inputs of each row, as columns.
 
-    The probe detuning is omega1 + delta_bar, the line centre when no
-    delta_bar axis is swept; the other axis values fix the operating point.
+    ``values`` holds the swept values of the rows, one column per name in
+    ``names``.  Each pass solves the distinct operating points of up to
+    PASS_ROWS rows in one `solve_steady_states` call.
+    """
+    passes = []
+    for start in range(0, len(values), PASS_ROWS):
+        distinct, index = np.unique(values[start : start + PASS_ROWS], axis=0, return_inverse=True)
+        swept = {}
+        for name, column in zip(names, distinct.T):
+            section, changes = axis_changes(name, column)
+            swept.setdefault(section, {}).update(changes)
+        states = solve_steady_states(params, swept)
+        columns = (states.status, states.photon_number, states.branch_count.astype(float), *states.coefficients)
+        passes.append([column[index.reshape(-1)] for column in columns])
+    return [np.concatenate(column) for column in zip(*passes)]
+
+
+def _evaluate_block(scenario, convention, points, delta, states):
+    """Rows of one block: one evaluator call on the rows whose operating point solved.
+
     Rows whose operating point failed carry its slug and skip the evaluator.
     """
-    deltas, keys = [], []
-    for values in points:
-        point = dict(zip(names, values))
-        deltas.append(params.mech1.omega + point.pop("delta_bar", 0.0))
-        keys.append(tuple(point.items()))
-    inputs = _operating_points(params, keys)
+    status, photon_number, branch_count, *kernel_inputs = states
     nan_data = (math.nan,) * len(scenario.columns)
     rows = [None] * len(points)
     solved = []
-    for i, key in enumerate(keys):
-        if isinstance(inputs[key], str):
-            rows[i] = points[i] + nan_data + (inputs[key],)
-        else:
+    for i, s in enumerate(status.tolist()):
+        if s == steady.OK:
             solved.append(i)
+        else:
+            rows[i] = points[i] + nan_data + (_STEADY_SLUGS[s],)
     if not solved:
         return rows
-    table = np.array([inputs[keys[i]] for i in solved])
-    coefficients = response.Coefficients(*table[:, :-2].T)
+    coefficients = response.Coefficients(*(column[solved] for column in kernel_inputs))
     with np.errstate(all="ignore"):
-        data, status = scenario.evaluate(np.array([deltas[i] for i in solved]), coefficients, convention)
-    data["photon_number"], data["branch_count"] = table[:, -2], table[:, -1]
+        data, status = scenario.evaluate(delta[solved], coefficients, convention)
+    data["photon_number"], data["branch_count"] = photon_number[solved], branch_count[solved]
     columns = zip(*(data[column].tolist() for column in scenario.columns))
     for i, values, s in zip(solved, columns, status.tolist()):
         rows[i] = points[i] + (values if s == response.OK else nan_data) + (_STATUS_SLUGS[s],)
     return rows
-
-
-def _operating_points(params, points):
-    """Kernel inputs + photon number + branch count, or the error slug, of each distinct point.
-
-    A point is a tuple of (name, value) overrides; all are solved in one call.
-    """
-    overridden = {}
-    for point in points:
-        if point not in overridden:
-            p = params
-            for name, value in point:
-                p = apply_override(p, name, value)
-            overridden[point] = p
-    inputs = {}
-    for (point, p), op in zip(overridden.items(), solve_steady_states(overridden.values())):
-        if isinstance(op, SimulationError):
-            inputs[point] = _slug(type(op))
-        else:
-            inputs[point] = response.coefficients(p, op) + (op.photon_number, op.branch_count)
-    return inputs
 
 
 def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResult:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 import oemsim.steady
 from oemsim import InvariantViolationError
 from oemsim.errors import StaticInstabilityError
+from oemsim.params import DriveParams
+from oemsim.response import coefficients
 from oemsim.steady import (
+    OK,
+    STATUS_ERRORS,
     photon_number_roots,
-    photon_number_roots_batch,
     solve_steady_state,
     solve_steady_states,
 )
@@ -222,6 +226,17 @@ CUBICS = st.one_of(
 )
 
 
+def batched_roots(cubics):
+    """Each cubic's roots from one batched pass, or the error class of its failure."""
+    refusals = oemsim.steady._Refusals(len(cubics))
+    with np.errstate(all="ignore"):
+        values, distinct = oemsim.steady._cubic_roots(*(np.array(c, dtype=float) for c in zip(*cubics)), refusals)
+    return [
+        STATUS_ERRORS[s] if s != OK else [float(v[i]) for v, kept in zip(values, distinct) if kept[i]]
+        for i, s in enumerate(refusals.status.tolist())
+    ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(cubics=st.lists(CUBICS, min_size=1, max_size=12))
 @example(cubics=[
@@ -236,36 +251,195 @@ CUBICS = st.one_of(
     (1.0, 1.0, 0.1, 0.3),
 ])
 def test_batched_roots_match_np_roots_bit_for_bit(cubics):
-    got = photon_number_roots_batch(cubics)
+    got = batched_roots(cubics)
     assert len(got) == len(cubics)
-    for cubic, result in zip(cubics, got):
+    for k, (cubic, result) in enumerate(zip(cubics, got)):
         try:
             with np.errstate(all="ignore"):
                 want = reference_roots(*cubic)
         except (OverflowError, np.linalg.LinAlgError, InvariantViolationError):
             # the failure stays in its own row
-            assert isinstance(result, InvariantViolationError), (cubic, result)
+            assert result is InvariantViolationError, (cubic, result)
+            if k == 0:
+                with pytest.raises(InvariantViolationError):
+                    photon_number_roots(*cubic)
             continue
         assert isinstance(result, list), (cubic, result)
         assert [n.hex() for n in result] == [n.hex() for n in want], cubic
-        assert all(type(n) is float for n in result)
+        if k == 0:  # the one-point path: Python floats, the same bits
+            one = photon_number_roots(*cubic)
+            assert all(type(n) is float for n in one)
+            assert [n.hex() for n in one] == [n.hex() for n in want], cubic
+
+
+def _point(base, kappa, g_cav, g_coulomb, pump, detuning, by_power):
+    """``base`` with one batch point's values, as one validated parameter set."""
+    return replace(
+        base,
+        cavity=replace(base.cavity, kappa=kappa, detuning=detuning),
+        coupling=replace(base.coupling, g_cav=g_cav, g_coulomb=g_coulomb),
+        drive=DriveParams(pump_power=pump) if by_power else DriveParams(pump_amplitude=pump),
+    )
+
+
+def _batch(base, points, by_power):
+    """One steady pass over ``points`` of (kappa, g_cav, g_coulomb, pump, detuning)."""
+    kappa, g_cav, g_coulomb, pump, detuning = (np.array(c, dtype=float) for c in zip(*points))
+    pump_field, other = ("pump_power", "pump_amplitude") if by_power else ("pump_amplitude", "pump_power")
+    return solve_steady_states(base, {
+        "cavity": {"kappa": kappa, "detuning": detuning},
+        "coupling": {"g_cav": g_cav, "g_coulomb": g_coulomb},
+        "drive": {pump_field: pump, other: None},
+    })
+
+
+def _slug(error):
+    return error.__name__.removesuffix("Error")
 
 
 def test_failed_points_leave_their_batch_mates_alone():
-    ok = system_for_beta(kappa=0.227, beta=5e-3, g_coulomb=0.1)
-    bistable = bistable_system(0.25)
-    huge_pump = dimensionless_system(kappa=0.227, pump_power=1e300)
-    unstable = dimensionless_system(kappa=0.2, g_coulomb=1.5, pump_amplitude=0.1,
-                                    detuning_mode="explicit", detuning=1.0)
+    base = dimensionless_system(kappa=0.227, pump_amplitude=0.05, detuning_mode="explicit", detuning=1.0)
+    ok = (0.227, 0.1, 0.1, 0.05, 1.0)
+    huge_pump = (0.227, 0.1, 0.0, 1e300, 1.0)
+    unstable = (0.2, 0.1, 1.5, 0.1, 1.0)
     # kappa^2 underflows to 0, and the cavity is pumped on resonance
-    no_linewidth = dimensionless_system(kappa=1e-200, pump_amplitude=0.1,
-                                        detuning_mode="explicit", detuning=0.0)
-    results = solve_steady_states([ok, huge_pump, unstable, no_linewidth, bistable])
-    assert results[0] == solve_steady_state(ok)
-    assert isinstance(results[1], InvariantViolationError)
-    assert isinstance(results[2], StaticInstabilityError)
-    assert isinstance(results[3], InvariantViolationError)
-    assert results[4] == solve_steady_state(bistable)
-    for params in (huge_pump, no_linewidth):
+    no_linewidth = (1e-200, 0.1, 0.0, 0.1, 0.0)
+    bistable = (0.1, 1.0, 0.0, 0.25, 1.0)
+    states = _batch(base, [ok, huge_pump, unstable, no_linewidth, bistable], by_power=False)
+    slugs = ["-" if s == OK else _slug(STATUS_ERRORS[s]) for s in states.status.tolist()]
+    assert slugs == ["-", "InvariantViolation", "StaticInstability", "InvariantViolation", "-"]
+    for i, point in ((0, ok), (4, bistable)):
+        op = solve_steady_state(_point(base, *point, by_power=False))
+        assert states.photon_number[i] == op.photon_number and states.branch_count[i] == op.branch_count
+        assert (states.q1s[i], states.q2s[i], states.delta_eff[i]) == (op.q1s, op.q2s, op.delta_eff)
+    assert states.branch_count[4] == 3
+    for point in (huge_pump, no_linewidth):
         with pytest.raises(InvariantViolationError, match="float range"):
-            solve_steady_state(params)
+            solve_steady_state(_point(base, *point, by_power=False))
+
+
+def reference_solve(params):
+    """The solve of one point as the scalar code wrote it: its failure's slug, or its values."""
+    m1, m2, hbar, coupling, drive = params.mech1, params.mech2, params.hbar, params.coupling, params.drive
+    kappa, locked = params.cavity.kappa, params.cavity.detuning_mode == "locked"
+    try:
+        with np.errstate(all="ignore"):
+            k = m1.mass * m1.omega**2 - (hbar * coupling.g_coulomb) ** 2 / (m2.mass * m2.omega**2)
+            if k <= 0:
+                return "StaticInstability"
+            if drive.pump_amplitude is not None:
+                omega_l = drive.pump_amplitude
+            else:
+                omega_l = math.sqrt(2.0 * kappa * drive.pump_power / (hbar * params.cavity.omega_l))
+            a = hbar * coupling.g_cav**2 / k
+            if locked:
+                n = omega_l**2 / (kappa**2 + m1.omega**2)
+                delta_c = m1.omega + a * n
+            else:
+                delta_c = params.cavity.detuning
+            roots = reference_roots(a, delta_c, kappa, omega_l)
+            if locked:
+                delta_eff = m1.omega
+            else:
+                n = roots[0]
+                delta_eff = delta_c - a * n
+            q1s = hbar * coupling.g_cav * n / k
+            q2s = -hbar * coupling.g_coulomb * q1s / (m2.mass * m2.omega**2)
+            residual = abs(n * (kappa**2 + (delta_c - a * n) ** 2) - omega_l**2)
+            if not residual <= 1e-12 * max(omega_l**2, 1.0):
+                return "InvariantViolation"
+            beta = hbar * coupling.g_cav**2 * n / (2.0 * m1.mass * m1.omega)
+            coefficients = (
+                kappa, delta_eff, delta_eff**2, m1.omega, m1.omega**2, m2.omega**2, m1.gamma, m2.gamma,
+                (hbar * coupling.g_coulomb) ** 2, m1.mass * m2.mass, beta,
+            )
+    except (OverflowError, ZeroDivisionError, np.linalg.LinAlgError, InvariantViolationError):
+        return "InvariantViolation"
+    values = dict(q1s=q1s, q2s=q2s, photon_number=n, delta_eff=delta_eff, delta_c=delta_c, residual=residual)
+    return {**{name: float(v).hex() for name, v in values.items()}, "branch_count": len(roots),
+            "coefficients": [float(c).hex() for c in coefficients]}
+
+
+def _batch_values(states, i):
+    names = ("q1s", "q2s", "photon_number", "delta_eff", "delta_c", "residual")
+    return {**{name: float(getattr(states, name)[i]).hex() for name in names},
+            "branch_count": int(states.branch_count[i]),
+            "coefficients": [float(c[i]).hex() for c in states.coefficients]}
+
+
+def _one_point_values(op, params):
+    names = ("q1s", "q2s", "photon_number", "delta_eff", "delta_c", "residual")
+    assert all(type(getattr(op, name)) is float for name in names)
+    return {**{name: getattr(op, name).hex() for name in names}, "branch_count": op.branch_count,
+            "coefficients": [c.hex() for c in coefficients(params, op)]}
+
+
+# (kappa, g_cav, g_coulomb, pump, detuning); with m = omega = hbar = 1, a = g_cav^2 / (1 - g_coulomb^2)
+POINTS = st.one_of(
+    # bistable for part of the range when explicit
+    st.tuples(st.floats(0.05, 0.15), st.floats(0.9, 1.1), st.just(0.0), st.floats(0.15, 0.35), st.floats(0.8, 1.2)),
+    st.tuples(_log_uniform(-2, 0), _log_uniform(-2, 0.5), st.floats(0.0, 0.9), _log_uniform(-3, 0.5),
+              st.floats(-3, 3)),
+    st.tuples(_log_uniform(-2, 0), st.just(0.0), st.floats(0.0, 0.9), _log_uniform(-3, 0.5), st.floats(-3, 3)),
+    st.tuples(_log_uniform(-2, 0), _log_uniform(-2, 0.5), st.floats(0.0, 0.9), st.just(0.0), st.floats(-3, 3)),
+    # a weak pump: a^2 n0^3 underflows (a quadratic), down to a linear and a constant polynomial
+    st.tuples(_log_uniform(-1, 0), _log_uniform(-2, 0), st.just(0.0), _log_uniform(-170, -45), st.floats(0.5, 2)),
+    # a strong pump or a far detuning: floats overflow, or the companion matrix is not finite
+    st.tuples(_log_uniform(-1, 0), _log_uniform(-2, 0), st.just(0.0), _log_uniform(40, 300), _log_uniform(90, 170)),
+    st.tuples(_log_uniform(-1, 0), _log_uniform(-2, 0), st.just(0.0), _log_uniform(100, 300), st.floats(-3, 3)),
+    # kappa^2 underflows
+    st.tuples(_log_uniform(-250, -160), _log_uniform(-2, 0), st.just(0.0), _log_uniform(-3, 0), st.just(0.0)),
+    # K <= 0
+    st.tuples(_log_uniform(-2, 0), _log_uniform(-2, 0), st.floats(1.0, 3.0), _log_uniform(-3, 0), st.floats(-3, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(locked=st.booleans(), by_power=st.booleans(), points=st.lists(POINTS, min_size=1, max_size=12))
+@example(locked=False, by_power=False, points=[
+    (0.1, 1.0, 0.0, 0.25, 1.0),  # three roots
+    (0.2, 0.0, 0.0, 0.3, 1.0),  # a = 0
+    (0.2, 0.7, 0.0, 0.0, 1.0),  # no pump
+    (0.227, 0.1, 0.0, 1e-60, 1.0),  # a quadratic
+    (0.5, 0.1, 0.0, 1e-100, 1.0),  # a linear polynomial
+    (1.0, 0.1, 0.0, 2.5e-162, 2.0),  # a nonzero constant: no roots
+    (0.227, 0.1, 0.0, 6.7e48, 4.3e95),  # the companion matrix is not finite
+    (0.227, 0.1, 0.0, 1e300, 1.0),  # the pump overflows
+    (1e-200, 0.1, 0.0, 0.1, 0.0),  # kappa^2 underflows on resonance
+    (0.2, 0.1, 1.5, 0.1, 1.0),  # K < 0
+])
+@example(locked=True, by_power=True, points=[
+    (0.227, 0.1, 0.2, 5e-3, 1.0), (0.227, 0.1, 0.0, 1e300, 1.0), (0.227, 0.1, 0.0, 1.26e7, 1.0),
+    (0.2, 0.1, 1.5, 0.1, 1.0), (0.227, 0.1, 0.0, 0.0, 1.0),
+])
+def test_batch_matches_per_point_reference(locked, by_power, points):
+    base = dimensionless_system(kappa=0.2, detuning_mode="locked" if locked else "explicit")
+    states = _batch(base, points, by_power)
+    assert len(states.status) == len(points)
+    for i, point in enumerate(points):
+        params = _point(base, *point, by_power=by_power)
+        want = reference_solve(params)
+        status = states.status[i]
+        if isinstance(want, str):
+            assert status != OK and _slug(STATUS_ERRORS[status]) == want, (point, want)
+        else:
+            assert status == OK, (point, _slug(STATUS_ERRORS[status]))
+            assert _batch_values(states, i) == want, point
+        if i == 0:  # the one-point path gives the same bits, or raises the same error
+            try:
+                op = solve_steady_state(params)
+            except (StaticInstabilityError, InvariantViolationError) as exc:
+                assert _slug(type(exc)) == want, point
+            else:
+                assert _one_point_values(op, params) == want, point
+
+
+@pytest.mark.parametrize("locked", [False, True])
+def test_one_point_is_element_0_of_a_batch(locked):
+    base = dimensionless_system(kappa=0.2, detuning_mode="locked" if locked else "explicit")
+    points = [(0.1, 1.0, 0.0, 0.25, 1.0), (0.227, 0.1, 0.2, 0.05, 0.9), (0.3, 0.5, 0.1, 0.4, 1.1)]
+    for by_power in (False, True):
+        states = _batch(base, points, by_power)
+        params = _point(base, *points[0], by_power=by_power)
+        assert states.status[0] == OK
+        assert _batch_values(states, 0) == _one_point_values(solve_steady_state(params), params)

@@ -174,13 +174,13 @@ class TestRunSweep:
             assert {"StaticInstability", NO_ERROR} <= {row[-1] for row in serial.rows}
 
     def test_steady_state_solved_once_per_operating_point(self, monkeypatch, slowfast_spectrum):
-        calls = []
+        calls = []  # the points of each steady pass
         solve = oemsim.sweep.solve_steady_states
 
-        def counting_solve(params_seq):
-            params_seq = list(params_seq)
-            calls.extend(params_seq)
-            return solve(params_seq)
+        def counting_solve(params, swept):
+            states = solve(params, swept)
+            calls.extend(states.status)
+            return states
 
         monkeypatch.setattr(oemsim.sweep, "solve_steady_states", counting_solve)
         # 3 g_coulomb x 4 delta_bar rows, then 5 P_l rows
@@ -189,6 +189,22 @@ class TestRunSweep:
         calls.clear()
         run_sweep(slowfast_spectrum, PARALLEL_CASES["delay-vs-power"], jobs=1)
         assert len(calls) == 5
+
+    def test_splitting_sweep_solves_its_points_in_one_pass(self, monkeypatch, slowfast_spectrum):
+        # 60 blocks of one 4001-point scan each, and one steady pass for all of them
+        passes = []
+        solve = oemsim.sweep.solve_steady_states
+
+        def counting_solve(params, swept):
+            states = solve(params, swept)
+            passes.append(len(states.status))
+            return states
+
+        monkeypatch.setattr(oemsim.sweep, "solve_steady_states", counting_solve)
+        spec = SweepSpec("splitting-vs-gc", (SweepAxis("g_coulomb", 0.01, 0.2, 60),))
+        result = run_sweep(slowfast_spectrum, spec)
+        assert len(result.rows) == 60 and all(row[-1] == NO_ERROR for row in result.rows)
+        assert passes == [60]
 
     def test_worker_count_capped_by_task_count(self, monkeypatch, slowfast_spectrum):
         # a fork pool starts all max_workers processes on its first submit
