@@ -16,14 +16,13 @@ from . import __version__
 from .config import CONVENTIONS, SweepSpec, parse_config_file
 from .errors import ConfigError, SimulationError
 from .steady import solve_steady_state
-from .sweep import render_table, run_sweep
+from .sweep import DELAY_SCENARIOS, render_table, run_sweep
 from .validate import DEFAULT_SEED, run_validation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PHYSICS = 2
 EXIT_VALIDATION = 3
-_DELAY_SCENARIOS = {"P_l": "delay-vs-power", "Omega_l": "delay-vs-power", "kappa": "delay-vs-kappa"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,9 +96,10 @@ def _resolve_scenario(command: str, sweep: SweepSpec | None) -> SweepSpec:
             return SweepSpec(scenario=command)
         return replace(sweep, scenario=command)
     if command == "delay":
-        scenario = _DELAY_SCENARIOS.get(sweep.axes[0].name) if sweep and sweep.axes else None
+        scenario = DELAY_SCENARIOS.get(sweep.axes[0].name) if sweep and sweep.axes else None
         if scenario is None:
-            raise ConfigError("delay needs a [sweep] axis: P_l, Omega_l or kappa")
+            *axes, last = DELAY_SCENARIOS
+            raise ConfigError(f"delay needs a [sweep] axis: {', '.join(axes)} or {last}")
         return replace(sweep, scenario=scenario)
     raise ConfigError(f"unhandled command {command!r}")  # pragma: no cover
 

@@ -302,11 +302,11 @@ def resolve_state(state: dict) -> SystemParams:
     except ValueError as exc:
         raise ConfigError(f"cavity: {exc}") from exc
     g_cav = state["coupling"]["g_cav"]
-    if g_cav is None:
-        if unit_mode == DIMENSIONLESS:
-            raise ConfigError("missing required parameter: coupling.g_cav")
-        g_cav = default_g_cav(cavity, mech1.omega)
+    if g_cav is None and unit_mode == DIMENSIONLESS:
+        raise ConfigError("missing required parameter: coupling.g_cav")
     try:
+        if g_cav is None:
+            g_cav = default_g_cav(cavity, mech1.omega)
         coupling = CouplingParams(g_cav=g_cav, g_coulomb=state["coupling"]["g_coulomb"])
         drive = DriveParams(
             pump_power=state["drive"]["power"],

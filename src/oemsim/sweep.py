@@ -179,6 +179,13 @@ SCENARIOS = {
         _SPLITTING_COLUMNS, partial(_one_axis, ("g_coulomb",)), _splitting_block, SPLITTING_POINTS
     ),
 }
+# axis -> the delay scenario that sweeps it, for `oemsim delay`; read off the _one_axis rules
+DELAY_SCENARIOS = {
+    axis: name
+    for name, scenario in SCENARIOS.items()
+    if scenario.evaluate is _delay_block
+    for axis in scenario.resolve_axes.args[0]
+}
 
 
 def _slug(error: type[SimulationError]) -> str:

@@ -101,7 +101,10 @@ class _NonFiniteState(Exception):
 
 
 def _rhs_factory(params: SystemParams, op: OperatingPoint, delta: float, eps_p: float):
+    """The right-hand side, on Python floats: the state comes in as a numpy array and is unpacked
+    with ``tolist``, and every attribute and function it reads is a local."""
     m1, m2 = params.mech1, params.mech2
+    m1_mass, m1_gamma, m2_mass, m2_gamma = m1.mass, m1.gamma, m2.mass, m2.gamma
     hbar = params.hbar
     kappa = params.cavity.kappa
     delta_c = op.delta_c
@@ -110,25 +113,26 @@ def _rhs_factory(params: SystemParams, op: OperatingPoint, delta: float, eps_p: 
     omega_l = params.pump_amplitude()
     w1_sq = m1.omega**2
     w2_sq = m2.omega**2
+    isfinite, cos, sin = math.isfinite, math.cos, math.sin
 
     def rhs(t, y):
-        q1, p1, q2, p2, rc, ic = y
+        q1, p1, q2, p2, rc, ic = y.tolist()
         if not (
-            math.isfinite(q1) and math.isfinite(p1) and math.isfinite(q2)
-            and math.isfinite(p2) and math.isfinite(rc) and math.isfinite(ic)
+            isfinite(q1) and isfinite(p1) and isfinite(q2)
+            and isfinite(p2) and isfinite(rc) and isfinite(ic)
         ):
             raise _NonFiniteState(t)
         c = complex(rc, ic)
         n_c = rc * rc + ic * ic
-        dq1 = p1 / m1.mass
-        dq2 = p2 / m2.mass
-        dp1 = -m1.mass * w1_sq * q1 - hbar * g_c * q2 + hbar * g_cav * n_c - m1.gamma * p1
-        dp2 = -m2.mass * w2_sq * q2 - hbar * g_c * q1 - m2.gamma * p2
+        dq1 = p1 / m1_mass
+        dq2 = p2 / m2_mass
+        dp1 = -m1_mass * w1_sq * q1 - hbar * g_c * q2 + hbar * g_cav * n_c - m1_gamma * p1
+        dp2 = -m2_mass * w2_sq * q2 - hbar * g_c * q1 - m2_gamma * p2
         dc = (
             -(kappa + 1j * delta_c) * c
             + 1j * g_cav * q1 * c
             + omega_l
-            + eps_p * complex(math.cos(delta * t), -math.sin(delta * t))
+            + eps_p * complex(cos(delta * t), -sin(delta * t))
         )
         return (dq1, dp1, dq2, dp2, dc.real, dc.imag)
 

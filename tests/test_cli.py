@@ -160,6 +160,21 @@ class TestErrorPaths:
         assert main(["delay", "--config", str(cfg)]) == EXIT_USAGE
         assert "delay needs a [sweep] axis: P_l, Omega_l or kappa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["steady-state", "spectrum"])
+    def test_si_cavity_without_a_length_exits_1(self, tmp_path, capsys, command):
+        # no g_cav, so the default omega_c / L needs the length the config leaves out
+        cfg = tmp_path / "si.cfg"
+        cfg.write_text(
+            "units = SI\n[cavity]\nkappa = 215 kHz\ndetuning_mode = locked\nwavelength = 1064 nm\n"
+            "[mech1]\nmass = 145 ng\nomega = 947 kHz\nquality = 6700 dimensionless\n"
+            "[mech2]\nmass = 145 ng\nomega = 947 kHz\nquality = 6700 dimensionless\n"
+            "[drive]\npower = 6 uW\n"
+        )
+        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "oemsim: config error: default g_cav needs a cavity length (SI mode)\n"
+        assert captured.out == ""
+
     def test_validate_is_not_a_sweep_scenario(self, tmp_path, capsys):
         cfg = tmp_path / "validate.cfg"
         cfg.write_text("preset = dimensionless-slowfast\n[sweep]\nscenario = validate\n")

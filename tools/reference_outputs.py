@@ -21,8 +21,9 @@ is one.  The cases:
 - delay tables whose pump is so weak that the cubic's leading coefficient
   underflows (a quadratic is left), or so strong that floats overflow;
 - ``steady-state`` output, a pump that overflows floats among it;
-- the exit code and message of malformed configs, non-finite numbers and
-  axes that leave their parameter's domain among them;
+- the exit code and message of malformed configs, non-finite numbers,
+  axes that leave their parameter's domain and an SI cavity with neither a
+  length nor a g_cav among them;
 - ``validate --seed 20260810`` and ``--seed 7``.
 
 Two trees are the same program output when ``diff -r OUT_A OUT_B`` is empty.
@@ -196,6 +197,10 @@ MALFORMED = {
                      "[mech1]\nomega = 1 dimensionless\ngamma = 0.01 dimensionless\n"
                      "[mech2]\nomega = 1 dimensionless\ngamma = 0.01 dimensionless\n",
     "units-then-preset": "units = dimensionless\n" + PAPER + "[cavity]\nkappa = 0.2 dimensionless\n",
+    "si-without-length": "units = SI\n[cavity]\nkappa = 215 kHz\ndetuning_mode = locked\nwavelength = 1064 nm\n"
+                         "[mech1]\nmass = 145 ng\nomega = 947 kHz\nquality = 6700 dimensionless\n"
+                         "[mech2]\nmass = 145 ng\nomega = 947 kHz\nquality = 6700 dimensionless\n"
+                         "[drive]\npower = 6 uW\n",
     "wrong-one-axis": SLOWFAST + _sweep("delay-vs-kappa", ("g_coulomb", _d(0), _d(0.2), 3)),
     "phase-delta-not-inner": SLOWFAST + _sweep(
         "phase", ("delta_bar", _d(-0.1), _d(0.1), 5), ("kappa", _d(0.1), _d(0.3), 3)),
