@@ -67,7 +67,8 @@ CONVENTIONS = (CONVENTION_CORRECTED, CONVENTION_INTRACAVITY)
 
 SINGULAR_DENOMINATOR_RATIO = 1e-30
 PHASE_JUMP_LIMIT = math.pi * (1.0 - 1e-12)
-FD_STEP_SCALE = 1e-6
+FD_STEP_SCALE = 1e-6  # the largest finite-difference step, in units of omega1
+FD_WIDTH_FRACTION = 3e-3  # the step as a fraction of the local feature width |t_p| / |dt_p/d delta|
 FD_OFFSETS = (1.0, -1.0, 0.5, -0.5)  # finite-difference points delta0 + s h, in evaluation order
 MIN_ABS_T = 1e-12
 SPLITTING_WINDOW_FRACTION = 0.2  # half-width of the window scan, in units of omega1
@@ -229,6 +230,19 @@ def _analytic_delay(t0, dx0, c, convention):
     return _quot(_mul(_re(sign * 2.0 * c.kappa), dx0), t0)[1]
 
 
+def _fd_step(t0, dx0, c):
+    """min(3e-3 |t_p| / |dt_p/d delta|, 1e-6 omega1) at the centre: a step inside the local feature.
+
+    A fixed step spans a narrow feature near the fast/slow crossing, where
+    |tau| reaches 6e4; |dt_p/d delta| = 2 kappa |dX/d delta| in both conventions.
+    """
+    width = FD_WIDTH_FRACTION * _abs(t0)
+    slope = _abs(_mul(_re(2.0 * c.kappa), dx0))
+    ratio = width / where(slope > 0.0, slope, 1.0)
+    cap = FD_STEP_SCALE * c.omega1
+    return where((slope > 0.0) & (ratio < cap), ratio, cap)
+
+
 def _fd_delay(t, h):
     """Central-difference phase slope plus one Richardson level, from t_p at FD_OFFSETS."""
 
@@ -242,20 +256,21 @@ def _fd_delay(t, h):
 def group_delays(delta, c: Coefficients, convention: str):
     """(tau_fd, tau_analytic, |t_p|^2, status) over an array of centre detunings.
 
-    One kernel call covers each centre and its finite-difference points.  The
-    status is the first failure in the order `group_delay` meets them: the
-    centre, an undefined phase there, then delta + h, - h, + h/2, - h/2.
+    One kernel call with the derivative covers the centres, which fix each
+    row's step (`_fd_step`); a second one covers the finite-difference points.
+    The status is the first failure in the order `group_delay` meets them:
+    the centre, an undefined phase there, then delta + h, - h, + h/2, - h/2.
     """
-    h = FD_STEP_SCALE * c.omega1
-    points = np.stack([delta] + [delta + s * h for s in FD_OFFSETS])
-    x, dx, status = amplitude_kernel(points, c, derivative=True)
+    x0, dx0, status0 = amplitude_kernel(delta, c, derivative=True)
     with np.errstate(all="ignore"):
-        t = list(zip(*t_p_pair(x, c.kappa, convention)))  # t_p pairs at the centre, then FD_OFFSETS
-        undefined = np.where(_abs(t[0]) < MIN_ABS_T, UNDEFINED_PHASE, OK)
-        ordered = np.vstack([status[:1], undefined, status[1:]])
+        t0 = t_p_pair(x0, c.kappa, convention)
+        h = _fd_step(t0, dx0, c)
+        x, _, status = amplitude_kernel(np.stack([delta + s * h for s in FD_OFFSETS]), c)
+        t = list(zip(*t_p_pair(x, c.kappa, convention)))  # t_p pairs at FD_OFFSETS
+        undefined = np.where(_abs(t0) < MIN_ABS_T, UNDEFINED_PHASE, OK)
+        ordered = np.vstack([status0, undefined, status])
         first = ordered[np.argmax(ordered != OK, axis=0), np.arange(ordered.shape[1])]
-        tau_analytic = _analytic_delay(t[0], (dx[0][0], dx[1][0]), c, convention)
-        return _fd_delay(t[1:], h), tau_analytic, abs_squared(t[0]), first
+        return _fd_delay(t, h), _analytic_delay(t0, dx0, c, convention), abs_squared(t0), first
 
 
 def _raise_for(status, delta):
@@ -361,20 +376,20 @@ def group_delay(
     """Group delay d arg(t_p) / d omega_p at probe detuning delta0 (seconds).
 
     ``analytic`` differentiates the closed form exactly; ``finite-difference``
-    uses central differences with step 1e-6 * omega1 plus one Richardson
+    uses central differences with the step of `_fd_step` plus one Richardson
     extrapolation level.  Positive values mean slow light, negative fast.
     """
     _check_convention(convention)
     if method not in ("analytic", "finite-difference"):
         raise ValueError(f"unknown method {method!r}; use 'analytic' or 'finite-difference'")
     c = coefficients(params, op)
-    x, dx = _checked(delta0, c, derivative=method == "analytic")
+    x, dx = _checked(delta0, c, derivative=True)
     t_center = t_p_pair(x, c.kappa, convention)
     if _abs(t_center) < MIN_ABS_T:
         raise UndefinedPhaseError(f"|t_p| = {_abs(t_center)!r} too small at delta = {delta0!r}")
     if method == "analytic":
         return _analytic_delay(t_center, dx, c, convention)
-    h = FD_STEP_SCALE * params.mech1.omega
+    h = _fd_step(t_center, dx, c)
     t = [t_p_pair(_checked(delta0 + s * h, c)[0], c.kappa, convention) for s in FD_OFFSETS]
     return _fd_delay(t, h)
 

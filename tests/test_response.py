@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oemsim.response
 from oemsim.errors import (
     GridTooCoarseError,
     MechanicalPoleError,
@@ -41,7 +42,8 @@ from oemsim.response import (
     transmission_maxima,
     transmissions,
 )
-from oemsim.steady import OperatingPoint, solve_steady_state
+from oemsim.presets import get_preset
+from oemsim.steady import OperatingPoint, solve_steady_state, solve_steady_states
 from oemsim.validate import dimensionless_system, system_for_beta
 
 
@@ -328,7 +330,10 @@ def closed_form_delays(case, convention):
     t0 = t_p(centre[0])
     if abs(t0) < 1e-12:
         return UndefinedPhaseError
-    h = 1e-6 * w1
+    # the step: 3e-3 of the local feature width |t_p| / |dt_p/d delta|, at most 1e-6 omega1
+    slope = abs(2.0 * kappa * centre[1])
+    ratio = 3e-3 * abs(t0) / (slope if slope > 0.0 else 1.0)
+    h = ratio if slope > 0.0 and ratio < 1e-6 * w1 else 1e-6 * w1
     t = []
     for point in (case[0] + h, case[0] - h, case[0] + h / 2.0, case[0] - h / 2.0):
         result = closed_form(point, *case[1:])
@@ -445,3 +450,25 @@ def test_kernel_squares_delta_through_pow():
     for k, d in enumerate(grid):
         assert status[k] == OK
         assert _bits(complex(x[0][k], x[1][k])) == _bits(closed_form(d, *args)[0])
+
+
+def test_adaptive_step_array_and_scalar_paths_agree_bit_for_bit():
+    # delay-vs-power on the slow/fast preset across the fast/slow crossing, where |tau|
+    # reaches 6e4 and a fixed 1e-6 omega1 step puts tau_fd more than 1e-6 off on some rows
+    base = get_preset("dimensionless-slowfast")
+    powers = np.geomspace(1e-4, 1.0, 10001)[::20]
+    states = solve_steady_states(base, {"drive": {"pump_power": powers, "pump_amplitude": None}})
+    assert (states.status == 0).all()
+    centre = np.full(len(powers), base.mech1.omega)
+    tau_fd, tau_analytic, _, status = group_delays(centre, states.coefficients, "paper-corrected")
+    assert (status == OK).all()
+    x, dx, _ = amplitude_kernel(centre, states.coefficients, derivative=True)
+    t0 = transmissions(x, states.coefficients.kappa)[0]
+    steps = oemsim.response._fd_step(t0, dx, states.coefficients)
+    assert (steps < 1e-6).any() and (steps == 1e-6).any()  # both branches of the step
+    assert np.all(np.abs(tau_fd - tau_analytic) <= 1e-6 * np.abs(tau_analytic))
+    for k, power in enumerate(powers.tolist()):
+        params = dataclasses.replace(base, drive=DriveParams(pump_power=power))
+        op = solve_steady_state(params)
+        assert _bits(group_delay(1.0, params, op, "finite-difference")) == _bits(tau_fd[k])
+        assert _bits(group_delay(1.0, params, op, "analytic")) == _bits(tau_analytic[k])

@@ -249,7 +249,8 @@ class TestRunSweep:
                 for row in (block[0], block[3]):
                     assert row[i_phase] == math.atan2(row[i_im], row[i_re])
 
-    def test_delay_sweep_calls_the_kernel_once_per_block(self, monkeypatch, slowfast_spectrum):
+    def test_delay_sweep_calls_the_kernel_twice_per_block(self, monkeypatch, slowfast_spectrum):
+        # the centres with the derivative, which fixes each row's step, then the 4 points of each row
         sizes = []
         kernel = oemsim.response.amplitude_kernel
 
@@ -263,7 +264,8 @@ class TestRunSweep:
         result = run_sweep(slowfast_spectrum, spec)
         assert all(row[-1] == NO_ERROR for row in result.rows)
         cap = oemsim.sweep.BLOCK_ELEMENTS
-        assert len(sizes) <= math.ceil(5 * rows / cap)
+        assert len(sizes) == 2 * math.ceil(5 * rows / cap)
+        assert sizes[1::2] == [4 * n for n in sizes[::2]]
         assert sum(sizes) == 5 * rows and max(sizes) <= cap
 
     def test_delay_sweep_solves_each_block_in_one_eigvals_call(self, eigvals_sizes, slowfast_spectrum):

@@ -13,8 +13,9 @@ is one.  The cases:
 - ``paper-2012`` tables, whose header is written in SI base units;
 - tables with response-error rows: spectrum and phase grids through the
   exact pole of an undamped second resonator (the unwrap restarts after
-  it), and delay tables where every line centre, or only each row's
-  delta + h finite-difference point, sits on that pole;
+  it), and delay tables where every line centre, or only the delta + h
+  finite-difference point of the rows with the largest step, sits on that
+  pole;
 - config override cases (probe, pump, damping and detuning pairs), and
   phase, delay and splitting tables on the explicit-detuning override, whose
   operating points come from the roots of the photon-number cubic;
@@ -40,7 +41,8 @@ SLOWFAST = "preset = dimensionless-slowfast\n"
 PAPER = "preset = paper-2012\n"
 # gamma2 = 0 puts an exact pole of mirror 2 at delta = omega2; the second
 # one moves it to the delta + h point of the finite-difference delay at
-# line centre (h = 1e-6 omega1)
+# line centre on the rows whose step is the largest one, h = 1e-6 omega1
+# (a narrower feature takes a smaller step, which misses the pole)
 POLE = "[mech2]\ngamma = 0 dimensionless\n"
 POLE_FD = POLE + f"omega = {1.0 + 1e-6!r} dimensionless\n"
 EXPLICIT = "[cavity]\ndetuning = 0.9 dimensionless\n"
