@@ -69,4 +69,9 @@ def sqrt(x):
 
 def hypot(re, im):
     """|re + i im| as ``abs(complex)`` computes it."""
-    return np.hypot(re, im) if isinstance(re, np.ndarray) else abs(complex(re, im))
+    if isinstance(re, np.ndarray):
+        return np.hypot(re, im)
+    if re == re and im == im:
+        return abs(complex(re, im))
+    # with a NaN part abs(complex) reads a stale errno and can raise OverflowError
+    return math.hypot(re, im)

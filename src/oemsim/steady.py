@@ -167,8 +167,7 @@ def _eigenvalues(p, cubic, refusals):
     if not refusals.batch:
         raw = [complex(math.nan, math.nan)] * 3
         if solvable and degree:
-            companion = np.array([[row[:degree], *_SUBDIAGONAL[degree]]])
-            raw[:degree] = np.linalg.eigvals(companion)[0].tolist()
+            raw[:degree] = np.linalg.eigvals(np.array([[row[:degree], *_SUBDIAGONAL[degree]]]))[0].tolist()
         return raw
     row = np.column_stack(row)
     raw = np.full((len(row), 3), np.nan, dtype=complex)
@@ -181,13 +180,13 @@ def _eigenvalues(p, cubic, refusals):
 
 def _companion_eigenvalues(rows, degree: int):
     """Eigenvalues of the stacked companion matrices with first rows ``rows``, in one ``eigvals`` call."""
-    companion = np.empty((len(rows), degree, degree))
+    companion = np.zeros((len(rows), degree, degree))
     companion[:, 0] = rows
-    companion[:, 1:] = _SUBDIAGONAL[degree]
+    companion[:, range(1, degree), range(degree - 1)] = 1.0
     return np.linalg.eigvals(companion)
 
 
-_SUBDIAGONAL = {d: np.eye(d)[:-1] for d in (1, 2, 3)}  # the rows of a companion matrix below its first
+_SUBDIAGONAL = {d: np.eye(d)[:-1].tolist() for d in (1, 2, 3)}  # the rows of a companion matrix below its first
 
 
 def _photon_number_roots(a, delta_c, kappa_sq, omega_sq, refusals):
@@ -206,21 +205,21 @@ def _photon_number_roots(a, delta_c, kappa_sq, omega_sq, refusals):
         linear * n0,
         -omega_sq,
     )
-    values, keep = [], []
-    for r in _eigenvalues(p, cubic, refusals):
-        r_abs = hypot(r.real, r.imag)  # NaN past the degree
-        kept = where(abs(r.imag) >= ROOT_IMAG_TOL * where(r_abs > 1.0, r_abs, 1.0), False, r_abs == r_abs)
-        if not any_of(kept):
-            values.append(r.real)
+    values, keep = [n0] * 3, [cubic] * 3  # without a cubic, the one root set below
+    if any_of(cubic):
+        values, keep = [], []
+        for r in _eigenvalues(p, cubic, refusals):
+            r_abs = hypot(r.real, r.imag)  # NaN past the degree
+            kept = where(abs(r.imag) >= ROOT_IMAG_TOL * where(r_abs > 1.0, r_abs, 1.0), False, r_abs == r_abs)
+            n = r.real * n0
+            if any_of(kept):
+                kept = where(n < -ROOT_DEDUPE_TOL * n0, False, kept)
+                # an overflow in the polish fails the point for a root clamped to 0; another root turns NaN
+                clamped = 0.0 > n
+                n = _newton_polish(where(clamped, 0.0, n), a, delta_c, kappa_sq, omega_sq, refusals, kept, clamped)
+                kept = where(n < 0.0, False, kept)
+            values.append(n)
             keep.append(kept)
-            continue
-        n = r.real * n0
-        kept = where(n < -ROOT_DEDUPE_TOL * n0, False, kept)
-        # an overflow in the polish fails the point for a root clamped to 0; another root turns NaN
-        clamped = 0.0 > n
-        n = _newton_polish(where(clamped, 0.0, n), a, delta_c, kappa_sq, omega_sq, refusals, kept, clamped)
-        values.append(n)
-        keep.append(where(n < 0.0, False, kept))
     # the root of a linear cavity (a = 0), or none without a pump
     values[0] = where(cubic, values[0], where(pumped, n0, 0.0))
     keep[0] = where(cubic, keep[0], True)
