@@ -30,8 +30,9 @@ one CPython 3.11 complex operation:
   there CPython raises);
 - a float square is libm ``pow``, as Python's ``**`` is (x*x differs near 1;
   `arith.power`);
-- abs is ``hypot`` (`arith.hypot`); the phase is ``math.atan2`` per element, while the
-  finite-difference slope uses numpy's ``arctan2``, as ``np.angle`` does.
+- abs is ``hypot`` (`arith.hypot`); the phase is ``math.atan2`` per element,
+  while the finite-difference slope uses numpy's ``arctan2``, as ``np.angle``
+  does.
 The closed form's rounding follows its operand types: with a numpy-scalar
 Delta or n every complex division would be numpy's, times the reciprocal.
 `steady` therefore hands out Python floats on every branch, and the one

@@ -28,9 +28,9 @@ is an InvariantViolationError of its point: on one point Python raises
 OverflowError or ZeroDivisionError, and on a batch the element is flagged
 where Python would have raised (`arith.power` gives NaN there).  The one
 exception is the Newton polish of a root that was not clamped to 0: an
-overflow there makes that root NaN and leaves the point alone, as the
-eigenvalue-based polish always has (a NaN root counts as a branch, sorts as
-``list.sort`` puts it, and as the lowest root fails the residual check).
+overflow there makes that root NaN and leaves the point alone (a NaN root
+counts as a branch, sorts where ``list.sort`` would put it, and as the lowest
+root fails the residual check).
 """
 from __future__ import annotations
 
@@ -186,7 +186,8 @@ def _companion_eigenvalues(rows, degree: int):
     return np.linalg.eigvals(companion)
 
 
-_SUBDIAGONAL = {d: np.eye(d)[:-1].tolist() for d in (1, 2, 3)}  # the rows of a companion matrix below its first
+# the rows of a companion matrix below its first
+_SUBDIAGONAL = {d: np.eye(d)[:-1].tolist() for d in (1, 2, 3)}
 
 
 def _photon_number_roots(a, delta_c, kappa_sq, omega_sq, refusals):
@@ -216,7 +217,9 @@ def _photon_number_roots(a, delta_c, kappa_sq, omega_sq, refusals):
                 kept = where(n < -ROOT_DEDUPE_TOL * n0, False, kept)
                 # an overflow in the polish fails the point for a root clamped to 0; another root turns NaN
                 clamped = 0.0 > n
-                n = _newton_polish(where(clamped, 0.0, n), a, delta_c, kappa_sq, omega_sq, refusals, kept, clamped)
+                n = _newton_polish(
+                    where(clamped, 0.0, n), a, delta_c, kappa_sq, omega_sq, refusals, kept, clamped
+                )
                 kept = where(n < 0.0, False, kept)
             values.append(n)
             keep.append(kept)
@@ -264,7 +267,8 @@ def _solve(params: SystemParams, refusals: _Refusals) -> SteadyStates:
     k = params.stiffness()  # one point: raises StaticInstabilityError where K <= 0
     refusals.float_range(k != k)  # NaN: a square in K overflowed
     refusals.refuse(k <= 0, StaticInstabilityError, None)
-    cavity, coupling, mech1, mech2, hbar = params.cavity, params.coupling, params.mech1, params.mech2, params.hbar
+    cavity, coupling, mech1, mech2 = params.cavity, params.coupling, params.mech1, params.mech2
+    hbar = params.hbar
     omega_l = params.pump_amplitude()
     a = hbar * refusals.power(coupling.g_cav, 2) / k
     omega_sq = refusals.power(omega_l, 2)
@@ -318,7 +322,8 @@ def _batch(params: SystemParams, swept: dict, size: int) -> SystemParams:
 
     batch = object.__new__(SystemParams)
     batch.__dict__.update(
-        (name, value if isinstance(value, str) else section(name, value)) for name, value in vars(params).items()
+        (name, value if isinstance(value, str) else section(name, value))
+        for name, value in vars(params).items()
     )
     return batch
 
@@ -347,4 +352,6 @@ def solve_steady_state(params: SystemParams) -> OperatingPoint:
     """
     s = _one_point(partial(_solve, params))
     cs = params.pump_amplitude() / (params.cavity.kappa + 1j * s.delta_eff)
-    return OperatingPoint(s.q1s, s.q2s, cs, s.photon_number, s.delta_eff, s.delta_c, s.branch_count, s.residual)
+    return OperatingPoint(
+        s.q1s, s.q2s, cs, s.photon_number, s.delta_eff, s.delta_c, s.branch_count, s.residual
+    )

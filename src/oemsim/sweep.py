@@ -240,7 +240,8 @@ def _steady_rows(params, names, values):
             section, changes = axis_changes(name, column)
             swept.setdefault(section, {}).update(changes)
         states = solve_steady_states(params, swept)
-        columns = (states.status, states.photon_number, states.branch_count.astype(float), *states.coefficients)
+        branch_count = states.branch_count.astype(float)
+        columns = (states.status, states.photon_number, branch_count, *states.coefficients)
         passes.append([column[index.reshape(-1)] for column in columns])
     return [np.concatenate(column) for column in zip(*passes)]
 
