@@ -7,16 +7,16 @@ serial and parallel runs emit identical bytes.
 
 Within a chunk two things are batched.  The operating point moves with every
 axis but delta_bar, and a steady pass (`steady.solve_steady_states`) solves
-the distinct operating points of up to PASS_ROWS rows at once: the swept
-values go in as arrays, set and cleared as `config.axis_changes` says, and
-come back as columns of status, photon number, branch count and
-`response.Coefficients`, from which each row takes its own.  Then a block
-of up to BLOCK_ELEMENTS kernel elements' worth of rows goes to one evaluator
-call: it takes the rows' detunings and kernel inputs, calls
-`response.amplitude_kernel` on them, and returns column arrays plus a
-per-row status.  Passes and blocks are sized apart, so the 1-row blocks of a
-splitting sweep share one pass, and a pass's memory stays bounded when the
-4,100-row spectrum blocks hold many operating points.  Physics failures
+up to PASS_POINTS distinct operating points at once: the swept values go in
+as arrays, set and cleared as `config.axis_changes` says, and come back as
+columns of status, photon number, branch count and `response.Coefficients`,
+from which each row takes its own.  Then a block of up to BLOCK_ELEMENTS
+kernel elements' worth of rows goes to one evaluator call: it takes the
+rows' detunings and kernel inputs, calls `response.amplitude_kernel` on
+them, and returns column arrays plus a per-row status.  Passes and blocks
+are sized apart: the 1-row blocks of a splitting sweep share one pass, the
+few operating points of a 4,100-row spectrum block take one pass, and a
+pass's memory stays bounded when a block holds many.  Physics failures
 (instability, float overflow, singular response) mark rows and the run
 continues: a steady-state failure marks every row of that operating point, a
 response failure only its own row, with the slug of the error the scalar
@@ -47,8 +47,9 @@ NO_ERROR = "-"
 # kernel elements per call: bounds a block's memory, holds one splitting scan
 # and is a multiple of the 5 points of a delay row
 BLOCK_ELEMENTS = 4100
-# rows per steady pass: one block of delay rows, whose operating points all differ
-PASS_ROWS = BLOCK_ELEMENTS // (1 + len(response.FD_OFFSETS))
+# operating points per steady pass: bounds a pass's memory, and holds one block of
+# delay rows, whose operating points all differ
+PASS_POINTS = BLOCK_ELEMENTS // (1 + len(response.FD_OFFSETS))
 
 _SPECTRUM_COLUMNS = (
     "delta",
@@ -200,15 +201,15 @@ _STEADY_SLUGS = {status: _slug(error) for status, error in steady.STATUS_ERRORS.
 def _evaluate_chunk(task):
     """Table rows of one contiguous run of grid points, error slug last.
 
-    The run is cut into spans that hold whole blocks and whole passes: a
-    span is one block of several passes (spectra) or one pass of several
-    blocks (delay, splitting).  The probe detuning is omega1 + delta_bar, the
+    The run is cut into spans of one block (spectra) or of PASS_POINTS rows
+    and several blocks (delay, splitting); the distinct operating points of a
+    span are solved first.  The probe detuning is omega1 + delta_bar, the
     line centre when no delta_bar axis is swept.
     """
     params, name, convention, names, points = task
     scenario = SCENARIOS[name]
     per_block = max(1, BLOCK_ELEMENTS // scenario.kernel_points)
-    span = max(per_block, PASS_ROWS)
+    span = max(per_block, PASS_POINTS)
     swept = [k for k, axis in enumerate(names) if axis != "delta_bar"]
     rows = []
     for start in range(0, len(points), span):
@@ -229,21 +230,20 @@ def _steady_rows(params, names, values):
     """Status, photon number, branch count and kernel inputs of each row, as columns.
 
     ``values`` holds the swept values of the rows, one column per name in
-    ``names``.  Each pass solves the distinct operating points of up to
-    PASS_ROWS rows in one `solve_steady_states` call.
+    ``names``.  Their distinct operating points are solved PASS_POINTS at a
+    time, each pass in one `solve_steady_states` call.
     """
+    distinct, index = np.unique(values, axis=0, return_inverse=True)
     passes = []
-    for start in range(0, len(values), PASS_ROWS):
-        distinct, index = np.unique(values[start : start + PASS_ROWS], axis=0, return_inverse=True)
+    for start in range(0, len(distinct), PASS_POINTS):
         swept = {}
-        for name, column in zip(names, distinct.T):
+        for name, column in zip(names, distinct[start : start + PASS_POINTS].T):
             section, changes = axis_changes(name, column)
             swept.setdefault(section, {}).update(changes)
         states = solve_steady_states(params, swept)
         branch_count = states.branch_count.astype(float)
-        columns = (states.status, states.photon_number, branch_count, *states.coefficients)
-        passes.append([column[index.reshape(-1)] for column in columns])
-    return [np.concatenate(column) for column in zip(*passes)]
+        passes.append((states.status, states.photon_number, branch_count, *states.coefficients))
+    return [np.concatenate(column)[index.reshape(-1)] for column in zip(*passes)]
 
 
 def _evaluate_block(scenario, convention, points, delta, states):
