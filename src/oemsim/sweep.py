@@ -217,57 +217,57 @@ def _evaluate_chunk(task):
         grid = np.array(span_points, dtype=float).reshape(len(span_points), len(names))
         delta_bar = grid[:, names.index("delta_bar")] if "delta_bar" in names else np.zeros(len(grid))
         delta = params.mech1.omega + delta_bar
-        states = _steady_rows(params, [names[k] for k in swept], grid[:, swept])
+        status, table = _steady_rows(params, [names[k] for k in swept], grid[:, swept])
         for first in range(0, len(grid), per_block):
             block = slice(first, first + per_block)
             rows += _evaluate_block(
-                scenario, convention, span_points[block], delta[block], [column[block] for column in states]
+                scenario, convention, span_points[block], delta[block], status[block], table[:, block]
             )
     return rows
 
 
 def _steady_rows(params, names, values):
-    """Status, photon number, branch count and kernel inputs of each row, as columns.
+    """Status of each row, and a table of its photon number, branch count and kernel inputs.
 
     ``values`` holds the swept values of the rows, one column per name in
     ``names``.  Their distinct operating points are solved PASS_POINTS at a
-    time, each pass in one `solve_steady_states` call.
+    time, each pass in one `solve_steady_states` call.  The table has one
+    column per row, like the stacked inputs it replaces, in one allocation.
     """
     distinct, index = np.unique(values, axis=0, return_inverse=True)
-    passes = []
+    status, table = [], []
     for start in range(0, len(distinct), PASS_POINTS):
         swept = {}
         for name, column in zip(names, distinct[start : start + PASS_POINTS].T):
             section, changes = axis_changes(name, column)
             swept.setdefault(section, {}).update(changes)
         states = solve_steady_states(params, swept)
-        branch_count = states.branch_count.astype(float)
-        passes.append((states.status, states.photon_number, branch_count, *states.coefficients))
-    return [np.concatenate(column)[index.reshape(-1)] for column in zip(*passes)]
+        status.append(states.status)
+        table.append(np.column_stack((states.photon_number, states.branch_count, *states.coefficients)))
+    index = index.reshape(-1)
+    return np.concatenate(status)[index], np.concatenate(table)[index].T
 
 
-def _evaluate_block(scenario, convention, points, delta, states):
+def _evaluate_block(scenario, convention, points, delta, status, table):
     """Rows of one block: one evaluator call on the rows whose operating point solved.
 
     Rows whose operating point failed carry its slug and skip the evaluator.
     """
-    status, photon_number, branch_count, *kernel_inputs = states
     nan_data = (math.nan,) * len(scenario.columns)
     rows = [None] * len(points)
-    solved = []
-    for i, s in enumerate(status.tolist()):
-        if s == steady.OK:
-            solved.append(i)
-        else:
-            rows[i] = points[i] + nan_data + (_STEADY_SLUGS[s],)
-    if not solved:
+    for i in np.flatnonzero(status != steady.OK).tolist():
+        rows[i] = points[i] + nan_data + (_STEADY_SLUGS[status[i]],)
+    solved = np.flatnonzero(status == steady.OK)
+    if not solved.size:
         return rows
-    coefficients = response.Coefficients(*(column[solved] for column in kernel_inputs))
+    if solved.size < len(points):
+        delta, table = delta[solved], table[:, solved]
+    photon_number, branch_count, *kernel_inputs = table
     with np.errstate(all="ignore"):
-        data, status = scenario.evaluate(delta[solved], coefficients, convention)
-    data["photon_number"], data["branch_count"] = photon_number[solved], branch_count[solved]
+        data, status = scenario.evaluate(delta, response.Coefficients(*kernel_inputs), convention)
+    data["photon_number"], data["branch_count"] = photon_number, branch_count
     columns = zip(*(data[column].tolist() for column in scenario.columns))
-    for i, values, s in zip(solved, columns, status.tolist()):
+    for i, values, s in zip(solved.tolist(), columns, status.tolist()):
         rows[i] = points[i] + (values if s == response.OK else nan_data) + (_STATUS_SLUGS[s],)
     return rows
 
