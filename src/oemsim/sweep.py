@@ -221,18 +221,18 @@ def _evaluate_chunk(task):
         for first in range(0, len(grid), per_block):
             block = slice(first, first + per_block)
             rows += _evaluate_block(
-                scenario, convention, span_points[block], delta[block], status[block], table[:, block]
+                scenario, convention, span_points[block], delta[block], status[block],
+                [column[block] for column in table],
             )
     return rows
 
 
 def _steady_rows(params, names, values):
-    """Status of each row, and a table of its photon number, branch count and kernel inputs.
+    """Status of each row, and its photon number, branch count and kernel inputs as a list of columns.
 
     ``values`` holds the swept values of the rows, one column per name in
     ``names``.  Their distinct operating points are solved PASS_POINTS at a
-    time, each pass in one `solve_steady_states` call.  The table has one
-    column per row, like the stacked inputs it replaces, in one allocation.
+    time, each pass in one `solve_steady_states` call.
     """
     distinct, index = np.unique(values, axis=0, return_inverse=True)
     status, table = [], []
@@ -243,9 +243,9 @@ def _steady_rows(params, names, values):
             swept.setdefault(section, {}).update(changes)
         states = solve_steady_states(params, swept)
         status.append(states.status)
-        table.append(np.column_stack((states.photon_number, states.branch_count, *states.coefficients)))
+        table.append((states.photon_number, states.branch_count.astype(float), *states.coefficients))
     index = index.reshape(-1)
-    return np.concatenate(status)[index], np.concatenate(table)[index].T
+    return np.concatenate(status)[index], [np.concatenate(column)[index] for column in zip(*table)]
 
 
 def _evaluate_block(scenario, convention, points, delta, status, table):
@@ -261,7 +261,7 @@ def _evaluate_block(scenario, convention, points, delta, status, table):
     if not solved.size:
         return rows
     if solved.size < len(points):
-        delta, table = delta[solved], table[:, solved]
+        delta, table = delta[solved], [column[solved] for column in table]
     photon_number, branch_count, *kernel_inputs = table
     with np.errstate(all="ignore"):
         data, status = scenario.evaluate(delta, response.Coefficients(*kernel_inputs), convention)
