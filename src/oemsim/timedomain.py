@@ -4,9 +4,13 @@ then extract sideband amplitudes by least-squares demodulation.
 This is the end-to-end check of the linearized pipeline: both drives run in
 the integration, nothing is linearized, and the demodulated coefficients
 are compared against the linear-system solve.
+
+The integrator is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5),
+written here as scipy's `solve_ivp` runs it, without scipy; see `integrate`.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,7 +27,6 @@ from .errors import (
 from .params import SystemParams
 from .steady import OperatingPoint, solve_steady_state
 
-TRAJECTORY_COLUMNS = ("t", "q1", "p1", "q2", "p2", "re_c", "im_c")
 MIN_BEAT_SAMPLES = 16
 RECOMMENDED_RINGDOWNS = 20
 RECOMMENDED_BEATS = 32
@@ -36,6 +39,61 @@ PERTURBATIVE_RATIO = 0.05
 # 23 x, and 290-375 x from the random states).  It still makes fewer than half
 # of RK45's right-hand-side calls.
 DOP853_TOLERANCE_FACTOR = 0.25
+RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy's least DOP853 rtol
+
+# DOP853 tableau of Hairer's dop853.f as scipy.integrate._ivp.dop853_coefficients has it, in scipy's
+# shapes, each float64 by repr.  Stages 1-11 make a step, 12 is the right-hand side at its end (row 12
+# of A is the 8th-order weights B), 13-15 serve the interpolant.
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0,
+    0.1, 0.2, 0.7777777777777778,
+)
+_A = np.zeros((16, 16))
+_A[np.tril_indices(16, -1)] = (
+    0.05260015195876773, 0.0197250569845379, 0.0591751709536137, 0.02958758547680685, 0.0,
+    0.08876275643042054, 0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792,
+    0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242, 0.037109375, 0.0, 0.0,
+    0.17025221101954405, 0.06021653898045596, -0.017578125, 0.03709200011850479, 0.0, 0.0,
+    0.17038392571223998, 0.10726203044637328, -0.015319437748624402, 0.008273789163814023,
+    0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996, 0.47766253643826434, 0.0, 0.0, -2.4881146199716677,
+    -0.590290826836843, 21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196, 2.273310147516538, 0.0,
+    0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+    -8.87285693353063, 12.360567175794303, 0.6433927460157636, 0.054293734116568765, 0.0, 0.0, 0.0, 0.0,
+    4.450312892752409, 1.8915178993145003, -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+    0.20136540080403034, 0.04471061572777259, 0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.25350021021662483, -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+    0.00820105229563469, 0.007567897660545699, -0.008298, 0.03183464816350214, 0.0, 0.0, 0.0, 0.0,
+    0.028300909672366776, 0.053541988307438566, -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932,
+    0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325, -0.42889630158379194, 0.0, 0.0, 0.0,
+    0.0, -4.697621415361164, 7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+    -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+)
+_E5 = np.array((
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
+))
+_E3 = np.array((
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0,
+))
+_D = np.array((
+    -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+    18.148505520854727, -9.194632392478356, -4.436036387594894, 10.427508642579134, 0.0, 0.0, 0.0, 0.0,
+    242.28349177525817, 165.20045171727028, -374.5467547226902, -22.113666853125306, 7.733432668472264,
+    -30.674084731089398, -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+    35.81684148639408, 19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+    527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279, -25.69393346270375, 0.0,
+    0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455, 357.6391179106141, 93.40532418362432,
+    -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828,
+    -39.17726167561544, -149.72683625798564,
+)).reshape(4, 16)
+_B = _A[12, :12].copy()
 
 
 @dataclass(frozen=True)
@@ -70,14 +128,6 @@ class Trajectory:
     @property
     def cavity_field(self) -> np.ndarray:
         return self.states[:, 4] + 1j * self.states[:, 5]
-
-    def dump_csv(self, path) -> None:
-        """Full-precision CSV dump, one row per sample."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-            for i in range(len(self.t)):
-                row = [self.t[i], *self.states[i]]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -139,6 +189,73 @@ def _rhs_factory(params: SystemParams, op: OperatingPoint, delta: float, eps_p: 
     return rhs
 
 
+def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray):
+    """DOP853 from t = 0 to t_eval[-1], step for step as scipy's under `solve_ivp` with
+    ``t_eval``: the states at t_eval, and None or why the run stopped early.  ``rhs`` returns
+    a tuple; the initial step is scipy's select_initial_step, on numpy scalars as there."""
+    t_bound = t_eval[-1]
+    K = np.empty((16, 6))  # one row per stage, as scipy's K_extended
+    stages = [(s, K[:s].T, _A[s, :s], _C[s]) for s in range(16)]
+    K_b, K_err = K[:12].T, K[:13].T
+    if t_bound == 0.0:
+        return [y0.tolist()], None
+    f = rhs(0.0, y0)
+    f0 = np.array(f)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = (np.sqrt(v.dot(v)) / 6**0.5 for v in (y0 / scale, f0 / scale))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
+    v = (np.array(rhs(0.0 + h0, y0 + h0 * f0)) - f0) / scale
+    d2 = np.sqrt(v.dot(v)) / 6**0.5 / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = float(min(100 * h0, h1, t_bound))
+    t, y, rows = 0.0, y0, []
+    while t < t_bound:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        K[0] = f
+        while True:
+            if h_abs < min_step:
+                return rows, "Required step size is less than spacing between numbers."
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            for s, K_s, a, c in stages[1:12]:
+                K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
+            y_new = y + h * np.dot(K_b, _B)
+            K[12] = f_new = rhs(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5, err3 = np.dot(K_err, _E5) / scale, np.dot(K_err, _E3) / scale
+            # scipy's squared np.linalg.norm: sqrt(x.dot(x)) ** 2, not x.dot(x)
+            e5, e3 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
+            error_norm = float(h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * 6)) if e5 or e3 else 0.0
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
+            rejected = True
+        samples = t_eval[len(rows):bisect.bisect_right(t_eval, t_new)]
+        if samples:
+            for s, K_s, a, c in stages[13:]:
+                K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
+            # scipy's Dop853DenseOutput, y + sum_k F[k] x^(k//2 + 1) (1 - x)^((k + 1)//2) in
+            # Horner form, one component at a time: (y, F[0], ..., F[6]) per component
+            columns = [
+                (yo, dy, h * fo - dy, 2 * dy - h * (fn + fo), *tail) for yo, dy, fo, fn, tail
+                in zip(y.tolist(), (y_new - y).tolist(), f, f_new, (h * np.dot(_D, K)).T.tolist())
+            ]
+            for sample in samples:
+                x = (sample - t) / h
+                z = 1 - x
+                rows.append([
+                    ((((((((0.0 + f6) * x + f5) * z + f4) * x + f3) * z + f2) * x + f1) * z + f0) * x) + yo
+                    for yo, f0, f1, f2, f3, f4, f5, f6 in columns
+                ])
+        t, y, f = t_new, y_new, f_new
+    return rows, None
+
+
 def integrate(
     params: SystemParams,
     delta: float,
@@ -149,17 +266,20 @@ def integrate(
 
     Starts at the analytic operating point (static transient already
     settled) unless an explicit initial state is given.  Adaptive
-    Dormand-Prince 8(5,3) (DOP853) with dense output sampled every
+    Dormand-Prince 8(5,3) (DOP853), its 7th-order interpolant sampled every
     ``config.dt``, run at ``DOP853_TOLERANCE_FACTOR`` times the requested
     ``config.integrator_tolerance``.
+
+    Times, samples and failures equal scipy's ``solve_ivp(method="DOP853",
+    t_eval=...)`` bit for bit: the same initial step, step control, rejection
+    rule and minimum step; every sum over stages stays one ``np.dot`` on
+    scipy's array layout, because BLAS does not add in Python's order; the
+    elementwise rest runs on Python floats, which round as numpy does.  Only
+    steps that hold samples compute the three interpolant stages.
 
     The package's one perturbative check is here, where the probe drives the
     run: a probe/pump ratio above PERTURBATIVE_RATIO warns `PerturbativeRegimeWarning`.
     """
-    # imported here so that table commands, which never integrate, do not
-    # pay for loading scipy
-    from scipy.integrate import solve_ivp
-
     if delta > 0 and config.dt > (2.0 * math.pi / delta) / MIN_BEAT_SAMPLES:
         raise ValueError(
             f"dt = {config.dt!r} undersamples the beat period; need at least "
@@ -188,36 +308,33 @@ def integrate(
         y0 = np.array([op.q1s, 0.0, op.q2s, 0.0, op.cs.real, op.cs.imag])
     else:
         y0 = np.asarray(initial_state, dtype=float)
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("All components of the initial state must be finite.")
     t_eval = np.arange(0.0, config.duration + 0.5 * config.dt, config.dt)
     scale = max(np.max(np.abs(y0)), 1.0)
     tolerance = DOP853_TOLERANCE_FACTOR * config.integrator_tolerance
     atol = tolerance * np.maximum(np.abs(y0), 1e-6 * scale)
+    if tolerance < RTOL_FLOOR:
+        warnings.warn(f"rtol {tolerance:.3g} raised to {RTOL_FLOOR:.3g}", TrajectoryConfigWarning, stacklevel=2)
+    rhs = _rhs_factory(params, op, delta, eps_p)
     try:
-        sol = solve_ivp(
-            _rhs_factory(params, op, delta, eps_p),
-            (0.0, float(t_eval[-1])),
-            y0,
-            method="DOP853",
-            rtol=tolerance,
-            atol=atol,
-            t_eval=t_eval,
-        )
+        rows, failure = _dop853(rhs, y0, t_eval.tolist(), max(tolerance, RTOL_FLOOR), atol)
     except _NonFiniteState as exc:
-        raise DivergenceError("trajectory diverged", time=exc.time) from None
-    if not sol.success:
-        last_t = float(sol.t[-1]) if sol.t.size else 0.0
-        last_y = sol.y[:, -1] if sol.t.size else y0
+        raise DivergenceError("trajectory diverged", time=float(exc.time)) from None
+    t = t_eval[: len(rows)]
+    if failure:
+        last_t, last_y = (float(t[-1]), rows[-1]) if rows else (0.0, y0)
         if not np.all(np.isfinite(last_y)):
             raise DivergenceError("trajectory diverged", time=last_t)
         raise IntegrationError(
-            f"integrator failed at t = {last_t!r}: {sol.message}; consider a smaller "
+            f"integrator failed at t = {last_t!r}: {failure}; consider a smaller "
             "kappa/omega1 separation or dimensionless units"
         )
-    states = sol.y.T.copy()
+    states = np.array(rows)
     if not np.all(np.isfinite(states)):
         bad = int(np.argmax(~np.all(np.isfinite(states), axis=1)))
-        raise DivergenceError("trajectory left the finite domain", time=float(sol.t[bad]))
-    return Trajectory(t=sol.t.copy(), states=states)
+        raise DivergenceError("trajectory left the finite domain", time=float(t[bad]))
+    return Trajectory(t=t, states=states)
 
 
 def demodulate(
@@ -281,20 +398,3 @@ def probe_response(params: SystemParams, delta: float, config: TrajectoryConfig)
     trajectory = integrate(params, delta, config)
     return demodulate(trajectory, delta, config, probe_amplitude=eps_p)
 
-
-def hamiltonian_value(params: SystemParams, op_delta_c: float, state: np.ndarray) -> float:
-    """Drive-free energy function of one sampled state (conserved when
-    kappa = gamma1 = gamma2 = 0 and drives are off)."""
-    q1, p1, q2, p2, rc, ic = state
-    m1, m2 = params.mech1, params.mech2
-    hbar = params.hbar
-    n_c = rc * rc + ic * ic
-    return (
-        p1**2 / (2.0 * m1.mass)
-        + 0.5 * m1.mass * m1.omega**2 * q1**2
-        + p2**2 / (2.0 * m2.mass)
-        + 0.5 * m2.mass * m2.omega**2 * q2**2
-        + hbar * op_delta_c * n_c
-        - hbar * params.coupling.g_cav * n_c * q1
-        + hbar * params.coupling.g_coulomb * q1 * q2
-    )

@@ -253,8 +253,8 @@ def test_version_flag(capsys):
 
 
 def test_package_import_does_not_load_scipy():
-    # table commands never integrate, so importing the package and its CLI
-    # must not pay for scipy; only timedomain.integrate imports it
+    # the package needs numpy only: neither importing it nor running the
+    # time-domain oracle (`oemsim validate`) loads scipy
     code = (
         "import sys, oemsim, oemsim.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -262,6 +262,15 @@ def test_package_import_does_not_load_scipy():
     result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+    code = (
+        "import contextlib, io, sys, oemsim.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = oemsim.cli.main(['validate', '--seed', '1'])\n"
+        "print(status, sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    result = _run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == f"{EXIT_OK} []"
 
 
 def test_every_exported_name_resolves():

@@ -4,23 +4,27 @@ import warnings
 import numpy as np
 import pytest
 
+from oemsim import timedomain
 from oemsim.errors import (
     DivergenceError,
     InsufficientDataError,
+    IntegrationError,
     PerturbativeRegimeWarning,
     TrajectoryConfigWarning,
 )
 from oemsim.linsys import solve_sidebands
 from oemsim.steady import solve_steady_state
 from oemsim.timedomain import (
+    DOP853_TOLERANCE_FACTOR,
     Trajectory,
     TrajectoryConfig,
     demodulate,
-    hamiltonian_value,
     integrate,
     probe_response,
 )
 from oemsim.validate import dimensionless_system
+
+TRAJECTORY_COLUMNS = ("t", "q1", "p1", "q2", "p2", "re_c", "im_c")
 
 
 def quick_system(kappa=0.2, gamma=0.05, g_cav=0.1, g_c=0.1, power=1.0, ratio=1e-3):
@@ -30,6 +34,33 @@ def quick_system(kappa=0.2, gamma=0.05, g_cav=0.1, g_c=0.1, power=1.0, ratio=1e-
         pump_power=power, pump_amplitude=None,
         probe_amplitude=(ratio * pump if ratio else 0.0),
     )
+
+
+def hamiltonian_value(params, op_delta_c, state):
+    """Drive-free energy function of one sampled state (conserved when
+    kappa = gamma1 = gamma2 = 0 and drives are off)."""
+    q1, p1, q2, p2, rc, ic = state
+    m1, m2 = params.mech1, params.mech2
+    hbar = params.hbar
+    n_c = rc * rc + ic * ic
+    return (
+        p1**2 / (2.0 * m1.mass)
+        + 0.5 * m1.mass * m1.omega**2 * q1**2
+        + p2**2 / (2.0 * m2.mass)
+        + 0.5 * m2.mass * m2.omega**2 * q2**2
+        + hbar * op_delta_c * n_c
+        - hbar * params.coupling.g_cav * n_c * q1
+        + hbar * params.coupling.g_coulomb * q1 * q2
+    )
+
+
+def dump_csv(trajectory, path):
+    """Full-precision CSV dump, one row per sample."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+        for i in range(len(trajectory.t)):
+            row = [trajectory.t[i], *trajectory.states[i]]
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def quick_config(gamma=0.05, delta=1.03, rtol=1e-9, transient=0.75):
@@ -150,7 +181,8 @@ class TestIntegrate:
             warnings.simplefilter("ignore", RuntimeWarning)  # overflow inside the stages
             with pytest.raises(DivergenceError) as err:
                 integrate(params, 1.0, config, initial_state=y0)
-        assert err.value.time is not None
+        # the photon number overflows in the initial-step probe, at t = 0
+        assert err.value.time == 0.0
 
     def test_csv_dump_round_trip(self, tmp_path):
         params = quick_system(ratio=0.0)
@@ -159,13 +191,128 @@ class TestIntegrate:
             warnings.simplefilter("ignore", TrajectoryConfigWarning)
             trajectory = integrate(params, 1.0, config)
         path = tmp_path / "trajectory.csv"
-        trajectory.dump_csv(path)
+        dump_csv(trajectory, path)
         header = path.read_text().splitlines()[0]
         assert header == "t,q1,p1,q2,p2,re_c,im_c"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], trajectory.t)
         assert np.array_equal(data[:, 1:], trajectory.states)
 
+
+def energy_system():
+    # kappa = 1e-300 is exactly zero dissipation at double precision
+    return dimensionless_system(
+        kappa=1e-300, gamma1=0.0, gamma2=0.0, g_cav=0.3, g_coulomb=0.2,
+        pump_amplitude=0.0, detuning_mode="explicit", detuning=1.0,
+    )
+
+
+def timedomain_check_case(kappa, gamma, g_cav, g_c, power, delta):
+    """One case of validate.check_timedomain, run for 4 ring-down periods instead of 20."""
+    pump = math.sqrt(2.0 * kappa * power)
+    params = dimensionless_system(
+        kappa=kappa, gamma1=gamma, gamma2=gamma, g_cav=g_cav, g_coulomb=g_c,
+        pump_power=power, pump_amplitude=None, probe_amplitude=1e-3 * pump,
+    )
+    config = TrajectoryConfig(duration=4.0 * 2.0 * math.pi / gamma,
+                              dt=(2.0 * math.pi / delta) / 16.0, integrator_tolerance=1e-9)
+    return params, delta, config, None
+
+
+ENERGY_CONFIG = TrajectoryConfig(duration=20.0 * 2.0 * math.pi, dt=0.35, integrator_tolerance=1e-10)
+PINNED_STATE = np.array([0.3, 0.0, -0.2, 0.1, 0.8, 0.5])
+SCIPY_CASES = {
+    "timedomain-check-1": timedomain_check_case(0.2, 0.05, 0.10, 0.10, 1.0, 1.03),
+    "timedomain-check-2": timedomain_check_case(0.3, 0.06, 0.08, 0.00, 1.5, 0.97),
+    "energy-pinned": (energy_system(), 1.0, ENERGY_CONFIG, PINNED_STATE),
+    **{
+        f"energy-random-{seed}": (
+            energy_system(), 1.0, ENERGY_CONFIG, np.random.default_rng(seed).uniform(-1.0, 1.0, 6)
+        )
+        for seed in (0, 1, 2)
+    },
+}
+
+
+def solve_ivp_reference(params, delta, config, initial_state=None, t_eval=True):
+    """scipy's solve_ivp on integrate's problem: the same right-hand side, tolerances and samples."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    op = solve_steady_state(params)
+    y0 = initial_state
+    if y0 is None:
+        y0 = np.array([op.q1s, 0.0, op.q2s, 0.0, op.cs.real, op.cs.imag])
+    samples = np.arange(0.0, config.duration + 0.5 * config.dt, config.dt)
+    tolerance = DOP853_TOLERANCE_FACTOR * config.integrator_tolerance
+    atol = tolerance * np.maximum(np.abs(y0), 1e-6 * max(np.max(np.abs(y0)), 1.0))
+    rhs = timedomain._rhs_factory(params, op, delta, params.probe_amplitude(delta))
+    return solve_ivp(rhs, (0.0, float(samples[-1])), y0, method="DOP853", rtol=tolerance,
+                     atol=atol, t_eval=samples if t_eval else None)
+
+
+class TestMatchesSolveIvp:
+    """The in-package DOP853 stepper against scipy's, which is its specification."""
+
+    def test_tableau_is_scipys_bit_for_bit(self):
+        coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        for ours, theirs in (
+            (timedomain._A, coefficients.A),
+            (timedomain._B, coefficients.B),
+            (np.array(timedomain._C), coefficients.C),
+            (timedomain._E3, coefficients.E3),
+            (timedomain._E5, coefficients.E5),
+            (timedomain._D, coefficients.D),
+        ):
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("case", list(SCIPY_CASES))
+    def test_trajectory_equals_solve_ivp(self, case):
+        params, delta, config, initial_state = SCIPY_CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrajectoryConfigWarning)
+            trajectory = integrate(params, delta, config, initial_state=initial_state)
+        reference = solve_ivp_reference(params, delta, config, initial_state)
+        assert reference.success
+        assert np.array_equal(trajectory.t, reference.t)
+        assert np.array_equal(trajectory.states, reference.y.T)
+
+    def test_one_sample_run_returns_the_initial_state(self):
+        # t_eval = [0]: no step is taken (solve_ivp returns no sample at all here)
+        params = quick_system()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrajectoryConfigWarning)
+            trajectory = integrate(params, 0.01, TrajectoryConfig(duration=0.1, dt=1.0))
+        op = solve_steady_state(params)
+        assert np.array_equal(trajectory.t, [0.0])
+        assert np.array_equal(trajectory.states, [[op.q1s, 0.0, op.q2s, 0.0, op.cs.real, op.cs.imag]])
+
+    def test_pinned_energy_run_rejects_steps(self):
+        # the energy-pinned case above covers the rejection rule: scipy makes
+        # 2 + 12 right-hand-side calls per attempted step when it takes no samples
+        params, delta, config, initial_state = SCIPY_CASES["energy-pinned"]
+        steps = solve_ivp_reference(params, delta, config, initial_state, t_eval=False)
+        attempts = (steps.nfev - 2) // 12
+        assert attempts > len(steps.t) - 1
+
+    def test_too_small_step_names_the_last_sample(self, monkeypatch):
+        # y0' = y0^2 blows up at t = 1: the step shrinks below 10 ulp(t) while the state is finite
+        monkeypatch.setattr(timedomain, "_rhs_factory",
+                            lambda *args: lambda t, y: (y[0] * y[0], 0.0, 0.0, 0.0, 0.0, 0.0))
+        params, config = quick_system(), TrajectoryConfig(duration=2.0, dt=0.3)
+        initial_state = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        reference = solve_ivp_reference(params, 1.0, config, initial_state)
+        assert reference.status == -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrajectoryConfigWarning)
+            with pytest.raises(IntegrationError) as err:
+                integrate(params, 1.0, config, initial_state=initial_state)
+        assert type(err.value) is IntegrationError
+        assert str(err.value) == (
+            f"integrator failed at t = {float(reference.t[-1])!r}: Required step size is less "
+            "than spacing between numbers.; consider a smaller kappa/omega1 separation or "
+            "dimensionless units"
+        )
+        assert reference.message == "Required step size is less than spacing between numbers."
 
 class TestDemodulate:
     def synthetic(self, delta, coefficients, t_end=4000.0, dt=0.3):
