@@ -1,9 +1,9 @@
 """Parameter-sweep engine: grid evaluation, parallel workers, tabular output.
 
-Each scenario is one `SCENARIOS` entry: data columns, axis rule, block
-evaluator.  The grid is cut into contiguous chunks in row-major order (axis1
-outermost), one at ``jobs=1`` and several over a process pool otherwise, so
-serial and parallel runs emit identical bytes.
+Each scenario is one `SCENARIOS` entry, named in `config.SCENARIOS`: data
+columns, axis rule, block evaluator.  The grid is cut into contiguous chunks
+in row-major order (axis1 outermost), one at ``jobs=1`` and several over a
+process pool otherwise, so serial and parallel runs emit identical bytes.
 
 Within a chunk two things are batched.  The operating point moves with every
 axis but delta_bar, and a steady pass (`steady.solve_steady_states`) solves
@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, response, steady
+from . import __version__, config, response, steady
 from .config import SweepAxis, SweepSpec, apply_override, axis_changes, serialize_config  # noqa: F401
 from .errors import ConfigError, SimulationError
 from .params import SystemParams
@@ -167,19 +167,17 @@ class Scenario:
     kernel_points: int  # kernel elements per row
 
 
-SCENARIOS = {
-    "spectrum": Scenario(_SPECTRUM_COLUMNS, _spectrum_axes, _spectrum_block, 1),
-    "phase": Scenario(_SPECTRUM_COLUMNS + ("phase",), _phase_axes, _phase_block, 1),
-    "delay-vs-power": Scenario(
+SCENARIOS = dict(zip(config.SCENARIOS, (
+    Scenario(_SPECTRUM_COLUMNS, _spectrum_axes, _spectrum_block, 1),
+    Scenario(_SPECTRUM_COLUMNS + ("phase",), _phase_axes, _phase_block, 1),
+    Scenario(
         _DELAY_COLUMNS, partial(_one_axis, ("P_l", "Omega_l")), _delay_block, 1 + len(response.FD_OFFSETS)
     ),
-    "delay-vs-kappa": Scenario(
+    Scenario(
         _DELAY_COLUMNS, partial(_one_axis, ("kappa",)), _delay_block, 1 + len(response.FD_OFFSETS)
     ),
-    "splitting-vs-gc": Scenario(
-        _SPLITTING_COLUMNS, partial(_one_axis, ("g_coulomb",)), _splitting_block, SPLITTING_POINTS
-    ),
-}
+    Scenario(_SPLITTING_COLUMNS, partial(_one_axis, ("g_coulomb",)), _splitting_block, SPLITTING_POINTS),
+), strict=True))
 # axis -> the delay scenario that sweeps it, for `oemsim delay`; read off the _one_axis rules
 DELAY_SCENARIOS = {
     axis: name
