@@ -204,7 +204,7 @@ def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray):
     scale = atol + np.abs(y0) * rtol
     d0, d1 = (np.sqrt(v.dot(v)) / 6**0.5 for v in (y0 / scale, f0 / scale))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
-    v = (np.array(rhs(0.0 + h0, y0 + h0 * f0)) - f0) / scale
+    v = (np.array(rhs(h0, y0 + h0 * f0)) - f0) / scale
     d2 = np.sqrt(v.dot(v)) / 6**0.5 / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = float(min(100 * h0, h1, t_bound))
@@ -239,8 +239,8 @@ def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray):
         if samples:
             for s, K_s, a, c in stages[13:]:
                 K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
-            # scipy's Dop853DenseOutput, y + sum_k F[k] x^(k//2 + 1) (1 - x)^((k + 1)//2) in
-            # Horner form, one component at a time: (y, F[0], ..., F[6]) per component
+            # scipy's Dop853DenseOutput, y + sum_k F[k] x^(k//2 + 1) (1 - x)^((k + 1)//2), in its
+            # Horner order from a 0.0 accumulator, one component (y, F[0], ..., F[6]) at a time
             columns = [
                 (yo, dy, h * fo - dy, 2 * dy - h * (fn + fo), *tail) for yo, dy, fo, fn, tail
                 in zip(y.tolist(), (y_new - y).tolist(), f, f_new, (h * np.dot(_D, K)).T.tolist())
@@ -270,12 +270,12 @@ def integrate(
     ``config.dt``, run at ``DOP853_TOLERANCE_FACTOR`` times the requested
     ``config.integrator_tolerance``.
 
-    Times, samples and failures equal scipy's ``solve_ivp(method="DOP853",
-    t_eval=...)`` bit for bit: the same initial step, step control, rejection
-    rule and minimum step; every sum over stages stays one ``np.dot`` on
-    scipy's array layout, because BLAS does not add in Python's order; the
-    elementwise rest runs on Python floats, which round as numpy does.  Only
-    steps that hold samples compute the three interpolant stages.
+    The samples, and the time of a failure, equal those of scipy's
+    ``solve_ivp(method="DOP853", t_eval=...)`` bit for bit: the same initial
+    step, step control, rejection rule and minimum step; every sum over stages
+    stays one ``np.dot`` on scipy's array layout, because BLAS does not add in
+    Python's order; the elementwise rest runs on Python floats, which round as
+    numpy does.  Only steps that hold samples compute the interpolant stages.
 
     The package's one perturbative check is here, where the probe drives the
     run: a probe/pump ratio above PERTURBATIVE_RATIO warns `PerturbativeRegimeWarning`.

@@ -170,6 +170,10 @@ class TestIntegrate:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.t, b.t)
 
+    def test_non_finite_initial_state_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate(quick_system(), 1.03, quick_config(), initial_state=np.array([np.nan] + [0.0] * 5))
+
     def test_divergence_reported_with_time(self):
         # a field amplitude whose photon number overflows drives the state
         # out of the finite domain within the first step
@@ -285,6 +289,15 @@ class TestMatchesSolveIvp:
         op = solve_steady_state(params)
         assert np.array_equal(trajectory.t, [0.0])
         assert np.array_equal(trajectory.states, [[op.q1s, 0.0, op.q2s, 0.0, op.cs.real, op.cs.imag]])
+
+    def test_rtol_below_the_floor_is_raised_as_solve_ivp_raises_it(self):
+        params, config = energy_system(), TrajectoryConfig(duration=2.0 * math.pi, dt=0.35,
+                                                           integrator_tolerance=1e-14)
+        with pytest.warns(TrajectoryConfigWarning, match="raised to"):
+            trajectory = integrate(params, 1.0, config, initial_state=PINNED_STATE)
+        with pytest.warns(UserWarning, match="rtol"):
+            reference = solve_ivp_reference(params, 1.0, config, PINNED_STATE)
+        assert np.array_equal(trajectory.states, reference.y.T)
 
     def test_pinned_energy_run_rejects_steps(self):
         # the energy-pinned case above covers the rejection rule: scipy makes
