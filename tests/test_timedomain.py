@@ -63,6 +63,17 @@ def dump_csv(trajectory, path):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def energy_system():
+    # kappa = 1e-300 is exactly zero dissipation at double precision
+    return dimensionless_system(
+        kappa=1e-300, gamma1=0.0, gamma2=0.0, g_cav=0.3, g_coulomb=0.2,
+        pump_amplitude=0.0, detuning_mode="explicit", detuning=1.0,
+    )
+
+
+PINNED_STATE = np.array([0.3, 0.0, -0.2, 0.1, 0.8, 0.5])
+
+
 def quick_config(gamma=0.05, delta=1.03, rtol=1e-9, transient=0.75):
     return TrajectoryConfig(
         duration=20.0 * 2.0 * math.pi / gamma,
@@ -130,17 +141,12 @@ class TestIntegrate:
         assert -slope == pytest.approx(gamma, rel=0.05)
 
     def test_energy_conservation_without_dissipation(self):
-        # kappa = 1e-300 is exactly zero dissipation at double precision;
         # measured DOP853 drift is ~8.8x the local tolerance over 100 periods
-        params = dimensionless_system(
-            kappa=1e-300, gamma1=0.0, gamma2=0.0, g_cav=0.3, g_coulomb=0.2,
-            pump_amplitude=0.0, detuning_mode="explicit", detuning=1.0,
-        )
+        params = energy_system()
         rtol = 1e-10
         config = TrajectoryConfig(duration=100.0 * 2.0 * math.pi, dt=0.35,
                                   integrator_tolerance=rtol)
-        y0 = np.array([0.3, 0.0, -0.2, 0.1, 0.8, 0.5])
-        trajectory = integrate(params, 1.0, config, initial_state=y0)
+        trajectory = integrate(params, 1.0, config, initial_state=PINNED_STATE)
         values = np.array([hamiltonian_value(params, 1.0, s) for s in trajectory.states])
         drift = np.max(np.abs(values - values[0])) / abs(values[0])
         assert drift <= 30.0 * rtol
@@ -149,10 +155,7 @@ class TestIntegrate:
     def test_energy_conservation_from_random_states(self, seed):
         # same bound as the pinned state; measured DOP853 drift is 6.9-17.2x
         # on these seeds (RK45 at the same requested tolerance: 290-375x)
-        params = dimensionless_system(
-            kappa=1e-300, gamma1=0.0, gamma2=0.0, g_cav=0.3, g_coulomb=0.2,
-            pump_amplitude=0.0, detuning_mode="explicit", detuning=1.0,
-        )
+        params = energy_system()
         rtol = 1e-10
         config = TrajectoryConfig(duration=100.0 * 2.0 * math.pi, dt=0.35,
                                   integrator_tolerance=rtol)
@@ -203,14 +206,6 @@ class TestIntegrate:
         assert np.array_equal(data[:, 1:], trajectory.states)
 
 
-def energy_system():
-    # kappa = 1e-300 is exactly zero dissipation at double precision
-    return dimensionless_system(
-        kappa=1e-300, gamma1=0.0, gamma2=0.0, g_cav=0.3, g_coulomb=0.2,
-        pump_amplitude=0.0, detuning_mode="explicit", detuning=1.0,
-    )
-
-
 def timedomain_check_case(kappa, gamma, g_cav, g_c, power, delta):
     """One case of validate.check_timedomain, run for 4 ring-down periods instead of 20."""
     pump = math.sqrt(2.0 * kappa * power)
@@ -224,7 +219,6 @@ def timedomain_check_case(kappa, gamma, g_cav, g_c, power, delta):
 
 
 ENERGY_CONFIG = TrajectoryConfig(duration=20.0 * 2.0 * math.pi, dt=0.35, integrator_tolerance=1e-10)
-PINNED_STATE = np.array([0.3, 0.0, -0.2, 0.1, 0.8, 0.5])
 SCIPY_CASES = {
     "timedomain-check-1": timedomain_check_case(0.2, 0.05, 0.10, 0.10, 1.0, 1.03),
     "timedomain-check-2": timedomain_check_case(0.3, 0.06, 0.08, 0.00, 1.5, 0.97),
