@@ -41,7 +41,7 @@ from .response import (
     transmission_maxima,
 )
 from .steady import OperatingPoint, photon_number_roots, solve_steady_state, solve_steady_states
-from .sweep import SweepResult, emit_csv, read_sweep_csv, run_sweep
+from .sweep import SweepResult, emit_csv, run_sweep
 from .timedomain import (
     DemodResult,
     Trajectory,
@@ -89,7 +89,6 @@ __all__ = [
     "phase_spectrum",
     "photon_number_roots",
     "probe_response",
-    "read_sweep_csv",
     "run_sweep",
     "serialize_config",
     "sideband_amplitude",

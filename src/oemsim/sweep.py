@@ -1,9 +1,11 @@
 """Parameter-sweep engine: grid evaluation, parallel workers, tabular output.
 
 Each scenario is one `SCENARIOS` entry, named in `config.SCENARIOS`: data
-columns, axis rule, block evaluator.  The grid is cut into contiguous chunks
-in row-major order (axis1 outermost), one at ``jobs=1`` and several over a
-process pool otherwise, so serial and parallel runs emit identical bytes.
+columns, axis rule, block evaluator.  The grid is an array of axis values in
+row-major order (axis1 outermost), cut into contiguous chunks, one at
+``jobs=1`` and several over a process pool otherwise, so serial and parallel
+runs emit identical bytes.  The table stays in columns (`SweepResult`) until
+`render_table` turns it into rows, a bounded slice at a time.
 
 Within a chunk two things are batched.  The operating point moves with every
 axis but delta_bar, and a steady pass (`steady.solve_steady_states`) solves
@@ -11,22 +13,21 @@ up to PASS_POINTS distinct operating points at once: the swept values go in
 as arrays, set and cleared as `config.axis_changes` says, and come back as
 columns of status, photon number, branch count and `response.Coefficients`,
 from which each row takes its own.  Then a block of up to BLOCK_ELEMENTS
-kernel elements' worth of rows goes to one evaluator call: it takes the
-rows' detunings and kernel inputs, calls `response.amplitude_kernel` on
-them, and returns column arrays plus a per-row status.  Passes and blocks
-are sized apart: the 1-row blocks of a splitting sweep share one pass, the
-few operating points of a 4,100-row spectrum block take one pass, and a
-pass's memory stays bounded when a block holds many.  Physics failures
-(instability, float overflow, singular response) mark rows and the run
-continues: a steady-state failure marks every row of that operating point, a
-response failure only its own row, with the slug of the error the scalar
-functions of `steady` and `response` raise there.
+kernel elements' worth of solved rows goes to one evaluator call: it takes
+the rows' detunings and kernel inputs, calls `response.amplitude_kernel` on
+them, and returns column arrays plus a per-row status, which fill the
+chunk's NaN-initialised columns by row index.  Passes and blocks are sized
+apart: the 1-row blocks of a splitting sweep share one pass, the few
+operating points of a 4,100-row spectrum block take one pass, and a pass's
+memory stays bounded when a block holds many.  Physics failures
+(instability, float overflow, singular response) mark rows, which keep NaN
+data, and the run continues: a steady-state failure marks every row of that
+operating point, a response failure only its own row, with the slug of the
+error the scalar functions of `steady` and `response` raise there.
 """
 from __future__ import annotations
 
 import datetime
-import itertools
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -36,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, config, response, steady
-from .config import SweepAxis, SweepSpec, apply_override, axis_changes, serialize_config  # noqa: F401
+from .config import SweepAxis, SweepSpec, axis_changes, serialize_config
 from .errors import ConfigError, SimulationError
 from .params import SystemParams
 from .response import SPLITTING_POINTS, SPLITTING_WINDOW_FRACTION
@@ -50,6 +51,8 @@ BLOCK_ELEMENTS = 4100
 # operating points per steady pass: bounds a pass's memory, and holds one block of
 # delay rows, whose operating points all differ
 PASS_POINTS = BLOCK_ELEMENTS // (1 + len(response.FD_OFFSETS))
+# rows formatted at a time: bounds the row tuples and lines alive while rendering
+RENDER_ROWS = 2048
 
 _SPECTRUM_COLUMNS = (
     "delta",
@@ -84,12 +87,22 @@ _SPLITTING_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Rows of one sweep plus everything needed to reproduce them."""
+    """The table of one sweep as columns, plus everything needed to reproduce it.
+
+    ``values`` holds one float64 row per axis and data column, in ``columns``
+    order; ``errors`` holds the last column, one slug per grid row (NO_ERROR
+    where the row solved).  A failed row keeps its axis values and NaN data.
+    """
 
     params: SystemParams
     spec: SweepSpec
     columns: tuple[str, ...]
-    rows: list[tuple]
+    values: np.ndarray
+    errors: np.ndarray
+
+    def rows(self, start: int = 0, stop: int | None = None) -> list[tuple]:
+        """Rows ``start:stop`` as tuples of Python numbers, error slug last."""
+        return list(zip(*self.values[:, start:stop].tolist(), self.errors[start:stop]))
 
 
 def _spectrum_block(delta, c, convention):
@@ -191,38 +204,49 @@ def _slug(error: type[SimulationError]) -> str:
     return error.__name__.removesuffix("Error")
 
 
-_STATUS_SLUGS = {response.OK: NO_ERROR}
-_STATUS_SLUGS.update((status, _slug(error)) for status, error in response.STATUS_ERRORS.items())
+_STATUS_SLUGS = {status: _slug(error) for status, error in response.STATUS_ERRORS.items()}
 _STEADY_SLUGS = {status: _slug(error) for status, error in steady.STATUS_ERRORS.items()}
 
 
 def _evaluate_chunk(task):
-    """Table rows of one contiguous run of grid points, error slug last.
+    """Table columns and error slugs of one contiguous run of grid points.
 
+    ``points`` holds the run's axis values, one row per name in ``names``.
     The run is cut into spans of one block (spectra) or of PASS_POINTS rows
     and several blocks (delay, splitting); the distinct operating points of a
-    span are solved first.  The probe detuning is omega1 + delta_bar, the
-    line centre when no delta_bar axis is swept.
+    span are solved first, then its solved rows go to the evaluator a block
+    at a time.  The probe detuning is omega1 + delta_bar, the line centre when
+    no delta_bar axis is swept.
     """
     params, name, convention, names, points = task
     scenario = SCENARIOS[name]
     per_block = max(1, BLOCK_ELEMENTS // scenario.kernel_points)
     span = max(per_block, PASS_POINTS)
-    swept = [k for k, axis in enumerate(names) if axis != "delta_bar"]
-    rows = []
-    for start in range(0, len(points), span):
-        span_points = points[start : start + span]
-        grid = np.array(span_points, dtype=float).reshape(len(span_points), len(names))
-        delta_bar = grid[:, names.index("delta_bar")] if "delta_bar" in names else np.zeros(len(grid))
-        delta = params.mech1.omega + delta_bar
-        status, table = _steady_rows(params, [names[k] for k in swept], grid[:, swept])
-        for first in range(0, len(grid), per_block):
-            block = slice(first, first + per_block)
-            rows += _evaluate_block(
-                scenario, convention, span_points[block], delta[block], status[block],
-                [column[block] for column in table],
-            )
-    return rows
+    swept = [axis for axis in names if axis != "delta_bar"]
+    swept_values = points[[axis != "delta_bar" for axis in names]].T
+    n = points.shape[1]
+    delta = params.mech1.omega + (points[names.index("delta_bar")] if "delta_bar" in names else np.zeros(n))
+    values = np.full((len(names) + len(scenario.columns), n), np.nan)
+    values[: len(names)] = points
+    errors = np.full(n, NO_ERROR, dtype=object)
+    for start in range(0, n, span):
+        status, table = _steady_rows(params, swept, swept_values[start : start + span])
+        failed = np.flatnonzero(status != steady.OK)
+        errors[start + failed] = [_STEADY_SLUGS[s] for s in status[failed].tolist()]
+        solved = np.flatnonzero(status == steady.OK)
+        for first in range(0, len(solved), per_block):
+            block = solved[first : first + per_block]
+            photon_number, branch_count, *kernel_inputs = (column[block] for column in table)
+            with np.errstate(all="ignore"):
+                data, status = scenario.evaluate(
+                    delta[start + block], response.Coefficients(*kernel_inputs), convention
+                )
+            data["photon_number"], data["branch_count"] = photon_number, branch_count
+            ok, rows = status == response.OK, start + block
+            for j, column in enumerate(scenario.columns, start=len(names)):
+                values[j, rows[ok]] = data[column][ok]
+            errors[rows[~ok]] = [_STATUS_SLUGS[s] for s in status[~ok].tolist()]
+    return values, errors
 
 
 def _steady_rows(params, names, values):
@@ -246,30 +270,6 @@ def _steady_rows(params, names, values):
     return np.concatenate(status)[index], [np.concatenate(column)[index] for column in zip(*table)]
 
 
-def _evaluate_block(scenario, convention, points, delta, status, table):
-    """Rows of one block: one evaluator call on the rows whose operating point solved.
-
-    Rows whose operating point failed carry its slug and skip the evaluator.
-    """
-    nan_data = (math.nan,) * len(scenario.columns)
-    rows = [None] * len(points)
-    for i in np.flatnonzero(status != steady.OK).tolist():
-        rows[i] = points[i] + nan_data + (_STEADY_SLUGS[status[i]],)
-    solved = np.flatnonzero(status == steady.OK)
-    if not solved.size:
-        return rows
-    if solved.size < len(points):
-        delta, table = delta[solved], [column[solved] for column in table]
-    photon_number, branch_count, *kernel_inputs = table
-    with np.errstate(all="ignore"):
-        data, status = scenario.evaluate(delta, response.Coefficients(*kernel_inputs), convention)
-    data["photon_number"], data["branch_count"] = photon_number, branch_count
-    columns = zip(*(data[column].tolist() for column in scenario.columns))
-    for i, values, s in zip(solved.tolist(), columns, status.tolist()):
-        rows[i] = points[i] + (values if s == response.OK else nan_data) + (_STATUS_SLUGS[s],)
-    return rows
-
-
 def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the sweep grid; row order is row-major over axes as declared."""
     if spec.scenario not in SCENARIOS:
@@ -277,12 +277,14 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
     scenario = SCENARIOS[spec.scenario]
     spec = replace(spec, axes=scenario.resolve_axes(spec.scenario, params, spec.axes))
     names = tuple(axis.name for axis in spec.axes)
-    points = list(itertools.product(*(axis.values().tolist() for axis in spec.axes)))
+    grid = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
+    grid = np.reshape(grid, (len(names), -1))
+    n = grid.shape[1]
 
-    chunk_size = max(1, len(points) // (jobs * 4) if jobs > 1 else len(points))
+    chunk_size = max(1, n // (jobs * 4) if jobs > 1 else n)
     tasks = [
-        (params, spec.scenario, spec.convention, names, points[i : i + chunk_size])
-        for i in range(0, len(points), chunk_size)
+        (params, spec.scenario, spec.convention, names, grid[:, i : i + chunk_size])
+        for i in range(0, n, chunk_size)
     ]
     if len(tasks) > 1:
         # the default fork start method starts every worker on the first submit
@@ -291,28 +293,18 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
             chunks = list(pool.map(_evaluate_chunk, tasks))
     else:
         chunks = [_evaluate_chunk(task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    values, errors = (np.concatenate(part, axis=-1) for part in zip(*chunks))
 
     columns = names + scenario.columns + ("error",)
     if "phase" in columns:
-        rows = _attach_phase(rows, columns.index("phase"), spec.axes[-1].points)
-    return SweepResult(params=params, spec=spec, columns=columns, rows=rows)
-
-
-def _attach_phase(rows, i_phase, block):
-    """Unwrap the phase column along each block of ``block`` innermost rows.
-
-    Error rows keep their NaN phase and restart the unwrap after them.
-    """
-    out = []
-    for start in range(0, len(rows), block):
-        for solved, run in itertools.groupby(rows[start : start + block], lambda row: row[-1] == NO_ERROR):
-            run = list(run)
-            if solved:
-                phases = response.unwrap_phase([row[i_phase] for row in run])
-                run = [row[:i_phase] + (p,) + row[i_phase + 1 :] for row, p in zip(run, phases)]
-            out += run
-    return out
+        # unwrap in place along each innermost block, restarting after each error row
+        phase, block, ok = values[columns.index("phase")], spec.axes[-1].points, errors == NO_ERROR
+        at = np.arange(n) % block
+        starts = np.flatnonzero(ok & ((at == 0) | ~np.roll(ok, 1)))
+        stops = np.flatnonzero(ok & ((at == block - 1) | ~np.roll(ok, -1))) + 1
+        for first, stop in zip(starts.tolist(), stops.tolist()):
+            phase[first:stop] = response.unwrap_phase(phase[first:stop].tolist())
+    return SweepResult(params=params, spec=spec, columns=columns, values=values, errors=errors)
 
 
 def render_table(result: SweepResult, fmt: str = "csv", timestamp: bool = True) -> str:
@@ -321,7 +313,8 @@ def render_table(result: SweepResult, fmt: str = "csv", timestamp: bool = True) 
     ``csv`` is comma-separated with a plain column-header row; ``gnuplot``
     is whitespace-separated with a blank line between outer-axis blocks.
     Doubles carry 17 significant digits; the header echoes the resolved
-    configuration between config-begin/config-end markers.
+    configuration between config-begin/config-end markers.  Rows are
+    formatted RENDER_ROWS at a time, never across a gnuplot block.
     """
     if fmt not in ("csv", "gnuplot"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -338,15 +331,17 @@ def render_table(result: SweepResult, fmt: str = "csv", timestamp: bool = True) 
     sep = "," if fmt == "csv" else " "
     if fmt == "csv":
         lines.append(",".join(result.columns))
-    row_format = sep.join("%s" if column == "error" else "%.17g" for column in result.columns)
-    block = None
-    if fmt == "gnuplot" and len(result.spec.axes) > 1:
-        block = result.spec.axes[-1].points
-    for i, row in enumerate(result.rows):
-        if block and i > 0 and i % block == 0:
-            lines.append("")
-        lines.append(row_format % row)
-    return "\n".join(lines) + "\n"
+    row_format = sep.join("%s" if column == "error" else "%.17g" for column in result.columns) + "\n"
+    n = len(result.errors)
+    block = result.spec.axes[-1].points if fmt == "gnuplot" and len(result.spec.axes) > 1 else n
+    parts = ["\n".join(lines) + "\n"]
+    for first in range(0, n, block):
+        if first:
+            parts.append("\n")
+        for start in range(first, first + block, RENDER_ROWS):
+            rows = result.rows(start, min(start + RENDER_ROWS, first + block))
+            parts.append("".join([row_format % row for row in rows]))
+    return "".join(parts)
 
 
 def emit_csv(result: SweepResult, path, fmt: str = "csv", timestamp: bool = True) -> None:
@@ -354,33 +349,3 @@ def emit_csv(result: SweepResult, path, fmt: str = "csv", timestamp: bool = True
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_table(result, fmt=fmt, timestamp=timestamp))
 
-
-def read_sweep_csv(path):
-    """Read back an emitted table: (config_text, columns, rows)."""
-    config_lines: list[str] = []
-    columns: tuple[str, ...] = ()
-    rows = []
-    in_config = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("# config-begin"):
-                in_config = True
-                continue
-            if line.startswith("# config-end"):
-                in_config = False
-                continue
-            if in_config:
-                config_lines.append(line[2:] if line.startswith("# ") else line)
-                continue
-            if line.startswith("# columns: "):
-                columns = tuple(line[len("# columns: ") :].split(","))
-                continue
-            if line.startswith("#") or not line.strip():
-                continue
-            parts = line.split(",") if "," in line else line.split()
-            if parts == list(columns):
-                continue
-            values = [parts[i] if columns[i] == "error" else float(parts[i]) for i in range(len(parts))]
-            rows.append(tuple(values))
-    return "\n".join(config_lines) + "\n", columns, rows

@@ -347,8 +347,11 @@ def demodulate(
 
     The analysis window starts after the transient fraction and is truncated
     to an integer number of beat periods, which makes the projection exact
-    for a pure three-tone signal regardless of the window length.
+    for a pure three-tone signal regardless of the window length.  The probe
+    detuning sets the beat period 2pi/delta, so it must be finite and positive.
     """
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"probe detuning delta = {delta!r} must be finite and positive")
     duration = float(trajectory.t[-1])
     t_start = config.transient_fraction * duration
     keep = trajectory.t >= t_start

@@ -1,0 +1,32 @@
+"""Read back a table written by `oemsim.sweep.render_table`, for the tests."""
+
+
+def read_sweep_csv(path):
+    """Read back an emitted table: (config_text, columns, rows)."""
+    config_lines: list[str] = []
+    columns: tuple[str, ...] = ()
+    rows = []
+    in_config = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.rstrip("\n")
+            if line.startswith("# config-begin"):
+                in_config = True
+                continue
+            if line.startswith("# config-end"):
+                in_config = False
+                continue
+            if in_config:
+                config_lines.append(line[2:] if line.startswith("# ") else line)
+                continue
+            if line.startswith("# columns: "):
+                columns = tuple(line[len("# columns: ") :].split(","))
+                continue
+            if line.startswith("#") or not line.strip():
+                continue
+            parts = line.split(",") if "," in line else line.split()
+            if parts == list(columns):
+                continue
+            values = [parts[i] if columns[i] == "error" else float(parts[i]) for i in range(len(parts))]
+            rows.append(tuple(values))
+    return "\n".join(config_lines) + "\n", columns, rows

@@ -14,8 +14,8 @@ from oemsim.cli import (
     _finish_validation,
     main,
 )
-from oemsim.sweep import read_sweep_csv
 from oemsim.validate import CheckResult, ValidationReport
+from table_io import read_sweep_csv
 
 SPECTRUM_CFG = """\
 preset = dimensionless-slowfast

@@ -7,20 +7,14 @@ import pytest
 import oemsim.response
 import oemsim.steady
 import oemsim.sweep
-from oemsim.config import SCENARIOS, SweepAxis, SweepSpec, parse_config
+from oemsim.config import SCENARIOS, SweepAxis, SweepSpec, apply_override, parse_config
 from oemsim.errors import ConfigError, InvariantViolationError, SimulationError, StaticInstabilityError
 from oemsim.presets import get_preset, slowfast_pump_power
 from oemsim.response import group_delay
 from oemsim.steady import solve_steady_state
-from oemsim.sweep import (
-    NO_ERROR,
-    apply_override,
-    emit_csv,
-    read_sweep_csv,
-    render_table,
-    run_sweep,
-)
+from oemsim.sweep import NO_ERROR, emit_csv, render_table, run_sweep
 from oemsim.validate import dimensionless_system, system_for_beta
+from table_io import read_sweep_csv
 
 # one small grid per sweep scenario the config accepts, plus one with unstable rows
 PARALLEL_CASES = {
@@ -80,18 +74,18 @@ def eigvals_sizes(monkeypatch):
 class TestRunSweep:
     def test_row_count_and_row_major_order(self, slowfast_spectrum, spectrum_spec):
         result = run_sweep(slowfast_spectrum, spectrum_spec)
-        assert len(result.rows) == 3 * 4
-        g_values = [row[0] for row in result.rows]
+        assert len(result.rows()) == 3 * 4
+        g_values = [row[0] for row in result.rows()]
         assert g_values == sorted(g_values)
         assert g_values[0] == g_values[3]  # outer axis constant over inner block
-        inner = [row[1] for row in result.rows[:4]]
+        inner = [row[1] for row in result.rows()[:4]]
         assert inner == sorted(inner)
-        assert all(row[-1] == NO_ERROR for row in result.rows)
+        assert all(row[-1] == NO_ERROR for row in result.rows())
 
     def test_default_delta_bar_axis_injected(self, slowfast_spectrum):
         result = run_sweep(slowfast_spectrum, SweepSpec(scenario="spectrum"))
         assert result.spec.axes[0].name == "delta_bar"
-        assert len(result.rows) == result.spec.axes[0].points
+        assert len(result.rows()) == result.spec.axes[0].points
 
     def test_instability_marks_rows_and_continues(self):
         params = system_for_beta(kappa=0.2, beta=1e-3, g_coulomb=0.0)
@@ -103,10 +97,10 @@ class TestRunSweep:
             ),
         )
         result = run_sweep(params, spec)
-        assert len(result.rows) == 6
-        slugs = {row[-1] for row in result.rows}
+        assert len(result.rows()) == 6
+        slugs = {row[-1] for row in result.rows()}
         assert "StaticInstability" in slugs and NO_ERROR in slugs
-        for row in result.rows:
+        for row in result.rows():
             if row[-1] != NO_ERROR:
                 assert math.isnan(row[2])
 
@@ -116,7 +110,7 @@ class TestRunSweep:
         result = run_sweep(params, spec)
         i_fd = result.columns.index("tau_g_fd")
         i_an = result.columns.index("tau_g_analytic")
-        for row in result.rows:
+        for row in result.rows():
             assert row[-1] == NO_ERROR
             assert abs(row[i_fd] - row[i_an]) <= 1e-6 * abs(row[i_an])
 
@@ -124,7 +118,7 @@ class TestRunSweep:
         params = system_for_beta(kappa=0.227, beta=1e-6, g_coulomb=0.2)
         spec = SweepSpec(scenario="delay-vs-kappa", axes=(SweepAxis("kappa", 0.113, 0.34, 3),))
         result = run_sweep(params, spec)
-        taus = [row[result.columns.index("tau_g_analytic")] for row in result.rows]
+        taus = [row[result.columns.index("tau_g_analytic")] for row in result.rows()]
         assert all(t > 0 for t in taus)
 
     def test_splitting_scenario_reports_separations(self):
@@ -134,7 +128,7 @@ class TestRunSweep:
         i_n = result.columns.index("n_maxima")
         i_sep = result.columns.index("separation")
         seps = []
-        for row in result.rows:
+        for row in result.rows():
             assert row[i_n] == 2.0
             seps.append(row[i_sep])
         assert all(b > a for a, b in zip(seps, seps[1:]))
@@ -143,7 +137,7 @@ class TestRunSweep:
         spec = SweepSpec(scenario="phase", axes=(SweepAxis("delta_bar", -0.15, 0.15, 801),))
         result = run_sweep(slowfast_spectrum, spec)
         i_phase = result.columns.index("phase")
-        phases = np.array([row[i_phase] for row in result.rows])
+        phases = np.array([row[i_phase] for row in result.rows()])
         assert np.max(np.abs(np.diff(phases))) < math.pi
 
     def test_axis_requirements_validated(self, slowfast_spectrum):
@@ -163,15 +157,15 @@ class TestRunSweep:
         serial = run_sweep(slowfast_spectrum, spec, jobs=1)
         parallel = run_sweep(slowfast_spectrum, spec, jobs=3)
         # repr, because NaN != NaN once the rows have crossed a process boundary
-        assert [tuple(map(repr, r)) for r in serial.rows] == [
-            tuple(map(repr, r)) for r in parallel.rows
+        assert [tuple(map(repr, r)) for r in serial.rows()] == [
+            tuple(map(repr, r)) for r in parallel.rows()
         ]
         for fmt in ("csv", "gnuplot"):
             assert render_table(serial, fmt, timestamp=False) == render_table(
                 parallel, fmt, timestamp=False
             )
         if case == "static-instability":
-            assert {"StaticInstability", NO_ERROR} <= {row[-1] for row in serial.rows}
+            assert {"StaticInstability", NO_ERROR} <= {row[-1] for row in serial.rows()}
 
     def test_steady_state_solved_once_per_operating_point(self, monkeypatch, slowfast_spectrum):
         calls = []  # the points of each steady pass
@@ -184,7 +178,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(oemsim.sweep, "solve_steady_states", counting_solve)
         # 3 g_coulomb x 4 delta_bar rows, then 5 P_l rows
-        assert len(run_sweep(slowfast_spectrum, PARALLEL_CASES["spectrum"], jobs=1).rows) == 12
+        assert len(run_sweep(slowfast_spectrum, PARALLEL_CASES["spectrum"], jobs=1).rows()) == 12
         assert len(calls) == 3
         calls.clear()
         run_sweep(slowfast_spectrum, PARALLEL_CASES["delay-vs-power"], jobs=1)
@@ -203,7 +197,7 @@ class TestRunSweep:
         monkeypatch.setattr(oemsim.sweep, "solve_steady_states", counting_solve)
         spec = SweepSpec("splitting-vs-gc", (SweepAxis("g_coulomb", 0.01, 0.2, 60),))
         result = run_sweep(slowfast_spectrum, spec)
-        assert len(result.rows) == 60 and all(row[-1] == NO_ERROR for row in result.rows)
+        assert len(result.rows()) == 60 and all(row[-1] == NO_ERROR for row in result.rows())
         assert passes == [60]
 
     def test_worker_count_capped_by_task_count(self, monkeypatch, slowfast_spectrum):
@@ -225,29 +219,32 @@ class TestRunSweep:
 
         monkeypatch.setattr(oemsim.sweep, "ProcessPoolExecutor", SerialPool)
         result = run_sweep(slowfast_spectrum, PARALLEL_CASES["spectrum"], jobs=64)
-        assert len(result.rows) == 12
+        assert len(result.rows()) == 12
         assert len(requested) == 1 and 1 <= requested[0] <= 12
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("jobs", [1, 3])
     @pytest.mark.parametrize("scenario", ["spectrum", "phase"])
-    def test_response_error_marks_only_its_row(self, scenario):
+    def test_response_error_marks_only_its_row(self, scenario, jobs):
         # gamma2 = 0 puts an exact pole of mirror 2 at delta_bar = 0, the middle row of each block
         params = system_for_beta(kappa=0.227, beta=5e-3, g_coulomb=0.1, gamma2=0.0)
         spec = SweepSpec(
             scenario, (SweepAxis("g_coulomb", 0.05, 0.1, 2), SweepAxis("delta_bar", -0.1, 0.1, 5))
         )
-        result = run_sweep(params, spec)
-        slugs = [row[-1] for row in result.rows]
-        assert slugs == [NO_ERROR, NO_ERROR, "MechanicalPole", NO_ERROR, NO_ERROR] * 2
-        if scenario == "phase":
-            i_phase = result.columns.index("phase")
-            i_re = result.columns.index("re_t_p")
-            i_im = result.columns.index("im_t_p")
-            for block in (result.rows[:5], result.rows[5:]):
-                assert math.isnan(block[2][i_phase])
+        result = run_sweep(params, spec, jobs=jobs)
+        rows = result.rows()
+        assert [row[-1] for row in rows] == [NO_ERROR, NO_ERROR, "MechanicalPole", NO_ERROR, NO_ERROR] * 2
+        for block in (rows[:5], rows[5:]):
+            # the error row keeps its axis values and no data, photon number included
+            assert all(math.isnan(value) for value in block[2][2:-1])
+            if scenario == "phase":
+                i_phase = result.columns.index("phase")
+                i_re = result.columns.index("re_t_p")
+                i_im = result.columns.index("im_t_p")
                 # the unwrap starts afresh at the principal value after the error row
-                for row in (block[0], block[3]):
-                    assert row[i_phase] == math.atan2(row[i_im], row[i_re])
+                for run in (block[:2], block[3:]):
+                    principal = [math.atan2(row[i_im], row[i_re]) for row in run]
+                    assert [row[i_phase] for row in run] == oemsim.response.unwrap_phase(principal)
 
     def test_delay_sweep_calls_the_kernel_twice_per_block(self, monkeypatch, slowfast_spectrum):
         # the centres with the derivative, which fixes each row's step, then the 4 points of each row
@@ -262,7 +259,7 @@ class TestRunSweep:
         rows = 2001
         spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-4, 1.0, rows, "log"),))
         result = run_sweep(slowfast_spectrum, spec)
-        assert all(row[-1] == NO_ERROR for row in result.rows)
+        assert all(row[-1] == NO_ERROR for row in result.rows())
         cap = oemsim.sweep.BLOCK_ELEMENTS
         assert len(sizes) == 2 * math.ceil(5 * rows / cap)
         assert sizes[1::2] == [4 * n for n in sizes[::2]]
@@ -272,7 +269,7 @@ class TestRunSweep:
         rows = 2001
         spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-4, 1.0, rows, "log"),))
         result = run_sweep(slowfast_spectrum, spec)
-        assert all(row[-1] == NO_ERROR for row in result.rows)
+        assert all(row[-1] == NO_ERROR for row in result.rows())
         per_block = oemsim.sweep.BLOCK_ELEMENTS // (1 + len(oemsim.response.FD_OFFSETS))
         assert len(eigvals_sizes) <= math.ceil(rows / per_block)
         assert sum(eigvals_sizes) == rows
@@ -283,11 +280,11 @@ class TestRunSweep:
         )
         result = run_sweep(slowfast_spectrum, spec)
         # the one block's stable operating points went to one eigvals call
-        solved = sum(row[-1] == NO_ERROR for row in result.rows[::51])
+        solved = sum(row[-1] == NO_ERROR for row in result.rows()[::51])
         assert eigvals_sizes == [solved] and 0 < solved < 5
         i_n = result.columns.index("photon_number")
         for start in range(0, 255, 51):
-            block = result.rows[start : start + 51]
+            block = result.rows()[start : start + 51]
             try:
                 op = solve_steady_state(apply_override(slowfast_spectrum, "g_coulomb", block[0][0]))
             except StaticInstabilityError:
@@ -299,21 +296,21 @@ class TestRunSweep:
         spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-3, 1e300, 31, "log"),))
         result = run_sweep(slowfast_spectrum, spec)
         i_n = result.columns.index("photon_number")
-        for row in result.rows:
+        for row in result.rows():
             try:
                 op = solve_steady_state(apply_override(slowfast_spectrum, "P_l", row[0]))
             except InvariantViolationError:
                 assert row[-1] == "InvariantViolation"
             else:
                 assert row[i_n] == op.photon_number and row[-1] == NO_ERROR
-        assert {NO_ERROR, "InvariantViolation"} == {row[-1] for row in result.rows}
+        assert {NO_ERROR, "InvariantViolation"} == {row[-1] for row in result.rows()}
 
     def test_finite_difference_pole_gives_the_group_delay_slug(self):
         # the pole of an undamped mirror 2 sits on delta + h of the line-centre delay only
         params = system_for_beta(kappa=0.227, beta=5e-3, g_coulomb=0.1, gamma2=0.0, omega2=1.0 + 1e-6)
         spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 0.05, 0.4, 3),))
         result = run_sweep(params, spec)
-        for (power, *_, slug) in result.rows:
+        for (power, *_, slug) in result.rows():
             powered = apply_override(params, "P_l", power)
             op = solve_steady_state(powered)
             group_delay(1.0, powered, op, "analytic")  # the centre itself is regular
@@ -327,7 +324,7 @@ class TestRunSweep:
         )
         result = run_sweep(slowfast_spectrum, spec)
         i_phase = result.columns.index("phase")
-        starts = [result.rows[i][i_phase] for i in (0, 401, 802)]
+        starts = [result.rows()[i][i_phase] for i in (0, 401, 802)]
         assert starts[0] == starts[1] == starts[2]
         body = render_table(result, fmt="gnuplot", timestamp=False).splitlines()
         assert sum(1 for ln in body if ln == "") == 2
@@ -347,7 +344,7 @@ class TestRunSweep:
             "spectrum", (SweepAxis("g_coulomb", 0.05, 0.1, 2), SweepAxis("delta_bar", -0.1, 0.1, 3))
         )
         result = run_sweep(params, spec)
-        assert [row[-1] for row in result.rows] == ["InvariantViolation"] * 6
+        assert [row[-1] for row in result.rows()] == ["InvariantViolation"] * 6
 
 
 class TestEmission:
@@ -357,8 +354,8 @@ class TestEmission:
         emit_csv(result, path, timestamp=False)
         config_text, columns, rows = read_sweep_csv(path)
         assert columns == result.columns
-        assert len(rows) == len(result.rows)
-        for got, want in zip(rows, result.rows):
+        assert len(rows) == len(result.rows())
+        for got, want in zip(rows, result.rows()):
             assert got == want  # 17 significant digits round-trip doubles exactly
 
     def test_determinism_and_timestamp_suppression(self, slowfast_spectrum, spectrum_spec):
@@ -370,12 +367,29 @@ class TestEmission:
         assert "generated" not in a
         assert "generated" in render_table(result1, timestamp=True)
 
-    def test_gnuplot_blocks(self, slowfast_spectrum, spectrum_spec):
-        result = run_sweep(slowfast_spectrum, spectrum_spec)
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            (SweepAxis("g_coulomb", 0.05, 0.2, 3), SweepAxis("delta_bar", -0.1, 0.1, 4)),
+            # no blocks in a 1-D table, even one longer than a render slice
+            (SweepAxis("delta_bar", -0.1, 0.1, oemsim.sweep.RENDER_ROWS + 3),),
+            # each block spans two render slices
+            (SweepAxis("g_coulomb", 0.05, 0.2, 3), SweepAxis("delta_bar", -0.1, 0.1, oemsim.sweep.RENDER_ROWS + 1)),
+        ],
+        ids=["2d", "1d-long", "2d-long-blocks"],
+    )
+    def test_gnuplot_blocks(self, slowfast_spectrum, axes):
+        result = run_sweep(slowfast_spectrum, SweepSpec("spectrum", axes))
         text = render_table(result, fmt="gnuplot", timestamp=False)
         body = [ln for ln in text.splitlines() if not ln.startswith("#")]
         blanks = [i for i, ln in enumerate(body) if ln == ""]
-        assert len(blanks) == 2  # 3 outer-axis blocks
+        # one blank line after each outer-axis block but the last
+        inner = axes[-1].points
+        outer = len(result.rows()) // inner
+        assert blanks == [(k + 1) * (inner + 1) - 1 for k in range(outer - 1)]
+        assert len(body) == len(result.rows()) + outer - 1
+        assert [ln for ln in body if ln] == [" ".join("%.17g" % v for v in row[:-1]) + " " + row[-1]
+                                             for row in result.rows()]
         assert "," not in body[0]
 
     def test_rerun_from_header_reproduces_data(self, tmp_path, slowfast_spectrum, spectrum_spec):

@@ -392,6 +392,14 @@ class TestDemodulate:
         with pytest.warns(TrajectoryConfigWarning):
             demodulate(trajectory, delta, config)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
+    def test_detuning_must_be_finite_and_positive(self, delta):
+        # 2pi/delta is the beat period: 0 divided by zero, a negative one gave a negative period
+        trajectory = self.synthetic(1.0, (1.0, 0.1, 0.0), t_end=100.0, dt=0.2)
+        config = TrajectoryConfig(duration=100.0, dt=0.2, transient_fraction=0.5)
+        with pytest.raises(ValueError, match="finite and positive"):
+            demodulate(trajectory, delta, config)
+
 
 class TestEndToEnd:
     def test_demodulated_sideband_matches_linear_oracle(self):
@@ -408,6 +416,13 @@ class TestEndToEnd:
         result_half = probe_response(half, 1.03, config)
         error_half = abs(result_half.c_minus_est - reference) / abs(reference)
         assert error_half <= error
+
+    @pytest.mark.parametrize("delta", [0.0, -1.03])
+    def test_detuning_must_be_positive(self, delta):
+        # a run far shorter than the recommended 20 ring-downs is enough to reach demodulate
+        config = TrajectoryConfig(duration=60.0, dt=0.3, transient_fraction=0.5)
+        with pytest.warns(TrajectoryConfigWarning), pytest.raises(ValueError, match="finite and positive"):
+            probe_response(quick_system(), delta, config)
 
     def test_probe_required(self):
         params = quick_system(ratio=0.0)

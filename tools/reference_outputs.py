@@ -10,6 +10,9 @@ is one.  The cases:
 
 - every sweep scenario in csv and gnuplot and in both conventions, on
   ``dimensionless-slowfast``, with ``--jobs 1`` and ``--jobs 3`` on 2-D grids;
+- a phase grid whose innermost blocks are longer than one slice of rows that
+  `sweep.render_table` formats at a time, so gnuplot blank lines fall
+  between slices and inside them;
 - ``paper-2012`` tables, whose header is written in SI base units;
 - tables with response-error rows: spectrum and phase grids through the
   exact pole of an undamped second resonator (the unwrap restarts after
@@ -81,6 +84,8 @@ TABLES = {
         "phase", ("g_coulomb", _d(0.8), _d(1.2), 5), ("delta_bar", _d(-0.05), _d(0.05), 51))),
     "phase-degenerate": ("sweep", SLOWFAST + _sweep(
         "phase", ("g_coulomb", _d(0.1), _d(0.1), 3), ("delta_bar", _d(-0.2), _d(0.2), 401))),
+    "phase-long-blocks": ("phase", SLOWFAST + _sweep(
+        "phase", ("g_coulomb", _d(0), _d(0.2), 3), ("delta_bar", _d(-0.2), _d(0.2), 2049))),
     "delay-power": ("delay", SLOWFAST + _sweep(
         "delay-vs-power", ("P_l", _d(1e-4), _d(1), 301, "log"))),
     "delay-amplitude": ("delay", SLOWFAST + _sweep(
