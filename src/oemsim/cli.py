@@ -3,12 +3,13 @@
 Subcommands: spectrum, phase, delay, sweep, steady-state, validate.  The
 table commands run a sweep scenario (spectrum, phase, delay-vs-power,
 delay-vs-kappa, splitting-vs-gc); `validate` runs the self-check suite.
-Exit codes: 0 success, 1 usage or parse error, 2 physics-domain error
+Exit codes: 0 success, 1 usage, parse or i/o error, 2 physics-domain error
 (e.g. static instability), 3 validation failure.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from . import __version__
 from .config import CONVENTIONS, SweepSpec, parse_config_file
 from .errors import ConfigError, SimulationError
 from .steady import solve_steady_state
-from .sweep import DELAY_SCENARIOS, render_table, run_sweep
+from .sweep import DELAY_SCENARIOS, emit_csv, render_table, run_sweep
 from .validate import DEFAULT_SEED, run_validation
 
 EXIT_OK = 0
@@ -110,7 +111,10 @@ def _run_table_command(args) -> int:
     if args.convention:
         spec = replace(spec, convention=args.convention)
     result = run_sweep(params, spec, jobs=args.jobs)
-    _write(render_table(result, fmt=args.format, timestamp=not args.no_timestamp), args.out)
+    if args.out is None:  # sys.stdout is read at call time, since callers may redirect it
+        render_table(result, sys.stdout, fmt=args.format, timestamp=not args.no_timestamp)
+    else:
+        emit_csv(result, args.out, fmt=args.format, timestamp=not args.no_timestamp)
     return EXIT_OK
 
 
@@ -159,11 +163,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "validate":
-            report = run_validation(seed=args.seed)
-            return _finish_validation(report, args.out)
-        if args.command == "steady-state":
-            return _run_steady_state(args)
-        return _run_table_command(args)
+            code = _finish_validation(run_validation(seed=args.seed), args.out)
+        elif args.command == "steady-state":
+            code = _run_steady_state(args)
+        else:
+            code = _run_table_command(args)
+        sys.stdout.flush()  # output a reader never got is an i/o error, not a success
+        return code
     except ConfigError as exc:
         print(f"oemsim: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -174,6 +180,8 @@ def main(argv=None) -> int:
         print(f"oemsim: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout's reader left: its buffered text goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"oemsim: i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,8 +4,8 @@ Each scenario is one `SCENARIOS` entry, named in `config.SCENARIOS`: data
 columns, axis rule, block evaluator.  The grid is an array of axis values in
 row-major order (axis1 outermost), cut into contiguous chunks, one at
 ``jobs=1`` and several over a process pool otherwise, so serial and parallel
-runs emit identical bytes.  The table stays in columns (`SweepResult`) until
-`render_table` turns it into rows, a bounded slice at a time.
+runs emit identical bytes.  One copy of the columns (`SweepResult`) holds the
+table until `render_table` writes it out, a bounded slice of rows at a time.
 
 Within a chunk two things are batched.  The operating point moves with every
 axis but delta_bar, and a steady pass (`steady.solve_steady_states`) solves
@@ -51,7 +51,7 @@ BLOCK_ELEMENTS = 4100
 # operating points per steady pass: bounds a pass's memory, and holds one block of
 # delay rows, whose operating points all differ
 PASS_POINTS = BLOCK_ELEMENTS // (1 + len(response.FD_OFFSETS))
-# rows formatted at a time: bounds the row tuples and lines alive while rendering
+# rows formatted and written at a time: bounds the row tuples and text alive while rendering
 RENDER_ROWS = 2048
 
 _SPECTRUM_COLUMNS = (
@@ -293,7 +293,8 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
             chunks = list(pool.map(_evaluate_chunk, tasks))
     else:
         chunks = [_evaluate_chunk(task) for task in tasks]
-    values, errors = (np.concatenate(part, axis=-1) for part in zip(*chunks))
+    # a lone chunk is the table as it is; only several are joined, in grid order
+    values, errors = chunks[0] if len(chunks) == 1 else (np.concatenate(part, axis=-1) for part in zip(*chunks))
 
     columns = names + scenario.columns + ("error",)
     if "phase" in columns:
@@ -307,14 +308,15 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
     return SweepResult(params=params, spec=spec, columns=columns, values=values, errors=errors)
 
 
-def render_table(result: SweepResult, fmt: str = "csv", timestamp: bool = True) -> str:
-    """Render a sweep table with a provenance header that reproduces the run.
+def render_table(result: SweepResult, stream, fmt: str = "csv", timestamp: bool = True) -> None:
+    """Write a sweep table, with a provenance header that reproduces the run, to a text stream.
 
     ``csv`` is comma-separated with a plain column-header row; ``gnuplot``
     is whitespace-separated with a blank line between outer-axis blocks.
     Doubles carry 17 significant digits; the header echoes the resolved
-    configuration between config-begin/config-end markers.  Rows are
-    formatted RENDER_ROWS at a time, never across a gnuplot block.
+    configuration between config-begin/config-end markers.  The header, each
+    slice of RENDER_ROWS rows (never across a gnuplot block) and each blank
+    line is one write, so no more than a slice of the text is alive at once.
     """
     if fmt not in ("csv", "gnuplot"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -334,18 +336,16 @@ def render_table(result: SweepResult, fmt: str = "csv", timestamp: bool = True) 
     row_format = sep.join("%s" if column == "error" else "%.17g" for column in result.columns) + "\n"
     n = len(result.errors)
     block = result.spec.axes[-1].points if fmt == "gnuplot" and len(result.spec.axes) > 1 else n
-    parts = ["\n".join(lines) + "\n"]
+    stream.write("\n".join(lines) + "\n")
     for first in range(0, n, block):
         if first:
-            parts.append("\n")
+            stream.write("\n")
         for start in range(first, first + block, RENDER_ROWS):
             rows = result.rows(start, min(start + RENDER_ROWS, first + block))
-            parts.append("".join([row_format % row for row in rows]))
-    return "".join(parts)
+            stream.write("".join([row_format % row for row in rows]))
 
 
 def emit_csv(result: SweepResult, path, fmt: str = "csv", timestamp: bool = True) -> None:
-    """Write `render_table` output to ``path``."""
+    """Write the `render_table` output to the file ``path``, a slice at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_table(result, fmt=fmt, timestamp=timestamp))
-
+        render_table(result, fh, fmt=fmt, timestamp=timestamp)

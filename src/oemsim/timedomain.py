@@ -395,6 +395,8 @@ def demodulate(
 
 def probe_response(params: SystemParams, delta: float, config: TrajectoryConfig) -> DemodResult:
     """Integrate and demodulate in one step, normalizing by the probe drive."""
+    if not 0.0 < delta < math.inf:  # demodulate's rule, checked before the integration it would end
+        raise ValueError(f"probe detuning delta = {delta!r} must be finite and positive")
     eps_p = params.probe_amplitude(delta)
     if eps_p == 0:
         raise ValueError("probe drive is zero; nothing to demodulate against")

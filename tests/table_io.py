@@ -1,4 +1,14 @@
-"""Read back a table written by `oemsim.sweep.render_table`, for the tests."""
+"""Tables of `oemsim.sweep.render_table` as text, and read back, for the tests."""
+import io
+
+from oemsim.sweep import render_table
+
+
+def render_text(result, fmt="csv", timestamp=True):
+    """The whole `render_table` output as one string."""
+    stream = io.StringIO()
+    render_table(result, stream, fmt=fmt, timestamp=timestamp)
+    return stream.getvalue()
 
 
 def read_sweep_csv(path):

@@ -78,12 +78,16 @@ OUT_OF_DOMAIN_AXES = {
 }
 
 
+def _python_env():
+    """The environment with the package under test first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oemsim.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _run_python(*args):
     """Run the interpreter on the package under test; the completed process."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(oemsim.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=_python_env(), capture_output=True, text=True)
 
 
 @pytest.fixture
@@ -128,6 +132,30 @@ class TestSpectrumCommand:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["phase", "steady-state"])
+    def test_closed_stdout_pipe_exits_1(self, tmp_path, command, unbuffered):
+        # the phase table is about 1.2 MB in three render slices, far more than a 64 KiB pipe
+        # holds, and is cut after a few bytes; the few lines of steady-state find the pipe closed
+        config = tmp_path / "phase.cfg"
+        config.write_text(SPECTRUM_CFG.replace("scenario = spectrum", "scenario = phase")
+                          .replace("axis1_points = 21", "axis1_points = 5000"))
+        env = _python_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:  # stdout is then a raw file, whose short writes TextIOWrapper does not retry
+            env["PYTHONUNBUFFERED"] = "1"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "oemsim.cli", command, "--config", str(config)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        if command == "phase":
+            assert process.stdout.read(8) == "# oemsim"
+        process.stdout.close()
+        stderr = process.stderr.read()
+        assert process.wait(timeout=60) == EXIT_USAGE
+        # one message, and no "Exception ignored" from a second failing flush at exit
+        assert stderr.splitlines() == ["oemsim: i/o error: [Errno 32] Broken pipe"]
+
     def test_parse_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("preset = paper-2012\n[mech1]\nmass = 145\n")

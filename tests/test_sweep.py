@@ -1,5 +1,7 @@
+import hashlib
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from oemsim.response import group_delay
 from oemsim.steady import solve_steady_state
 from oemsim.sweep import NO_ERROR, emit_csv, render_table, run_sweep
 from oemsim.validate import dimensionless_system, system_for_beta
-from table_io import read_sweep_csv
+from table_io import read_sweep_csv, render_text
 
 # one small grid per sweep scenario the config accepts, plus one with unstable rows
 PARALLEL_CASES = {
@@ -161,9 +163,7 @@ class TestRunSweep:
             tuple(map(repr, r)) for r in parallel.rows()
         ]
         for fmt in ("csv", "gnuplot"):
-            assert render_table(serial, fmt, timestamp=False) == render_table(
-                parallel, fmt, timestamp=False
-            )
+            assert render_text(serial, fmt, timestamp=False) == render_text(parallel, fmt, timestamp=False)
         if case == "static-instability":
             assert {"StaticInstability", NO_ERROR} <= {row[-1] for row in serial.rows()}
 
@@ -326,7 +326,7 @@ class TestRunSweep:
         i_phase = result.columns.index("phase")
         starts = [result.rows()[i][i_phase] for i in (0, 401, 802)]
         assert starts[0] == starts[1] == starts[2]
-        body = render_table(result, fmt="gnuplot", timestamp=False).splitlines()
+        body = render_text(result, fmt="gnuplot", timestamp=False).splitlines()
         assert sum(1 for ln in body if ln == "") == 2
 
     def test_steady_state_invariant_marks_rows(self, monkeypatch):
@@ -347,6 +347,18 @@ class TestRunSweep:
         assert [row[-1] for row in result.rows()] == ["InvariantViolation"] * 6
 
 
+class WriteRecorder:
+    """A text stream that keeps a digest of what is written and the size of each write, not the text."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.sizes = []
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        self.sizes.append(len(text))
+
+
 class TestEmission:
     def test_csv_round_trip(self, tmp_path, slowfast_spectrum, spectrum_spec):
         result = run_sweep(slowfast_spectrum, spectrum_spec)
@@ -361,26 +373,29 @@ class TestEmission:
     def test_determinism_and_timestamp_suppression(self, slowfast_spectrum, spectrum_spec):
         result1 = run_sweep(slowfast_spectrum, spectrum_spec)
         result2 = run_sweep(slowfast_spectrum, spectrum_spec)
-        a = render_table(result1, timestamp=False)
-        b = render_table(result2, timestamp=False)
+        a = render_text(result1, timestamp=False)
+        b = render_text(result2, timestamp=False)
         assert a == b
         assert "generated" not in a
-        assert "generated" in render_table(result1, timestamp=True)
+        assert "generated" in render_text(result1, timestamp=True)
 
     @pytest.mark.parametrize(
-        "axes",
+        "scenario, axes, render_rows",
         [
-            (SweepAxis("g_coulomb", 0.05, 0.2, 3), SweepAxis("delta_bar", -0.1, 0.1, 4)),
+            ("spectrum", (SweepAxis("g_coulomb", 0.05, 0.2, 3), SweepAxis("delta_bar", -0.1, 0.1, 4)), None),
             # no blocks in a 1-D table, even one longer than a render slice
-            (SweepAxis("delta_bar", -0.1, 0.1, oemsim.sweep.RENDER_ROWS + 3),),
+            ("spectrum", (SweepAxis("delta_bar", -0.1, 0.1, oemsim.sweep.RENDER_ROWS + 3),), None),
             # each block spans two render slices
-            (SweepAxis("g_coulomb", 0.05, 0.2, 3), SweepAxis("delta_bar", -0.1, 0.1, oemsim.sweep.RENDER_ROWS + 1)),
+            ("spectrum", (SweepAxis("g_coulomb", 0.05, 0.2, 3),
+                          SweepAxis("delta_bar", -0.1, 0.1, oemsim.sweep.RENDER_ROWS + 1)), None),
+            # each block spans 33 slices of 64 rows, each written as soon as it is formatted
+            ("phase", (SweepAxis("g_coulomb", 0.05, 0.2, 3), SweepAxis("delta_bar", -0.1, 0.1, 2049)), 64),
         ],
-        ids=["2d", "1d-long", "2d-long-blocks"],
+        ids=["2d", "1d-long", "2d-long-blocks", "phase-streamed"],
     )
-    def test_gnuplot_blocks(self, slowfast_spectrum, axes):
-        result = run_sweep(slowfast_spectrum, SweepSpec("spectrum", axes))
-        text = render_table(result, fmt="gnuplot", timestamp=False)
+    def test_gnuplot_blocks(self, monkeypatch, slowfast_spectrum, scenario, axes, render_rows):
+        result = run_sweep(slowfast_spectrum, SweepSpec(scenario, axes))
+        text = render_text(result, fmt="gnuplot", timestamp=False)
         body = [ln for ln in text.splitlines() if not ln.startswith("#")]
         blanks = [i for i, ln in enumerate(body) if ln == ""]
         # one blank line after each outer-axis block but the last
@@ -391,6 +406,19 @@ class TestEmission:
         assert [ln for ln in body if ln] == [" ".join("%.17g" % v for v in row[:-1]) + " " + row[-1]
                                              for row in result.rows()]
         assert "," not in body[0]
+        if render_rows:
+            monkeypatch.setattr(oemsim.sweep, "RENDER_ROWS", render_rows)
+            sink = WriteRecorder()
+            tracemalloc.start()
+            try:
+                render_table(result, sink, fmt="gnuplot", timestamp=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sink.digest.digest() == hashlib.sha256(text.encode()).digest()
+            # the header, each slice and each blank line are one write apiece
+            assert len(sink.sizes) == 1 + outer * -(-inner // render_rows) + outer - 1
+            assert peak < sum(sink.sizes) / 4
 
     def test_rerun_from_header_reproduces_data(self, tmp_path, slowfast_spectrum, spectrum_spec):
         result = run_sweep(slowfast_spectrum, spectrum_spec)
@@ -406,7 +434,7 @@ class TestEmission:
     def test_unknown_format_rejected(self, slowfast_spectrum, spectrum_spec):
         result = run_sweep(slowfast_spectrum, spectrum_spec)
         with pytest.raises(ValueError):
-            render_table(result, fmt="tsv")
+            render_text(result, fmt="tsv")
 
 
 def test_kappa_sweep_rescales_power_specified_pump():

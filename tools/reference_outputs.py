@@ -11,8 +11,9 @@ is one.  The cases:
 - every sweep scenario in csv and gnuplot and in both conventions, on
   ``dimensionless-slowfast``, with ``--jobs 1`` and ``--jobs 3`` on 2-D grids;
 - a phase grid whose innermost blocks are longer than one slice of rows that
-  `sweep.render_table` formats at a time, so gnuplot blank lines fall
-  between slices and inside them;
+  `sweep.render_table` formats and writes at a time, so gnuplot blank lines
+  fall between slices and inside them; its gnuplot table also goes to stdout,
+  the one multi-slice table written there;
 - ``paper-2012`` tables, whose header is written in SI base units;
 - tables with response-error rows: spectrum and phase grids through the
   exact pole of an undamped second resonator (the unwrap restarts after
@@ -263,6 +264,9 @@ def main(argv: list[str]) -> int:
                                convention, "--jobs", str(jobs), "--no-timestamp"])
     run("table-stdout", ["spectrum", "--config", config("stdout", SLOWFAST), "--no-timestamp"],
         out=False)
+    long_blocks = config("phase-long-blocks", tables["phase-long-blocks"][1])
+    run("table-stdout-phase-long-blocks", ["phase", "--config", long_blocks, "--format", "gnuplot",
+                                           "--no-timestamp"], out=False)
     for name, text in STEADY.items():
         run(f"steady-{name}", ["steady-state", "--config", config(f"steady-{name}", text)])
     run("steady-stdout", ["steady-state", "--config", config("steady-stdout", SLOWFAST)], out=False)
