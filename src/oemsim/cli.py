@@ -9,9 +9,11 @@ Exit codes: 0 success, 1 usage, parse or i/o error, 2 physics-domain error
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 from . import __version__
 from .config import CONVENTIONS, SweepSpec, parse_config_file
@@ -105,14 +107,34 @@ def _resolve_scenario(command: str, sweep: SweepSpec | None) -> SweepSpec:
     raise ConfigError(f"unhandled command {command!r}")  # pragma: no cover
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to sys.stdout (read now: callers may redirect it), whole or OSError.
+
+    Under PYTHONUNBUFFERED=1 its byte layer is a raw FileIO, whose write may take
+    part of the bytes (a pipe whose reader leaves) and says so only by its count.
+    """
+    stream = sys.stdout
+    if not isinstance(getattr(stream, "buffer", None), io.RawIOBase):
+        stream.write(text)
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        taken = stream.buffer.write(data)
+        if not taken:  # 0, or None where the write would block
+            raise OSError("stdout took no bytes")
+        data = data[taken:]
+
+
 def _run_table_command(args) -> int:
     params, sweep = parse_config_file(args.config)
     spec = _resolve_scenario(args.command, sweep)
     if args.convention:
         spec = replace(spec, convention=args.convention)
     result = run_sweep(params, spec, jobs=args.jobs)
-    if args.out is None:  # sys.stdout is read at call time, since callers may redirect it
-        render_table(result, sys.stdout, fmt=args.format, timestamp=not args.no_timestamp)
+    if args.out is None:
+        stdout = SimpleNamespace(write=_write_stdout)  # a text sink whose writes are whole
+        render_table(result, stdout, fmt=args.format, timestamp=not args.no_timestamp)
     else:
         emit_csv(result, args.out, fmt=args.format, timestamp=not args.no_timestamp)
     return EXIT_OK
@@ -121,7 +143,7 @@ def _run_table_command(args) -> int:
 def _write(text: str, path) -> None:
     """Write ``text`` to the file ``path``, or to stdout when there is none."""
     if path is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -28,8 +28,7 @@ one CPython 3.11 complex operation:
   and one is picked per element;
 - z**2 is z*z (CPython's (1+0j)*(z*z) differs only where it overflows, and
   there CPython raises);
-- a float square is libm ``pow``, as Python's ``**`` is (x*x differs near 1;
-  `arith.power`);
+- a float square is libm ``pow``, as Python's ``**`` is (`arith.power`);
 - abs is ``hypot`` (`arith.hypot`); the phase is ``math.atan2`` per element,
   while the finite-difference slope uses numpy's ``arctan2``, as ``np.angle``
   does.

@@ -1,7 +1,22 @@
+import platform
+
 import numpy as np
 import pytest
 
 from oemsim.validate import dimensionless_system, system_for_beta
+
+
+def pytest_report_header(config):
+    """The libc and numpy's dispatched CPU features: the bit-for-bit tests rest on both."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    dispatched = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return [
+        "libc: " + (" ".join(platform.libc_ver()) or "unknown"),
+        f"numpy {np.__version__} dispatched CPU features: {' '.join(dispatched) or 'none'}",
+    ]
 
 
 @pytest.fixture

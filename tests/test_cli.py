@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -90,6 +91,21 @@ def _run_python(*args):
     return subprocess.run([sys.executable, *args], env=_python_env(), capture_output=True, text=True)
 
 
+class ShortWrites(io.RawIOBase):
+    """A raw byte sink that takes at most ``limit`` bytes per write, as a pipe may, and says so."""
+
+    def __init__(self, limit: int):
+        self.limit, self.taken = limit, bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        taken = min(self.limit, len(data))
+        self.taken += bytes(data[:taken])
+        return taken
+
+
 @pytest.fixture
 def spectrum_config(tmp_path):
     path = tmp_path / "spectrum.cfg"
@@ -155,6 +171,26 @@ class TestErrorPaths:
         assert process.wait(timeout=60) == EXIT_USAGE
         # one message, and no "Exception ignored" from a second failing flush at exit
         assert stderr.splitlines() == ["oemsim: i/o error: [Errno 32] Broken pipe"]
+
+    @pytest.mark.parametrize("command", ["phase", "steady-state"])
+    def test_short_raw_writes_are_completed(self, tmp_path, monkeypatch, command):
+        # stdout on a raw layer (PYTHONUNBUFFERED=1) whose write takes at most 97 bytes
+        config = tmp_path / "phase.cfg"
+        config.write_text(SPECTRUM_CFG.replace("scenario = spectrum", "scenario = phase")
+                          .replace("axis1_points = 21", "axis1_points = 500"))
+        argv = [command, "--config", str(config)] + (["--no-timestamp"] if command == "phase" else [])
+        assert main(argv + ["--out", str(tmp_path / "table.txt")]) == EXIT_OK
+        raw = ShortWrites(limit=97)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+        assert main(argv) == EXIT_OK
+        assert len(raw.taken) > raw.limit
+        assert bytes(raw.taken) == (tmp_path / "table.txt").read_bytes()
+
+    def test_raw_write_taking_nothing_exits_1(self, monkeypatch, capsys, spectrum_config):
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(ShortWrites(limit=0), encoding="utf-8",
+                                                            write_through=True))
+        assert main(["spectrum", "--config", str(spectrum_config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "oemsim: i/o error: stdout took no bytes\n"
 
     def test_parse_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -452,6 +452,31 @@ def test_kernel_squares_delta_through_pow():
         assert _bits(complex(x[0][k], x[1][k])) == _bits(closed_form(d, *args)[0])
 
 
+def test_transmission_squares_abs_t_p_through_pow():
+    # detunings where h = abs(t_p) gives h*h != h**2 (libm pow), in either convention
+    params = system_for_beta(kappa=0.227, beta=5e-3, g_coulomb=0.2)
+    op = solve_steady_state(params)
+    args = (0.227, op.delta_eff, 1.0, 1.0, params.mech1.gamma, params.mech2.gamma,
+            1.0, 1.0, 1.0, 0.2, params.coupling.g_cav, op.photon_number)
+
+    def t_p(delta):
+        two_kappa_x = 2.0 * 0.227 * closed_form(delta, *args)[0]
+        return {"paper-corrected": 1.0 - two_kappa_x, "intracavity": two_kappa_x}
+
+    def differs(delta):
+        return {name: abs(t) * abs(t) != abs(t) ** 2 for name, t in t_p(delta).items()}
+
+    grid = [d for d in np.linspace(0.5, 1.5, 60001).tolist() if any(differs(d).values())]
+    assert all(sum(differs(d)[name] for d in grid) >= 5 for name in CONVENTIONS)
+    coefs = coefficients(params, op)
+    x, _, status = amplitude_kernel(np.array(grid), coefs)
+    assert (status == OK).all()
+    for convention, t_array in zip(CONVENTIONS, transmissions(x, coefs.kappa)):
+        column = abs_squared(t_array)
+        for k, d in enumerate(grid):
+            assert _bits(column[k]) == _bits(abs(t_p(d)[convention]) ** 2)
+
+
 def test_adaptive_step_array_and_scalar_paths_agree_bit_for_bit():
     # delay-vs-power on the slow/fast preset across the fast/slow crossing, where |tau|
     # reaches 6e4 and a fixed 1e-6 omega1 step puts tau_fd more than 1e-6 off on some rows
