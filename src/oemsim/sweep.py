@@ -5,7 +5,8 @@ columns, axis rule, block evaluator.  The grid is an array of axis values in
 row-major order (axis1 outermost), cut into contiguous chunks, one at
 ``jobs=1`` and several over a process pool otherwise, so serial and parallel
 runs emit identical bytes.  One copy of the columns (`SweepResult`) holds the
-table until `render_table` writes it out, a bounded slice of rows at a time.
+table until `render_table` writes it, one write per bounded slice of rows,
+whose doubles one numpy pass formats as ``'%.17g' %`` does (`arith.format_g17`).
 
 Within a chunk two things are batched.  The operating point moves with every
 axis but delta_bar, and a steady pass (`steady.solve_steady_states`) solves
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import datetime
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, config, response, steady
+from .arith import format_g17
 from .config import SweepAxis, SweepSpec, axis_changes, serialize_config
 from .errors import ConfigError, SimulationError
 from .params import SystemParams
@@ -99,10 +100,6 @@ class SweepResult:
     columns: tuple[str, ...]
     values: np.ndarray
     errors: np.ndarray
-
-    def rows(self, start: int = 0, stop: int | None = None) -> list[tuple]:
-        """Rows ``start:stop`` as tuples of Python numbers, error slug last."""
-        return list(zip(*self.values[:, start:stop].tolist(), self.errors[start:stop]))
 
 
 def _spectrum_block(delta, c, convention):
@@ -287,6 +284,8 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
         for i in range(0, n, chunk_size)
     ]
     if len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only by runs that use it
+
         # the default fork start method starts every worker on the first submit
         workers = min(jobs, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -308,15 +307,28 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
     return SweepResult(params=params, spec=spec, columns=columns, values=values, errors=errors)
 
 
+def _render_rows(result: SweepResult, start: int, stop: int, sep: str) -> str:
+    """Rows ``start:stop`` as text: the fields, separators, slugs and newlines of a NUL-padded
+    byte matrix, NULs dropped."""
+    fields = format_g17(result.values[:, start:stop]).transpose(1, 0, 2)
+    rows, columns = fields.shape[:2]
+    seps = np.full((rows, columns, 1), ord(sep), np.uint8)
+    slugs = result.errors[start:stop].astype(bytes).view(np.uint8).reshape(rows, -1)
+    newlines = np.full((rows, 1), ord("\n"), np.uint8)
+    matrix = np.concatenate([np.concatenate([fields, seps], axis=2).reshape(rows, -1), slugs, newlines], axis=1)
+    return matrix[matrix != 0].tobytes().decode("ascii")
+
+
 def render_table(result: SweepResult, stream, fmt: str = "csv", timestamp: bool = True) -> None:
     """Write a sweep table, with a provenance header that reproduces the run, to a text stream.
 
     ``csv`` is comma-separated with a plain column-header row; ``gnuplot``
     is whitespace-separated with a blank line between outer-axis blocks.
-    Doubles carry 17 significant digits; the header echoes the resolved
-    configuration between config-begin/config-end markers.  The header, each
-    slice of RENDER_ROWS rows (never across a gnuplot block) and each blank
-    line is one write, so no more than a slice of the text is alive at once.
+    Doubles are written as ``'%.17g' %`` writes them (`arith.format_g17`);
+    the header echoes the resolved configuration between config-begin and
+    config-end markers.  The header, each slice of RENDER_ROWS rows (never
+    across a gnuplot block) and each blank line is one write, so no more
+    than a slice of the text is alive at once; a table without rows is its header.
     """
     if fmt not in ("csv", "gnuplot"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -333,16 +345,14 @@ def render_table(result: SweepResult, stream, fmt: str = "csv", timestamp: bool 
     sep = "," if fmt == "csv" else " "
     if fmt == "csv":
         lines.append(",".join(result.columns))
-    row_format = sep.join("%s" if column == "error" else "%.17g" for column in result.columns) + "\n"
     n = len(result.errors)
-    block = result.spec.axes[-1].points if fmt == "gnuplot" and len(result.spec.axes) > 1 else n
+    block = result.spec.axes[-1].points if fmt == "gnuplot" and len(result.spec.axes) > 1 else max(n, 1)
     stream.write("\n".join(lines) + "\n")
     for first in range(0, n, block):
         if first:
             stream.write("\n")
         for start in range(first, first + block, RENDER_ROWS):
-            rows = result.rows(start, min(start + RENDER_ROWS, first + block))
-            stream.write("".join([row_format % row for row in rows]))
+            stream.write(_render_rows(result, start, min(start + RENDER_ROWS, first + block), sep))
 
 
 def emit_csv(result: SweepResult, path, fmt: str = "csv", timestamp: bool = True) -> None:

@@ -11,6 +11,11 @@ def render_text(result, fmt="csv", timestamp=True):
     return stream.getvalue()
 
 
+def table_rows(result):
+    """The rows of a sweep result as tuples of Python numbers, error slug last."""
+    return list(zip(*result.values.tolist(), result.errors))
+
+
 def read_sweep_csv(path):
     """Read back an emitted table: (config_text, columns, rows)."""
     config_lines: list[str] = []

@@ -1,11 +1,15 @@
-"""arith.power on arrays: bit-identical to libm pow, as Python's ``**`` on a float is."""
+"""arith on arrays: ``power`` is bit-identical to libm pow, as Python's ``**`` on a float is, and
+``format_g17`` writes the bytes of ``'%.17g' % x``."""
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oemsim.arith import power
+from oemsim import arith
+from oemsim.arith import format_g17, power
 
 
 def libm_power(x: float, exponent: float) -> float:
@@ -49,3 +53,87 @@ def test_square_at_the_range_boundaries():
     values = [v for x in edges for v in (x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))]
     assert_libm_powers(values)
     assert math.isnan(power(np.array([1e200]), 2)[0])
+
+
+def g17_strings(values):
+    fields = format_g17(np.array(values, dtype=float))
+    assert fields.dtype == np.uint8 and fields.shape == (len(values), arith.G17_WIDTH)
+    return [bytes(field[field != 0]).decode("ascii") for field in fields]
+
+
+def assert_percent_g17(values):
+    assert g17_strings(values) == ["%.17g" % v for v in values]
+
+
+def count_fallbacks(monkeypatch, values):
+    """How many elements of ``values`` format_g17 hands to Python's ``%``."""
+    calls = []
+    percent = arith._percent_g17
+    monkeypatch.setattr(arith, "_percent_g17", lambda v: calls.append(v) or percent(v))
+    assert_percent_g17(values)
+    return len(calls)
+
+
+# exact 18-digit ties, 5 as the last digit: '%.17g' rounds them half to even
+TIES = [s * (b + m * 2.0**-q) for s in (1, -1) for b, q in ((1, 17), (0.5, 18), (10, 16)) for m in range(1, 65, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=40))
+@example([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324])
+def test_g17_is_percent_formatting(values):
+    assert_percent_g17(values)
+
+
+def test_g17_exact_ties():
+    assert all(("%.18g" % t).endswith("5") for t in TIES)
+    assert g17_strings([1 + 2**-17]) == ["1.0000076293945312"]
+    assert_percent_g17(TIES)
+
+
+def test_g17_powers_of_ten_and_neighbours():
+    # 1e-30 to 1e30, and the doubles nearest 10**k that lie below it yet print as 1e+k: their
+    # 17 digits round up to the next power of ten
+    exponents = range(-249, 250)
+    nearest = [float(f"1e{k}") for k in exponents]
+    carried = [
+        x for k, x in zip(exponents, nearest) if Fraction(x) < Fraction(10) ** k and ("%.17g" % x).startswith("1e")
+    ]
+    assert len(carried) >= 10
+    powers = [x for k, x in zip(exponents, nearest) if -30 <= k <= 30] + carried
+    assert_percent_g17([v for x in powers for v in (x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))])
+
+
+@pytest.mark.parametrize("bias", [-1e-9, 1e-9])
+def test_g17_with_log10_off_by_one(monkeypatch, bias):
+    # a log10 that rounds across an integer next to a power of ten gives E one off: the bounds
+    # on the digits send those elements to Python
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
+    powers = [10.0**k for k in range(-22, 23)]
+    assert_percent_g17([v for x in powers for v in (x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))])
+
+
+def test_g17_fast_path_bounds():
+    edges = [1e-250, 1e250, 1e-251, 1e249, 1e-300, 1e300, 2.2250738585072014e-308, 1.7976931348623157e308]
+    assert_percent_g17([v for x in edges for v in (x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))])
+
+
+def test_g17_integer_valued():
+    values = [1.0, 2.0, 10.0, 100.0, 123456789.0, 2.0**53, 1e16, 1e17, 2.0**60, 12345678901234567.0]
+    assert g17_strings(values)[:2] == ["1", "2"]
+    assert g17_strings([2.0**60]) == ["1.152921504606847e+18"]
+    assert_percent_g17(values + [-v for v in values])
+
+
+def test_g17_fallback_count(monkeypatch):
+    # only the ties and the elements outside (1e-250, 1e250) go to Python; 0, -0, nan and
+    # +-inf are fixed strings.  Mantissas away from 1 and 10 keep log10 clear of an integer, and
+    # no value lies between 1e10 and 1e17, where a double's few fraction bits can make a tie
+    rng = np.random.default_rng(20261019)
+    magnitudes = np.concatenate([rng.integers(-240, 10, 3000), rng.integers(17, 240, 1000)])
+    plain = (rng.uniform(1.5, 9.5, 4000) * 10.0**magnitudes).tolist()
+    outside = [5e-324, -1e-300, 1e-251, 1e251, -1e300, 1.7976931348623157e308]
+    fixed = [0.0, -0.0, math.nan, math.inf, -math.inf]
+    assert count_fallbacks(monkeypatch, plain + TIES + outside + fixed) == len(TIES) + len(outside)
+    assert count_fallbacks(monkeypatch, plain) == 0

@@ -337,6 +337,21 @@ def test_package_import_does_not_load_scipy():
     assert result.stdout.strip() == f"{EXIT_OK} []"
 
 
+def test_serial_table_does_not_load_the_process_pool(tmp_path):
+    # only a run with several chunks (--jobs > 1) imports the process pool
+    config = tmp_path / "phase.cfg"
+    config.write_text(SPECTRUM_CFG.replace("spectrum", "phase"), encoding="utf-8")
+    code = (
+        "import contextlib, io, sys, oemsim.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = oemsim.cli.main(['phase', '--config', {str(config)!r}, '--jobs', '1', '--no-timestamp'])\n"
+        "print(status, 'concurrent.futures.process' in sys.modules)"
+    )
+    result = _run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == f"{EXIT_OK} False"
+
+
 def test_every_exported_name_resolves():
     assert [name for name in oemsim.__all__ if not hasattr(oemsim, name)] == []
 

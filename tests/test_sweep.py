@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -16,7 +18,7 @@ from oemsim.response import group_delay
 from oemsim.steady import solve_steady_state
 from oemsim.sweep import NO_ERROR, emit_csv, render_table, run_sweep
 from oemsim.validate import dimensionless_system, system_for_beta
-from table_io import read_sweep_csv, render_text
+from table_io import read_sweep_csv, render_text, table_rows
 
 # one small grid per sweep scenario the config accepts, plus one with unstable rows
 PARALLEL_CASES = {
@@ -76,18 +78,18 @@ def eigvals_sizes(monkeypatch):
 class TestRunSweep:
     def test_row_count_and_row_major_order(self, slowfast_spectrum, spectrum_spec):
         result = run_sweep(slowfast_spectrum, spectrum_spec)
-        assert len(result.rows()) == 3 * 4
-        g_values = [row[0] for row in result.rows()]
+        assert len(table_rows(result)) == 3 * 4
+        g_values = [row[0] for row in table_rows(result)]
         assert g_values == sorted(g_values)
         assert g_values[0] == g_values[3]  # outer axis constant over inner block
-        inner = [row[1] for row in result.rows()[:4]]
+        inner = [row[1] for row in table_rows(result)[:4]]
         assert inner == sorted(inner)
-        assert all(row[-1] == NO_ERROR for row in result.rows())
+        assert all(row[-1] == NO_ERROR for row in table_rows(result))
 
     def test_default_delta_bar_axis_injected(self, slowfast_spectrum):
         result = run_sweep(slowfast_spectrum, SweepSpec(scenario="spectrum"))
         assert result.spec.axes[0].name == "delta_bar"
-        assert len(result.rows()) == result.spec.axes[0].points
+        assert len(table_rows(result)) == result.spec.axes[0].points
 
     def test_instability_marks_rows_and_continues(self):
         params = system_for_beta(kappa=0.2, beta=1e-3, g_coulomb=0.0)
@@ -99,10 +101,10 @@ class TestRunSweep:
             ),
         )
         result = run_sweep(params, spec)
-        assert len(result.rows()) == 6
-        slugs = {row[-1] for row in result.rows()}
+        assert len(table_rows(result)) == 6
+        slugs = {row[-1] for row in table_rows(result)}
         assert "StaticInstability" in slugs and NO_ERROR in slugs
-        for row in result.rows():
+        for row in table_rows(result):
             if row[-1] != NO_ERROR:
                 assert math.isnan(row[2])
 
@@ -112,7 +114,7 @@ class TestRunSweep:
         result = run_sweep(params, spec)
         i_fd = result.columns.index("tau_g_fd")
         i_an = result.columns.index("tau_g_analytic")
-        for row in result.rows():
+        for row in table_rows(result):
             assert row[-1] == NO_ERROR
             assert abs(row[i_fd] - row[i_an]) <= 1e-6 * abs(row[i_an])
 
@@ -120,7 +122,7 @@ class TestRunSweep:
         params = system_for_beta(kappa=0.227, beta=1e-6, g_coulomb=0.2)
         spec = SweepSpec(scenario="delay-vs-kappa", axes=(SweepAxis("kappa", 0.113, 0.34, 3),))
         result = run_sweep(params, spec)
-        taus = [row[result.columns.index("tau_g_analytic")] for row in result.rows()]
+        taus = [row[result.columns.index("tau_g_analytic")] for row in table_rows(result)]
         assert all(t > 0 for t in taus)
 
     def test_splitting_scenario_reports_separations(self):
@@ -130,7 +132,7 @@ class TestRunSweep:
         i_n = result.columns.index("n_maxima")
         i_sep = result.columns.index("separation")
         seps = []
-        for row in result.rows():
+        for row in table_rows(result):
             assert row[i_n] == 2.0
             seps.append(row[i_sep])
         assert all(b > a for a, b in zip(seps, seps[1:]))
@@ -139,7 +141,7 @@ class TestRunSweep:
         spec = SweepSpec(scenario="phase", axes=(SweepAxis("delta_bar", -0.15, 0.15, 801),))
         result = run_sweep(slowfast_spectrum, spec)
         i_phase = result.columns.index("phase")
-        phases = np.array([row[i_phase] for row in result.rows()])
+        phases = np.array([row[i_phase] for row in table_rows(result)])
         assert np.max(np.abs(np.diff(phases))) < math.pi
 
     def test_axis_requirements_validated(self, slowfast_spectrum):
@@ -159,13 +161,13 @@ class TestRunSweep:
         serial = run_sweep(slowfast_spectrum, spec, jobs=1)
         parallel = run_sweep(slowfast_spectrum, spec, jobs=3)
         # repr, because NaN != NaN once the rows have crossed a process boundary
-        assert [tuple(map(repr, r)) for r in serial.rows()] == [
-            tuple(map(repr, r)) for r in parallel.rows()
+        assert [tuple(map(repr, r)) for r in table_rows(serial)] == [
+            tuple(map(repr, r)) for r in table_rows(parallel)
         ]
         for fmt in ("csv", "gnuplot"):
             assert render_text(serial, fmt, timestamp=False) == render_text(parallel, fmt, timestamp=False)
         if case == "static-instability":
-            assert {"StaticInstability", NO_ERROR} <= {row[-1] for row in serial.rows()}
+            assert {"StaticInstability", NO_ERROR} <= {row[-1] for row in table_rows(serial)}
 
     def test_steady_state_solved_once_per_operating_point(self, monkeypatch, slowfast_spectrum):
         calls = []  # the points of each steady pass
@@ -178,7 +180,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(oemsim.sweep, "solve_steady_states", counting_solve)
         # 3 g_coulomb x 4 delta_bar rows, then 5 P_l rows
-        assert len(run_sweep(slowfast_spectrum, PARALLEL_CASES["spectrum"], jobs=1).rows()) == 12
+        assert len(table_rows(run_sweep(slowfast_spectrum, PARALLEL_CASES["spectrum"], jobs=1))) == 12
         assert len(calls) == 3
         calls.clear()
         run_sweep(slowfast_spectrum, PARALLEL_CASES["delay-vs-power"], jobs=1)
@@ -197,7 +199,7 @@ class TestRunSweep:
         monkeypatch.setattr(oemsim.sweep, "solve_steady_states", counting_solve)
         spec = SweepSpec("splitting-vs-gc", (SweepAxis("g_coulomb", 0.01, 0.2, 60),))
         result = run_sweep(slowfast_spectrum, spec)
-        assert len(result.rows()) == 60 and all(row[-1] == NO_ERROR for row in result.rows())
+        assert len(table_rows(result)) == 60 and all(row[-1] == NO_ERROR for row in table_rows(result))
         assert passes == [60]
 
     def test_worker_count_capped_by_task_count(self, monkeypatch, slowfast_spectrum):
@@ -217,9 +219,10 @@ class TestRunSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(oemsim.sweep, "ProcessPoolExecutor", SerialPool)
+        # run_sweep imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         result = run_sweep(slowfast_spectrum, PARALLEL_CASES["spectrum"], jobs=64)
-        assert len(result.rows()) == 12
+        assert len(table_rows(result)) == 12
         assert len(requested) == 1 and 1 <= requested[0] <= 12
         assert multiprocessing.active_children() == []
 
@@ -232,7 +235,7 @@ class TestRunSweep:
             scenario, (SweepAxis("g_coulomb", 0.05, 0.1, 2), SweepAxis("delta_bar", -0.1, 0.1, 5))
         )
         result = run_sweep(params, spec, jobs=jobs)
-        rows = result.rows()
+        rows = table_rows(result)
         assert [row[-1] for row in rows] == [NO_ERROR, NO_ERROR, "MechanicalPole", NO_ERROR, NO_ERROR] * 2
         for block in (rows[:5], rows[5:]):
             # the error row keeps its axis values and no data, photon number included
@@ -259,7 +262,7 @@ class TestRunSweep:
         rows = 2001
         spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-4, 1.0, rows, "log"),))
         result = run_sweep(slowfast_spectrum, spec)
-        assert all(row[-1] == NO_ERROR for row in result.rows())
+        assert all(row[-1] == NO_ERROR for row in table_rows(result))
         cap = oemsim.sweep.BLOCK_ELEMENTS
         assert len(sizes) == 2 * math.ceil(5 * rows / cap)
         assert sizes[1::2] == [4 * n for n in sizes[::2]]
@@ -269,7 +272,7 @@ class TestRunSweep:
         rows = 2001
         spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-4, 1.0, rows, "log"),))
         result = run_sweep(slowfast_spectrum, spec)
-        assert all(row[-1] == NO_ERROR for row in result.rows())
+        assert all(row[-1] == NO_ERROR for row in table_rows(result))
         per_block = oemsim.sweep.BLOCK_ELEMENTS // (1 + len(oemsim.response.FD_OFFSETS))
         assert len(eigvals_sizes) <= math.ceil(rows / per_block)
         assert sum(eigvals_sizes) == rows
@@ -280,11 +283,11 @@ class TestRunSweep:
         )
         result = run_sweep(slowfast_spectrum, spec)
         # the one block's stable operating points went to one eigvals call
-        solved = sum(row[-1] == NO_ERROR for row in result.rows()[::51])
+        solved = sum(row[-1] == NO_ERROR for row in table_rows(result)[::51])
         assert eigvals_sizes == [solved] and 0 < solved < 5
         i_n = result.columns.index("photon_number")
         for start in range(0, 255, 51):
-            block = result.rows()[start : start + 51]
+            block = table_rows(result)[start : start + 51]
             try:
                 op = solve_steady_state(apply_override(slowfast_spectrum, "g_coulomb", block[0][0]))
             except StaticInstabilityError:
@@ -296,21 +299,21 @@ class TestRunSweep:
         spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-3, 1e300, 31, "log"),))
         result = run_sweep(slowfast_spectrum, spec)
         i_n = result.columns.index("photon_number")
-        for row in result.rows():
+        for row in table_rows(result):
             try:
                 op = solve_steady_state(apply_override(slowfast_spectrum, "P_l", row[0]))
             except InvariantViolationError:
                 assert row[-1] == "InvariantViolation"
             else:
                 assert row[i_n] == op.photon_number and row[-1] == NO_ERROR
-        assert {NO_ERROR, "InvariantViolation"} == {row[-1] for row in result.rows()}
+        assert {NO_ERROR, "InvariantViolation"} == {row[-1] for row in table_rows(result)}
 
     def test_finite_difference_pole_gives_the_group_delay_slug(self):
         # the pole of an undamped mirror 2 sits on delta + h of the line-centre delay only
         params = system_for_beta(kappa=0.227, beta=5e-3, g_coulomb=0.1, gamma2=0.0, omega2=1.0 + 1e-6)
         spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 0.05, 0.4, 3),))
         result = run_sweep(params, spec)
-        for (power, *_, slug) in result.rows():
+        for (power, *_, slug) in table_rows(result):
             powered = apply_override(params, "P_l", power)
             op = solve_steady_state(powered)
             group_delay(1.0, powered, op, "analytic")  # the centre itself is regular
@@ -324,7 +327,7 @@ class TestRunSweep:
         )
         result = run_sweep(slowfast_spectrum, spec)
         i_phase = result.columns.index("phase")
-        starts = [result.rows()[i][i_phase] for i in (0, 401, 802)]
+        starts = [table_rows(result)[i][i_phase] for i in (0, 401, 802)]
         assert starts[0] == starts[1] == starts[2]
         body = render_text(result, fmt="gnuplot", timestamp=False).splitlines()
         assert sum(1 for ln in body if ln == "") == 2
@@ -344,7 +347,7 @@ class TestRunSweep:
             "spectrum", (SweepAxis("g_coulomb", 0.05, 0.1, 2), SweepAxis("delta_bar", -0.1, 0.1, 3))
         )
         result = run_sweep(params, spec)
-        assert [row[-1] for row in result.rows()] == ["InvariantViolation"] * 6
+        assert [row[-1] for row in table_rows(result)] == ["InvariantViolation"] * 6
 
 
 class WriteRecorder:
@@ -366,8 +369,8 @@ class TestEmission:
         emit_csv(result, path, timestamp=False)
         config_text, columns, rows = read_sweep_csv(path)
         assert columns == result.columns
-        assert len(rows) == len(result.rows())
-        for got, want in zip(rows, result.rows()):
+        assert len(rows) == len(table_rows(result))
+        for got, want in zip(rows, table_rows(result)):
             assert got == want  # 17 significant digits round-trip doubles exactly
 
     def test_determinism_and_timestamp_suppression(self, slowfast_spectrum, spectrum_spec):
@@ -400,11 +403,11 @@ class TestEmission:
         blanks = [i for i, ln in enumerate(body) if ln == ""]
         # one blank line after each outer-axis block but the last
         inner = axes[-1].points
-        outer = len(result.rows()) // inner
+        outer = len(table_rows(result)) // inner
         assert blanks == [(k + 1) * (inner + 1) - 1 for k in range(outer - 1)]
-        assert len(body) == len(result.rows()) + outer - 1
+        assert len(body) == len(table_rows(result)) + outer - 1
         assert [ln for ln in body if ln] == [" ".join("%.17g" % v for v in row[:-1]) + " " + row[-1]
-                                             for row in result.rows()]
+                                             for row in table_rows(result)]
         assert "," not in body[0]
         if render_rows:
             monkeypatch.setattr(oemsim.sweep, "RENDER_ROWS", render_rows)
@@ -419,6 +422,38 @@ class TestEmission:
             # the header, each slice and each blank line are one write apiece
             assert len(sink.sizes) == 1 + outer * -(-inner // render_rows) + outer - 1
             assert peak < sum(sink.sizes) / 4
+
+    @pytest.mark.parametrize(
+        "config_text",
+        [
+            # gamma2 = 0 puts an exact pole of mirror 2 on the delta_bar = 0 rows: error slugs, NaN data
+            "preset = dimensionless-slowfast\n[mech2]\ngamma = 0 dimensionless\n[sweep]\nscenario = phase\n"
+            "axis1 = g_coulomb\naxis1_min = 0 dimensionless\naxis1_max = 0.1 dimensionless\naxis1_points = 3\n"
+            "axis2 = delta_bar\naxis2_min = -0.1 dimensionless\naxis2_max = 0.1 dimensionless\naxis2_points = 9\n",
+            "preset = paper-2012\n[sweep]\nscenario = spectrum\naxis1 = delta_bar\n"
+            "axis1_min = -20 kHz\naxis1_max = 20 kHz\naxis1_points = 41\n",
+        ],
+        ids=["pole-rows", "paper-si"],
+    )
+    def test_csv_rows(self, config_text):
+        result = run_sweep(*parse_config(config_text))
+        body = [ln for ln in render_text(result, timestamp=False).splitlines() if not ln.startswith("#")]
+        assert body[0] == ",".join(result.columns)
+        assert body[1:] == [",".join("%.17g" % v for v in row[:-1]) + "," + row[-1] for row in table_rows(result)]
+        failed = result.errors != NO_ERROR
+        assert failed.any() == ("gamma = 0" in config_text)
+        assert np.isnan(result.values[len(result.spec.axes) :, failed]).all()
+
+    @pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
+    def test_zero_rows_give_the_header_alone(self, slowfast_spectrum, fmt):
+        spec = SweepSpec("spectrum", (SweepAxis("delta_bar", -0.1, 0.1, 4),))
+        result = run_sweep(slowfast_spectrum, spec)
+        empty = dataclasses.replace(result, values=result.values[:, :0], errors=result.errors[:0])
+        text = render_text(result, fmt=fmt, timestamp=False)
+        header = text[: text.index("\n", text.index("# columns:")) + 1]
+        if fmt == "csv":
+            header += ",".join(result.columns) + "\n"
+        assert render_text(empty, fmt=fmt, timestamp=False) == header
 
     def test_rerun_from_header_reproduces_data(self, tmp_path, slowfast_spectrum, spectrum_spec):
         result = run_sweep(slowfast_spectrum, spectrum_spec)

@@ -14,6 +14,9 @@ is one.  The cases:
   `sweep.render_table` formats and writes at a time, so gnuplot blank lines
   fall between slices and inside them; its gnuplot table also goes to stdout,
   the one multi-slice table written there;
+- a phase grid whose delta_bar axis steps by 2^-17, so that the delta column
+  1 + m 2^-17 holds exact 18-digit ties, which `arith.format_g17` leaves to
+  Python's ``%``;
 - ``paper-2012`` tables, whose header is written in SI base units;
 - tables with response-error rows: spectrum and phase grids through the
   exact pole of an undamped second resonator (the unwrap restarts after
@@ -87,6 +90,8 @@ TABLES = {
         "phase", ("g_coulomb", _d(0.1), _d(0.1), 3), ("delta_bar", _d(-0.2), _d(0.2), 401))),
     "phase-long-blocks": ("phase", SLOWFAST + _sweep(
         "phase", ("g_coulomb", _d(0), _d(0.2), 3), ("delta_bar", _d(-0.2), _d(0.2), 2049))),
+    "phase-ties": ("phase", SLOWFAST + _sweep(
+        "phase", ("g_coulomb", _d(0), _d(0.2), 3), ("delta_bar", _d(0), _d(2.0**-11), 65))),
     "delay-power": ("delay", SLOWFAST + _sweep(
         "delay-vs-power", ("P_l", _d(1e-4), _d(1), 301, "log"))),
     "delay-amplitude": ("delay", SLOWFAST + _sweep(
