@@ -78,3 +78,10 @@ class PerturbativeRegimeWarning(UserWarning):
 
 class TrajectoryConfigWarning(UserWarning):
     """Trajectory settings below recommended minima (results may be biased)."""
+
+
+# Per-point status of a batch (`steady`, `response`, a sweep's status column):
+# OK, or the index here of the point's first failure.
+OK = 0
+STATUS_ERRORS = (None, StaticInstabilityError, InvariantViolationError,
+                 MechanicalPoleError, SingularResponseError, UndefinedPhaseError)

@@ -192,23 +192,3 @@ def default_g_cav(cavity: CavityParams, mech1_omega: float) -> float:
     delta_nominal = cavity.detuning if cavity.detuning_mode == DETUNING_EXPLICIT else mech1_omega
     return (cavity.omega_l + delta_nominal) / cavity.length
 
-
-def coulomb_coupling_from_charges(
-    capacitance1: float,
-    voltage1: float,
-    capacitance2: float,
-    voltage2: float,
-    separation: float,
-    hbar: float = HBAR,
-) -> float:
-    """Lumped Coulomb coefficient C1 V1 C2 V2 / (2 pi hbar eps0 x0^3).
-
-    Convenience for populating ``g_coulomb`` from electrode data; evaluated
-    once, never varied dynamically.
-    """
-    eps0 = 8.8541878128e-12
-    if separation <= 0:
-        raise ValueError("electrode separation must be positive")
-    return (capacitance1 * voltage1 * capacitance2 * voltage2) / (
-        2.0 * math.pi * hbar * eps0 * separation**3
-    )

@@ -51,6 +51,8 @@ import numpy as np
 
 from .arith import hypot, power, where
 from .errors import (
+    OK,
+    STATUS_ERRORS,
     GridTooCoarseError,
     MechanicalPoleError,
     SingularResponseError,
@@ -74,12 +76,10 @@ MIN_ABS_T = 1e-12
 SPLITTING_WINDOW_FRACTION = 0.2  # half-width of the window scan, in units of omega1
 SPLITTING_POINTS = 4001
 
-OK, POLE, SINGULAR, UNDEFINED_PHASE = 0, 1, 2, 3  # per-element status
-STATUS_ERRORS = {
-    POLE: MechanicalPoleError,
-    SINGULAR: SingularResponseError,
-    UNDEFINED_PHASE: UndefinedPhaseError,
-}
+# per-element status: OK, or the code of an error, its index in errors.STATUS_ERRORS
+POLE, SINGULAR, UNDEFINED_PHASE = map(
+    STATUS_ERRORS.index, (MechanicalPoleError, SingularResponseError, UndefinedPhaseError)
+)
 
 _ONE, _I, _2I, _MINUS_I = (1.0, 0.0), (0.0, 1.0), (0.0, 2.0), (-0.0, -1.0)  # 1, 1j, 2j, -1j
 _atan2 = np.frompyfunc(math.atan2, 2, 1)

@@ -22,15 +22,15 @@ batch is bit-identical to the solve of its point alone.  The one-point path
 stays on Python floats because a size-1 array call costs several times more.
 
 Failures.  One point raises its SimulationError.  A batch gives each point
-a status instead, OK or the `STATUS_ERRORS` key of its first failure, and a
-failed point leaves the others alone.  A float overflow or a division by zero
-is an InvariantViolationError of its point: on one point Python raises
-OverflowError or ZeroDivisionError, and on a batch the element is flagged
-where Python would have raised (`arith.power` gives NaN there).  The one
-exception is the Newton polish of a root that was not clamped to 0: an
-overflow there makes that root NaN and leaves the point alone (a NaN root
-counts as a branch, sorts where ``list.sort`` would put it, and as the lowest
-root fails the residual check).
+a status instead, OK or the code of its first failure (its error's index in
+`errors.STATUS_ERRORS`), and a failed point leaves the others alone.  A float
+overflow or a division by zero is an InvariantViolationError of its point: on
+one point Python raises OverflowError or ZeroDivisionError, and on a batch the
+element is flagged where Python would have raised (`arith.power` gives NaN
+there).  The one exception is the Newton polish of a root that was not
+clamped to 0: an overflow there makes that root NaN and leaves the point alone
+(a NaN root counts as a branch, sorts where ``list.sort`` would put it, and as
+the lowest root fails the residual check).
 """
 from __future__ import annotations
 
@@ -42,17 +42,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import any_of, choose, hypot, isfinite, power, where
-from .errors import InvariantViolationError, StaticInstabilityError
+from .errors import OK, STATUS_ERRORS, InvariantViolationError, StaticInstabilityError
 from .params import DETUNING_LOCKED, SystemParams
 from .response import Coefficients, coefficients
 
 ROOT_IMAG_TOL = 1e-8
 ROOT_DEDUPE_TOL = 1e-8
 RESIDUAL_TOL = 1e-12
-
-OK = 0  # per-point status
-STATUS_ERRORS = {1: StaticInstabilityError, 2: InvariantViolationError}
-_STATUS = {error: status for status, error in STATUS_ERRORS.items()}
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,7 @@ class OperatingPoint:
 class SteadyStates(NamedTuple):
     """Operating points of a batch, one array element per point; meaningless where status is not OK."""
 
-    status: np.ndarray  # OK, or the STATUS_ERRORS key of the point's first failure
+    status: np.ndarray  # OK, or the errors.STATUS_ERRORS code of the point's first failure
     q1s: np.ndarray
     q2s: np.ndarray
     photon_number: np.ndarray
@@ -93,14 +89,14 @@ class _Refusals:
     def refuse(self, bad, error, message):
         """Fail the points where ``bad`` holds with ``error``; ``message()`` words it for one point."""
         if self.batch:
-            self.status[(self.status == OK) & bad] = _STATUS[error]
+            self.status[(self.status == OK) & bad] = STATUS_ERRORS.index(error)
         elif bad:
             raise error(message())
 
     def float_range(self, bad):
         """Fail the batch points where Python would have raised OverflowError or ZeroDivisionError."""
         if self.batch:
-            self.status[(self.status == OK) & bad] = _STATUS[InvariantViolationError]
+            self.status[(self.status == OK) & bad] = STATUS_ERRORS.index(InvariantViolationError)
 
     def power(self, x, exponent, counts=True):
         """``x ** exponent``; an overflow fails the point only where ``counts`` holds, else it is NaN."""

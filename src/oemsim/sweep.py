@@ -1,7 +1,7 @@
 """Parameter-sweep engine: grid evaluation, parallel workers, tabular output.
 
 Each scenario is one `SCENARIOS` entry, named in `config.SCENARIOS`: data
-columns, axis rule, block evaluator.  The grid is an array of axis values in
+columns, block evaluator, axis choices.  The grid is an array of axis values in
 row-major order (axis1 outermost), cut into contiguous chunks, one at
 ``jobs=1`` and several over a process pool otherwise, so serial and parallel
 runs emit identical bytes.  One copy of the columns (`SweepResult`) holds the
@@ -9,37 +9,36 @@ table until `render_table` writes it, one write per bounded slice of rows,
 whose doubles one numpy pass formats as ``'%.17g' %`` does (`arith.format_g17`).
 
 Within a chunk two things are batched.  The operating point moves with every
-axis but delta_bar, and a steady pass (`steady.solve_steady_states`) solves
-up to PASS_POINTS distinct operating points at once: the swept values go in
-as arrays, set and cleared as `config.axis_changes` says, and come back as
-columns of status, photon number, branch count and `response.Coefficients`,
-from which each row takes its own.  Then a block of up to BLOCK_ELEMENTS
-kernel elements' worth of solved rows goes to one evaluator call: it takes
-the rows' detunings and kernel inputs, calls `response.amplitude_kernel` on
-them, and returns column arrays plus a per-row status, which fill the
-chunk's NaN-initialised columns by row index.  Passes and blocks are sized
-apart: the 1-row blocks of a splitting sweep share one pass, the few
-operating points of a 4,100-row spectrum block take one pass, and a pass's
-memory stays bounded when a block holds many.  Physics failures
-(instability, float overflow, singular response) mark rows, which keep NaN
-data, and the run continues: a steady-state failure marks every row of that
-operating point, a response failure only its own row, with the slug of the
-error the scalar functions of `steady` and `response` raise there.
+axis but delta_bar, so the chunk's swept values are deduped once and its
+distinct operating points solved PASS_POINTS at a time, each pass in one
+`steady.solve_steady_states` call: the values go in as arrays, set and cleared
+as `config.axis_changes` says, and come back as columns of status, photon
+number, branch count and `response.Coefficients`, from which each row takes
+its own.  After each pass its solved rows go to the evaluator, BLOCK_ELEMENTS
+kernel elements' worth per call, which returns column arrays and a per-row
+status; they fill the chunk's NaN-initialised columns by row index.  So a
+41 x 1001 g_c x delta_bar grid takes one pass for its 41 operating points, as
+a splitting sweep of 1-row blocks does, and a pass's memory stays bounded
+where every row is an operating point of its own.  Physics failures
+(instability, float overflow, singular response) mark rows with a status code
+of `errors` and leave their data NaN, and the run continues: a steady-state
+failure marks every row of its operating point, a response failure only its
+own row.  A code's slug names the error that `steady` and `response` raise
+there on one point.
 """
 from __future__ import annotations
 
 import datetime
 import os
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from . import __version__, config, response, steady
+from . import __version__, config, response
 from .arith import format_g17
 from .config import SweepAxis, SweepSpec, axis_changes, serialize_config
-from .errors import ConfigError, SimulationError
+from .errors import OK, STATUS_ERRORS, ConfigError
 from .params import SystemParams
 from .response import SPLITTING_POINTS, SPLITTING_WINDOW_FRACTION
 from .steady import solve_steady_states
@@ -91,15 +90,16 @@ class SweepResult:
     """The table of one sweep as columns, plus everything needed to reproduce it.
 
     ``values`` holds one float64 row per axis and data column, in ``columns``
-    order; ``errors`` holds the last column, one slug per grid row (NO_ERROR
-    where the row solved).  A failed row keeps its axis values and NaN data.
+    order; ``status`` holds the last column, one int8 code per grid row: OK
+    where the row solved, else its error's index in `errors.STATUS_ERRORS`.
+    A failed row keeps its axis values and NaN data.
     """
 
     params: SystemParams
     spec: SweepSpec
     columns: tuple[str, ...]
     values: np.ndarray
-    errors: np.ndarray
+    status: np.ndarray
 
 
 def _spectrum_block(delta, c, convention):
@@ -141,130 +141,97 @@ def _splitting_block(delta, c, convention):
     lo, height_lo = peak(np.where(count >= 2, np.minimum(top, second), top), count >= 1)
     hi, height_hi = peak(np.maximum(top, second), count >= 2)
     columns = (count.astype(float), lo, hi, hi - lo, height_lo, height_hi)
-    first_error = status[np.argmax(status != response.OK, axis=0), rows]
+    first_error = status[np.argmax(status != OK, axis=0), rows]
     return dict(zip(_SPLITTING_COLUMNS, columns)), first_error
 
 
-def _spectrum_axes(scenario, params, axes):
-    """A delta_bar axis; one is appended (innermost) when none is given."""
+@dataclass(frozen=True)
+class Scenario:
+    """Data columns, block evaluator and axis choices of one sweep scenario."""
+
+    columns: tuple[str, ...]  # a "phase" column is unwrapped along the innermost axis
+    evaluate: Callable  # (delta, Coefficients, convention) -> ({column: array}, status), per row
+    kernel_points: int  # kernel elements per row
+    axes: tuple[str, ...] = ()  # names of its one axis; empty for spectra, which sweep delta_bar
+
+
+SCENARIOS = dict(zip(config.SCENARIOS, (
+    Scenario(_SPECTRUM_COLUMNS, _spectrum_block, 1),
+    Scenario(_SPECTRUM_COLUMNS + ("phase",), _phase_block, 1),
+    Scenario(_DELAY_COLUMNS, _delay_block, 1 + len(response.FD_OFFSETS), ("P_l", "Omega_l")),
+    Scenario(_DELAY_COLUMNS, _delay_block, 1 + len(response.FD_OFFSETS), ("kappa",)),
+    Scenario(_SPLITTING_COLUMNS, _splitting_block, SPLITTING_POINTS, ("g_coulomb",)),
+), strict=True))
+# axis -> the delay scenario that sweeps it, for `oemsim delay`
+DELAY_SCENARIOS = {
+    axis: name for name, scenario in SCENARIOS.items() if scenario.evaluate is _delay_block
+    for axis in scenario.axes
+}
+# the slug of each status code, as table bytes
+_SLUGS = np.array(
+    [NO_ERROR, *(error.__name__.removesuffix("Error") for error in STATUS_ERRORS[1:])], dtype=bytes
+)
+
+
+def _resolve_axes(name: str, params: SystemParams, axes: tuple[SweepAxis, ...]) -> tuple[SweepAxis, ...]:
+    """The axes to run, or ConfigError: exactly one from the scenario's axis choices where it has
+    some, else a delta_bar axis, appended (innermost) when none is given and innermost where the
+    table has a phase column, which is unwrapped along it."""
+    scenario = SCENARIOS[name]
+    if scenario.axes:
+        if len(axes) != 1 or axes[0].name not in scenario.axes:
+            raise ConfigError(f"{name} needs exactly one axis from {scenario.axes}")
+        return axes
+    if "phase" in scenario.columns and axes and axes[-1].name != "delta_bar":
+        raise ConfigError(f"{name} sweeps need delta_bar as the innermost axis")
     if not any(a.name == "delta_bar" for a in axes):
         hw = SPLITTING_WINDOW_FRACTION * params.mech1.omega
         axes = axes + (SweepAxis("delta_bar", -hw, hw, DEFAULT_SPECTRUM_POINTS),)
     return axes
 
 
-def _phase_axes(scenario, params, axes):
-    """As for spectra, with delta_bar innermost: the phase is unwrapped along it."""
-    if axes and axes[-1].name != "delta_bar":
-        raise ConfigError(f"{scenario} sweeps need delta_bar as the innermost axis")
-    return _spectrum_axes(scenario, params, axes)
-
-
-def _one_axis(wanted, scenario, params, axes):
-    """Exactly one axis, named from ``wanted``."""
-    if len(axes) != 1 or axes[0].name not in wanted:
-        raise ConfigError(f"{scenario} needs exactly one axis from {wanted}")
-    return axes
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Data columns, axis rule and block evaluator of one sweep scenario."""
-
-    columns: tuple[str, ...]  # a "phase" column is unwrapped along the innermost axis
-    resolve_axes: Callable  # (scenario, params, axes) -> axes to run, or ConfigError
-    evaluate: Callable  # (delta, Coefficients, convention) -> ({column: array}, status), per row
-    kernel_points: int  # kernel elements per row
-
-
-SCENARIOS = dict(zip(config.SCENARIOS, (
-    Scenario(_SPECTRUM_COLUMNS, _spectrum_axes, _spectrum_block, 1),
-    Scenario(_SPECTRUM_COLUMNS + ("phase",), _phase_axes, _phase_block, 1),
-    Scenario(
-        _DELAY_COLUMNS, partial(_one_axis, ("P_l", "Omega_l")), _delay_block, 1 + len(response.FD_OFFSETS)
-    ),
-    Scenario(
-        _DELAY_COLUMNS, partial(_one_axis, ("kappa",)), _delay_block, 1 + len(response.FD_OFFSETS)
-    ),
-    Scenario(_SPLITTING_COLUMNS, partial(_one_axis, ("g_coulomb",)), _splitting_block, SPLITTING_POINTS),
-), strict=True))
-# axis -> the delay scenario that sweeps it, for `oemsim delay`; read off the _one_axis rules
-DELAY_SCENARIOS = {
-    axis: name
-    for name, scenario in SCENARIOS.items()
-    if scenario.evaluate is _delay_block
-    for axis in scenario.resolve_axes.args[0]
-}
-
-
-def _slug(error: type[SimulationError]) -> str:
-    return error.__name__.removesuffix("Error")
-
-
-_STATUS_SLUGS = {status: _slug(error) for status, error in response.STATUS_ERRORS.items()}
-_STEADY_SLUGS = {status: _slug(error) for status, error in steady.STATUS_ERRORS.items()}
-
-
 def _evaluate_chunk(task):
-    """Table columns and error slugs of one contiguous run of grid points.
+    """Table columns and status codes of one contiguous run of grid points.
 
     ``points`` holds the run's axis values, one row per name in ``names``.
-    The run is cut into spans of one block (spectra) or of PASS_POINTS rows
-    and several blocks (delay, splitting); the distinct operating points of a
-    span are solved first, then its solved rows go to the evaluator a block
-    at a time.  The probe detuning is omega1 + delta_bar, the line centre when
-    no delta_bar axis is swept.
+    The run's distinct operating points are solved PASS_POINTS at a time;
+    after each pass, the rows of its solved points go to the evaluator a
+    block at a time.  The probe detuning is omega1 + delta_bar, the line
+    centre when no delta_bar axis is swept.
     """
     params, name, convention, names, points = task
     scenario = SCENARIOS[name]
     per_block = max(1, BLOCK_ELEMENTS // scenario.kernel_points)
-    span = max(per_block, PASS_POINTS)
     swept = [axis for axis in names if axis != "delta_bar"]
-    swept_values = points[[axis != "delta_bar" for axis in names]].T
     n = points.shape[1]
     delta = params.mech1.omega + (points[names.index("delta_bar")] if "delta_bar" in names else np.zeros(n))
     values = np.full((len(names) + len(scenario.columns), n), np.nan)
     values[: len(names)] = points
-    errors = np.full(n, NO_ERROR, dtype=object)
-    for start in range(0, n, span):
-        status, table = _steady_rows(params, swept, swept_values[start : start + span])
-        failed = np.flatnonzero(status != steady.OK)
-        errors[start + failed] = [_STEADY_SLUGS[s] for s in status[failed].tolist()]
-        solved = np.flatnonzero(status == steady.OK)
-        for first in range(0, len(solved), per_block):
-            block = solved[first : first + per_block]
-            photon_number, branch_count, *kernel_inputs = (column[block] for column in table)
+    status = np.zeros(n, dtype=np.int8)
+    distinct, point = np.unique(points[[axis in swept for axis in names]].T, axis=0, return_inverse=True)
+    point = point.reshape(-1)
+    for first in range(0, len(distinct), PASS_POINTS):
+        changes = {}
+        for axis, column in zip(swept, distinct[first : first + PASS_POINTS].T):
+            section, fields = axis_changes(axis, column)
+            changes.setdefault(section, {}).update(fields)
+        states = solve_steady_states(params, changes)
+        table = (states.photon_number, states.branch_count.astype(float), *states.coefficients)
+        rows = np.flatnonzero((point >= first) & (point < first + PASS_POINTS))
+        status[rows] = states.status[point[rows] - first]
+        solved = rows[status[rows] == OK]
+        for start in range(0, len(solved), per_block):
+            block = solved[start : start + per_block]
+            photon_number, branch_count, *kernel_inputs = (column[point[block] - first] for column in table)
             with np.errstate(all="ignore"):
-                data, status = scenario.evaluate(
-                    delta[start + block], response.Coefficients(*kernel_inputs), convention
+                data, status[block] = scenario.evaluate(
+                    delta[block], response.Coefficients(*kernel_inputs), convention
                 )
             data["photon_number"], data["branch_count"] = photon_number, branch_count
-            ok, rows = status == response.OK, start + block
+            ok = status[block] == OK
             for j, column in enumerate(scenario.columns, start=len(names)):
-                values[j, rows[ok]] = data[column][ok]
-            errors[rows[~ok]] = [_STATUS_SLUGS[s] for s in status[~ok].tolist()]
-    return values, errors
-
-
-def _steady_rows(params, names, values):
-    """Status of each row, and its photon number, branch count and kernel inputs as a list of columns.
-
-    ``values`` holds the swept values of the rows, one column per name in
-    ``names``.  Their distinct operating points are solved PASS_POINTS at a
-    time, each pass in one `solve_steady_states` call.
-    """
-    distinct, index = np.unique(values, axis=0, return_inverse=True)
-    status, table = [], []
-    for start in range(0, len(distinct), PASS_POINTS):
-        swept = {}
-        for name, column in zip(names, distinct[start : start + PASS_POINTS].T):
-            section, changes = axis_changes(name, column)
-            swept.setdefault(section, {}).update(changes)
-        states = solve_steady_states(params, swept)
-        status.append(states.status)
-        table.append((states.photon_number, states.branch_count.astype(float), *states.coefficients))
-    index = index.reshape(-1)
-    return np.concatenate(status)[index], [np.concatenate(column)[index] for column in zip(*table)]
+                values[j, block[ok]] = data[column][ok]
+    return values, status
 
 
 def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResult:
@@ -272,7 +239,7 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
     if spec.scenario not in SCENARIOS:
         raise ConfigError(f"scenario {spec.scenario!r} cannot run as a sweep")
     scenario = SCENARIOS[spec.scenario]
-    spec = replace(spec, axes=scenario.resolve_axes(spec.scenario, params, spec.axes))
+    spec = replace(spec, axes=_resolve_axes(spec.scenario, params, spec.axes))
     names = tuple(axis.name for axis in spec.axes)
     grid = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
     grid = np.reshape(grid, (len(names), -1))
@@ -293,18 +260,18 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
     else:
         chunks = [_evaluate_chunk(task) for task in tasks]
     # a lone chunk is the table as it is; only several are joined, in grid order
-    values, errors = chunks[0] if len(chunks) == 1 else (np.concatenate(part, axis=-1) for part in zip(*chunks))
+    values, status = chunks[0] if len(chunks) == 1 else (np.concatenate(part, axis=-1) for part in zip(*chunks))
 
     columns = names + scenario.columns + ("error",)
     if "phase" in columns:
         # unwrap in place along each innermost block, restarting after each error row
-        phase, block, ok = values[columns.index("phase")], spec.axes[-1].points, errors == NO_ERROR
+        phase, block, ok = values[columns.index("phase")], spec.axes[-1].points, status == OK
         at = np.arange(n) % block
         starts = np.flatnonzero(ok & ((at == 0) | ~np.roll(ok, 1)))
         stops = np.flatnonzero(ok & ((at == block - 1) | ~np.roll(ok, -1))) + 1
         for first, stop in zip(starts.tolist(), stops.tolist()):
             phase[first:stop] = response.unwrap_phase(phase[first:stop].tolist())
-    return SweepResult(params=params, spec=spec, columns=columns, values=values, errors=errors)
+    return SweepResult(params=params, spec=spec, columns=columns, values=values, status=status)
 
 
 def _render_rows(result: SweepResult, start: int, stop: int, sep: str) -> str:
@@ -313,7 +280,7 @@ def _render_rows(result: SweepResult, start: int, stop: int, sep: str) -> str:
     fields = format_g17(result.values[:, start:stop]).transpose(1, 0, 2)
     rows, columns = fields.shape[:2]
     seps = np.full((rows, columns, 1), ord(sep), np.uint8)
-    slugs = result.errors[start:stop].astype(bytes).view(np.uint8).reshape(rows, -1)
+    slugs = _SLUGS[result.status[start:stop]].view(np.uint8).reshape(rows, -1)
     newlines = np.full((rows, 1), ord("\n"), np.uint8)
     matrix = np.concatenate([np.concatenate([fields, seps], axis=2).reshape(rows, -1), slugs, newlines], axis=1)
     return matrix[matrix != 0].tobytes().decode("ascii")
@@ -345,7 +312,7 @@ def render_table(result: SweepResult, stream, fmt: str = "csv", timestamp: bool 
     sep = "," if fmt == "csv" else " "
     if fmt == "csv":
         lines.append(",".join(result.columns))
-    n = len(result.errors)
+    n = len(result.status)
     block = result.spec.axes[-1].points if fmt == "gnuplot" and len(result.spec.axes) > 1 else max(n, 1)
     stream.write("\n".join(lines) + "\n")
     for first in range(0, n, block):

@@ -23,7 +23,7 @@ from .params import (
     SystemParams,
 )
 from .response import group_delay, sideband_amplitude, transmission
-from .steady import photon_number_roots, solve_steady_state
+from .steady import solve_steady_state
 from .timedomain import LEAKAGE_LIMIT, Trajectory, TrajectoryConfig, demodulate, probe_response
 
 DEFAULT_SEED = 20260810

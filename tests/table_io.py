@@ -1,7 +1,8 @@
 """Tables of `oemsim.sweep.render_table` as text, and read back, for the tests."""
 import io
 
-from oemsim.sweep import render_table
+from oemsim.errors import OK, STATUS_ERRORS
+from oemsim.sweep import NO_ERROR, render_table
 
 
 def render_text(result, fmt="csv", timestamp=True):
@@ -13,7 +14,9 @@ def render_text(result, fmt="csv", timestamp=True):
 
 def table_rows(result):
     """The rows of a sweep result as tuples of Python numbers, error slug last."""
-    return list(zip(*result.values.tolist(), result.errors))
+    slugs = [NO_ERROR if code == OK else STATUS_ERRORS[code].__name__.removesuffix("Error")
+             for code in result.status.tolist()]
+    return list(zip(*result.values.tolist(), slugs))
 
 
 def read_sweep_csv(path):

@@ -12,7 +12,6 @@ from oemsim.params import (
     DriveParams,
     MechanicalMode,
     SystemParams,
-    coulomb_coupling_from_charges,
 )
 from oemsim.validate import dimensionless_system
 
@@ -117,13 +116,3 @@ class TestInvariants:
             warnings.simplefilter("error")
             dimensionless_system(kappa=0.2, pump_amplitude=1.0, probe_amplitude=1e-3)
 
-
-def test_coulomb_coupling_from_charges_matches_direct_formula():
-    eps0 = 8.8541878128e-12
-    c1 = c2 = 30e-9
-    v1 = v2 = 2.0
-    x0 = 80e-6
-    expected = c1 * v1 * c2 * v2 / (2 * math.pi * HBAR * eps0 * x0**3)
-    assert coulomb_coupling_from_charges(c1, v1, c2, v2, x0) == pytest.approx(expected, rel=1e-14)
-    with pytest.raises(ValueError):
-        coulomb_coupling_from_charges(c1, v1, c2, v2, 0.0)

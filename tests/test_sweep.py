@@ -12,9 +12,17 @@ import oemsim.response
 import oemsim.steady
 import oemsim.sweep
 from oemsim.config import SCENARIOS, SweepAxis, SweepSpec, apply_override, parse_config
-from oemsim.errors import ConfigError, InvariantViolationError, SimulationError, StaticInstabilityError
+from oemsim.errors import (
+    OK,
+    STATUS_ERRORS,
+    ConfigError,
+    InvariantViolationError,
+    MechanicalPoleError,
+    SimulationError,
+    StaticInstabilityError,
+)
 from oemsim.presets import get_preset, slowfast_pump_power
-from oemsim.response import group_delay
+from oemsim.response import group_delay, transmission
 from oemsim.steady import solve_steady_state
 from oemsim.sweep import NO_ERROR, emit_csv, render_table, run_sweep
 from oemsim.validate import dimensionless_system, system_for_beta
@@ -295,6 +303,15 @@ class TestRunSweep:
             else:
                 assert {(row[i_n], row[-1]) for row in block} == {(op.photon_number, NO_ERROR)}
 
+    def test_phase_grid_solves_its_operating_points_in_one_eigvals_call(self, eigvals_sizes, slowfast_spectrum):
+        # 10,005 rows, longer than a kernel block, and 5 operating points: one pass solves them all once
+        spec = SweepSpec(
+            "phase", (SweepAxis("g_coulomb", 0.05, 0.2, 5), SweepAxis("delta_bar", -0.2, 0.2, 2001))
+        )
+        result = run_sweep(slowfast_spectrum, spec)
+        assert (result.status == OK).all()
+        assert eigvals_sizes == [5]
+
     def test_huge_pump_marks_only_its_rows(self, slowfast_spectrum):
         spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-3, 1e300, 31, "log"),))
         result = run_sweep(slowfast_spectrum, spec)
@@ -348,6 +365,40 @@ class TestRunSweep:
         )
         result = run_sweep(params, spec)
         assert [row[-1] for row in table_rows(result)] == ["InvariantViolation"] * 6
+
+    @pytest.mark.parametrize(
+        "params, spec, error",
+        [
+            (system_for_beta(kappa=0.2, beta=1e-3, g_coulomb=0.0),  # K = 0 at g_c = 1
+             SweepSpec("spectrum", (SweepAxis("g_coulomb", 0.8, 1.2, 3), SweepAxis("delta_bar", -0.05, 0.05, 2))),
+             StaticInstabilityError),
+            (get_preset("dimensionless-slowfast"),  # floats overflow at the largest pumps
+             SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-3, 1e300, 31, "log"),)),
+             InvariantViolationError),
+            (system_for_beta(kappa=0.227, beta=5e-3, g_coulomb=0.1, gamma2=0.0),  # a pole at delta_bar = 0
+             SweepSpec("spectrum", (SweepAxis("delta_bar", -0.1, 0.1, 5),)),
+             MechanicalPoleError),
+        ],
+        ids=["static-instability", "overflowing-pump", "gamma2-pole"],
+    )
+    def test_one_point_raises_the_error_of_the_batch_code(self, params, spec, error):
+        result = run_sweep(params, spec)
+        failed = np.flatnonzero(result.status != OK)
+        assert failed.size and {STATUS_ERRORS[code] for code in result.status[failed].tolist()} == {error}
+        for row in failed.tolist():
+            point, delta = params, params.mech1.omega
+            for axis, value in zip(result.columns[: len(result.spec.axes)], result.values[:, row].tolist()):
+                if axis == "delta_bar":
+                    delta += value
+                else:
+                    point = apply_override(point, axis, value)
+            with pytest.raises(SimulationError) as raised:
+                op = solve_steady_state(point)
+                if spec.scenario == "spectrum":
+                    transmission(delta, point, op)
+                else:
+                    group_delay(delta, point, op, "finite-difference")
+            assert type(raised.value) is STATUS_ERRORS[result.status[row]]
 
 
 class WriteRecorder:
@@ -440,15 +491,24 @@ class TestEmission:
         body = [ln for ln in render_text(result, timestamp=False).splitlines() if not ln.startswith("#")]
         assert body[0] == ",".join(result.columns)
         assert body[1:] == [",".join("%.17g" % v for v in row[:-1]) + "," + row[-1] for row in table_rows(result)]
-        failed = result.errors != NO_ERROR
+        failed = result.status != OK
         assert failed.any() == ("gamma = 0" in config_text)
         assert np.isnan(result.values[len(result.spec.axes) :, failed]).all()
+
+    def test_each_status_code_renders_the_slug_of_its_error(self, slowfast_spectrum):
+        spec = SweepSpec("spectrum", (SweepAxis("delta_bar", -0.1, 0.1, len(STATUS_ERRORS)),))
+        result = run_sweep(slowfast_spectrum, spec)
+        coded = dataclasses.replace(result, status=np.arange(len(STATUS_ERRORS), dtype=np.int8))
+        body = [ln for ln in render_text(coded, timestamp=False).splitlines() if not ln.startswith("#")]
+        slugs = [line.rsplit(",", 1)[1] for line in body[1:]]
+        assert slugs == [NO_ERROR] + [error.__name__.removesuffix("Error") for error in STATUS_ERRORS[1:]]
+        assert len(set(slugs)) == len(STATUS_ERRORS)
 
     @pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
     def test_zero_rows_give_the_header_alone(self, slowfast_spectrum, fmt):
         spec = SweepSpec("spectrum", (SweepAxis("delta_bar", -0.1, 0.1, 4),))
         result = run_sweep(slowfast_spectrum, spec)
-        empty = dataclasses.replace(result, values=result.values[:, :0], errors=result.errors[:0])
+        empty = dataclasses.replace(result, values=result.values[:, :0], status=result.status[:0])
         text = render_text(result, fmt=fmt, timestamp=False)
         header = text[: text.index("\n", text.index("# columns:")) + 1]
         if fmt == "csv":
