@@ -39,7 +39,6 @@ import numpy as np
 
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter: x = hi + lo, halves of 26 bits
 G17_WIDTH = 29  # bytes per element of format_g17: sign, "0.000", 17 digits and a point, "e+123"
-_E_MIN, _E_MAX = -251, 250  # floor(log10 |x|) over 1e-250 < |x| < 1e250
 _percent_g17 = "%.17g".__mod__  # where format_g17 leaves an element to Python
 _FIXED = np.array([b"0", b"-0", b"nan", b"inf", b"-inf"], f"S{G17_WIDTH}").view(np.uint8).reshape(5, -1)
 
@@ -118,11 +117,11 @@ def _veltkamp(x):
     return hi, x - hi
 
 
-@functools.cache
-def _exponent_table():
-    """Per E = _E_MIN.._E_MAX: 10**(16 - E) as double-double hi, lo, and the "0.000" and "e+123" bytes."""
+@functools.lru_cache(maxsize=32)
+def _exponent_table(first: int, last: int):
+    """Per E = first..last: 10**(16 - E) as double-double hi, lo, and the "0.000" and "e+123" bytes."""
     hi, lo, text = [], [], ""
-    for e in range(_E_MIN, _E_MAX + 1):
+    for e in range(first, last + 1):
         num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
         hi.append(num / den)  # int division rounds correctly
         a, b = hi[-1].as_integer_ratio()
@@ -142,7 +141,8 @@ def format_g17(x):
     fast = (ax > 1e-250) & (ax < 1e250)
     ax[~fast] = 1.0
     e = np.floor(np.log10(ax)).astype(np.intp)
-    hi, lo, e_bytes = (column.take(e - _E_MIN, axis=-1) for column in _exponent_table())
+    first, last = (int(e.min()), int(e.max())) if e.size else (0, 0)  # the exponents this call spans
+    hi, lo, e_bytes = (column.take(e - first, axis=-1) for column in _exponent_table(first, last))
     p = ax * hi
     (a_hi, a_lo), (b_hi, b_lo) = _veltkamp(ax), _veltkamp(hi)
     s = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo + ax * lo

@@ -2,9 +2,9 @@
 
 Each scenario is one `SCENARIOS` entry, named in `config.SCENARIOS`: data
 columns, block evaluator, axis choices.  The grid is an array of axis values in
-row-major order (axis1 outermost), cut into contiguous chunks, one at
-``jobs=1`` and several over a process pool otherwise, so serial and parallel
-runs emit identical bytes.  One copy of the columns (`SweepResult`) holds the
+row-major order (axis1 outermost), cut into contiguous chunks of whole delta_bar
+blocks, one at ``jobs=1`` and several over a process pool otherwise, so serial and
+parallel runs emit identical bytes.  One copy of the columns (`SweepResult`) holds the
 table until `render_table` writes it, one write per bounded slice of rows,
 whose doubles one numpy pass formats as ``'%.17g' %`` does (`arith.format_g17`).
 
@@ -245,7 +245,8 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
     grid = np.reshape(grid, (len(names), -1))
     n = grid.shape[1]
 
-    chunk_size = max(1, n // (jobs * 4) if jobs > 1 else n)
+    block = spec.axes[-1].points if names[-1] == "delta_bar" else 1  # chunks of whole delta_bar blocks
+    chunk_size = block * max(1, n // block // (jobs * 4)) if jobs > 1 else max(n, 1)
     tasks = [
         (params, spec.scenario, spec.convention, names, grid[:, i : i + chunk_size])
         for i in range(0, n, chunk_size)

@@ -151,8 +151,8 @@ class _NonFiniteState(Exception):
 
 
 def _rhs_factory(params: SystemParams, op: OperatingPoint, delta: float, eps_p: float):
-    """The right-hand side, on Python floats: the state comes in as a numpy array and is unpacked
-    with ``tolist``, and every attribute and function it reads is a local."""
+    """The right-hand side ``rhs(t, q1, p1, q2, p2, rc, ic)`` on Python floats, returning a tuple;
+    every attribute and function it reads is a local."""
     m1, m2 = params.mech1, params.mech2
     m1_mass, m1_gamma, m2_mass, m2_gamma = m1.mass, m1.gamma, m2.mass, m2.gamma
     hbar = params.hbar
@@ -165,8 +165,7 @@ def _rhs_factory(params: SystemParams, op: OperatingPoint, delta: float, eps_p: 
     w2_sq = m2.omega**2
     isfinite, cos, sin = math.isfinite, math.cos, math.sin
 
-    def rhs(t, y):
-        q1, p1, q2, p2, rc, ic = y.tolist()
+    def rhs(t, q1, p1, q2, p2, rc, ic):
         if not (
             isfinite(q1) and isfinite(p1) and isfinite(q2)
             and isfinite(p2) and isfinite(rc) and isfinite(ic)
@@ -191,24 +190,30 @@ def _rhs_factory(params: SystemParams, op: OperatingPoint, delta: float, eps_p: 
 
 def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray):
     """DOP853 from t = 0 to t_eval[-1], step for step as scipy's under `solve_ivp` with
-    ``t_eval``: the states at t_eval, and None or why the run stopped early.  ``rhs`` returns
-    a tuple; the initial step is scipy's select_initial_step, on numpy scalars as there."""
+    ``t_eval``: the states at t_eval, and None or why the run stopped early.  The state is a
+    list of floats; the initial step is scipy's select_initial_step, on numpy scalars as there."""
     t_bound = t_eval[-1]
     K = np.empty((16, 6))  # one row per stage, as scipy's K_extended
-    stages = [(s, K[:s].T, _A[s, :s], _C[s]) for s in range(16)]
-    K_b, K_err = K[:12].T, K[:13].T
+    stages = [(s, K[:s].T.dot, _A[s, :s], _C[s]) for s in range(16)]
+    sum_b, sum_err = K[:12].T.dot, K[:13].T.dot
+
+    def run_stages(first, stop, t, h, y1, y2, y3, y4, y5, y6):
+        for s, dot, a, c in stages[first:stop]:  # K[s] = rhs(t + c h, y + h K[:s].T . A[s, :s])
+            d1, d2, d3, d4, d5, d6 = dot(a).tolist()
+            K[s] = rhs(t + c * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h, y4 + d4 * h, y5 + d5 * h, y6 + d6 * h)
+
     if t_bound == 0.0:
         return [y0.tolist()], None
-    f = rhs(0.0, y0)
+    f = rhs(0.0, *y0.tolist())
     f0 = np.array(f)
     scale = atol + np.abs(y0) * rtol
     d0, d1 = (np.sqrt(v.dot(v)) / 6**0.5 for v in (y0 / scale, f0 / scale))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
-    v = (np.array(rhs(h0, y0 + h0 * f0)) - f0) / scale
+    v = (np.array(rhs(h0, *(y0 + h0 * f0).tolist())) - f0) / scale
     d2 = np.sqrt(v.dot(v)) / 6**0.5 / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = float(min(100 * h0, h1, t_bound))
-    t, y, rows = 0.0, y0, []
+    t, y, rows = 0.0, y0.tolist(), []
     while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -220,12 +225,11 @@ def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            for s, K_s, a, c in stages[1:12]:
-                K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
-            y_new = y + h * np.dot(K_b, _B)
-            K[12] = f_new = rhs(t + h, y_new)
+            run_stages(1, 12, t, h, *y)
+            y_new = [yi + h * di for yi, di in zip(y, sum_b(_B).tolist())]
+            K[12] = f_new = rhs(t + h, *y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5, err3 = np.dot(K_err, _E5) / scale, np.dot(K_err, _E3) / scale
+            err5, err3 = sum_err(_E5) / scale, sum_err(_E3) / scale
             # scipy's squared np.linalg.norm: sqrt(x.dot(x)) ** 2, not x.dot(x)
             e5, e3 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
             error_norm = float(h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * 6)) if e5 or e3 else 0.0
@@ -237,13 +241,12 @@ def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray):
             rejected = True
         samples = t_eval[len(rows):bisect.bisect_right(t_eval, t_new)]
         if samples:
-            for s, K_s, a, c in stages[13:]:
-                K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
+            run_stages(13, 16, t, h, *y)
             # scipy's Dop853DenseOutput, y + sum_k F[k] x^(k//2 + 1) (1 - x)^((k + 1)//2), in its
             # Horner order from a 0.0 accumulator, one component (y, F[0], ..., F[6]) at a time
             columns = [
                 (yo, dy, h * fo - dy, 2 * dy - h * (fn + fo), *tail) for yo, dy, fo, fn, tail
-                in zip(y.tolist(), (y_new - y).tolist(), f, f_new, (h * np.dot(_D, K)).T.tolist())
+                in zip(y, map(float.__sub__, y_new, y), f, f_new, (h * np.dot(_D, K)).T.tolist())
             ]
             for sample in samples:
                 x = (sample - t) / h
@@ -272,10 +275,13 @@ def integrate(
 
     The samples, and the time of a failure, equal those of scipy's
     ``solve_ivp(method="DOP853", t_eval=...)`` bit for bit: the same initial
-    step, step control, rejection rule and minimum step; every sum over stages
-    stays one ``np.dot`` on scipy's array layout, because BLAS does not add in
-    Python's order; the elementwise rest runs on Python floats, which round as
-    numpy does.  Only steps that hold samples compute the interpolant stages.
+    step, step control, rejection rule and minimum step.  Every sum over stages
+    is one BLAS ``dot`` on scipy's layout of K, since BLAS does not add in Python's
+    order: K[:s].T . A[s, :s] per stage, the B, E5 and E3 sums, the error norms and
+    the interpolant's D . K.  The elementwise rest (stage inputs, new state,
+    interpolant) runs on Python floats, which round as numpy does, and the
+    right-hand side takes them as ``rhs(t, q1, p1, q2, p2, rc, ic)``.  Only
+    steps that hold samples compute the interpolant stages.
 
     The package's one perturbative check is here, where the probe drives the
     run: a probe/pump ratio above PERTURBATIVE_RATIO warns `PerturbativeRegimeWarning`.

@@ -210,6 +210,45 @@ class TestRunSweep:
         assert len(table_rows(result)) == 60 and all(row[-1] == NO_ERROR for row in table_rows(result))
         assert passes == [60]
 
+    @pytest.mark.parametrize("jobs", [2, 3, 8])
+    def test_parallel_chunks_solve_each_operating_point_once(self, monkeypatch, slowfast_spectrum, jobs):
+        # 41 g_coulomb blocks of 101 rows, the shape of a reduced spectrum-2d grid: chunks of whole
+        # blocks, so no operating point straddles two chunks and is solved in each
+        spec = SweepSpec(
+            "phase", (SweepAxis("g_coulomb", 0.0, 0.2, 41), SweepAxis("delta_bar", -0.2, 0.2, 101))
+        )
+        serial = render_text(run_sweep(slowfast_spectrum, spec, jobs=1), timestamp=False)
+        assert render_text(run_sweep(slowfast_spectrum, spec, jobs=jobs), timestamp=False) == serial
+        points, chunks = [], []
+        solve, evaluate = oemsim.sweep.solve_steady_states, oemsim.sweep._evaluate_chunk
+
+        def counting_solve(params, swept):
+            states = solve(params, swept)
+            points.extend(zip(*(column.tolist() for fields in swept.values() for column in fields.values())))
+            return states
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                assert fn is evaluate
+                tasks = list(tasks)
+                chunks.extend(task[-1].shape[1] for task in tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(oemsim.sweep, "solve_steady_states", counting_solve)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        assert render_text(run_sweep(slowfast_spectrum, spec, jobs=jobs), timestamp=False) == serial
+        assert len(chunks) > 1 and all(size % 101 == 0 for size in chunks)
+        assert len(points) == len(set(points)) == 41
+
     def test_worker_count_capped_by_task_count(self, monkeypatch, slowfast_spectrum):
         # a fork pool starts all max_workers processes on its first submit
         requested = []

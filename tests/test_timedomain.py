@@ -243,8 +243,9 @@ def solve_ivp_reference(params, delta, config, initial_state=None, t_eval=True):
     tolerance = DOP853_TOLERANCE_FACTOR * config.integrator_tolerance
     atol = tolerance * np.maximum(np.abs(y0), 1e-6 * max(np.max(np.abs(y0)), 1.0))
     rhs = timedomain._rhs_factory(params, op, delta, params.probe_amplitude(delta))
-    return solve_ivp(rhs, (0.0, float(samples[-1])), y0, method="DOP853", rtol=tolerance,
-                     atol=atol, t_eval=samples if t_eval else None)
+    # solve_ivp calls fun(t, y) with y a numpy array; the stepper hands rhs six Python floats
+    return solve_ivp(lambda t, y: rhs(t, *y.tolist()), (0.0, float(samples[-1])), y0, method="DOP853",
+                     rtol=tolerance, atol=atol, t_eval=samples if t_eval else None)
 
 
 class TestMatchesSolveIvp:
@@ -273,6 +274,30 @@ class TestMatchesSolveIvp:
         assert reference.success
         assert np.array_equal(trajectory.t, reference.t)
         assert np.array_equal(trajectory.states, reference.y.T)
+
+    @pytest.mark.parametrize("case", list(SCIPY_CASES))
+    def test_stepper_makes_solve_ivps_right_hand_side_calls(self, case, monkeypatch):
+        # the initial step, every attempted step and each interpolant: as many calls as scipy's nfev
+        params, delta, config, initial_state = SCIPY_CASES[case]
+        reference = solve_ivp_reference(params, delta, config, initial_state)
+        calls = 0
+        factory = timedomain._rhs_factory
+
+        def counting_factory(*args):
+            rhs = factory(*args)
+
+            def counted(*state):
+                nonlocal calls
+                calls += 1
+                return rhs(*state)
+
+            return counted
+
+        monkeypatch.setattr(timedomain, "_rhs_factory", counting_factory)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrajectoryConfigWarning)
+            integrate(params, delta, config, initial_state=initial_state)
+        assert calls == reference.nfev
 
     def test_one_sample_run_returns_the_initial_state(self):
         # t_eval = [0]: no step is taken (solve_ivp returns no sample at all here)
@@ -304,7 +329,7 @@ class TestMatchesSolveIvp:
     def test_too_small_step_names_the_last_sample(self, monkeypatch):
         # y0' = y0^2 blows up at t = 1: the step shrinks below 10 ulp(t) while the state is finite
         monkeypatch.setattr(timedomain, "_rhs_factory",
-                            lambda *args: lambda t, y: (y[0] * y[0], 0.0, 0.0, 0.0, 0.0, 0.0))
+                            lambda *args: lambda t, q1, *rest: (q1 * q1, 0.0, 0.0, 0.0, 0.0, 0.0))
         params, config = quick_system(), TrajectoryConfig(duration=2.0, dt=0.3)
         initial_state = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         reference = solve_ivp_reference(params, 1.0, config, initial_state)

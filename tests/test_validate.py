@@ -1,10 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import oemsim.validate
 from oemsim.linsys import solve_sidebands
+from oemsim.response import group_delay, transmission
 from oemsim.steady import solve_steady_state
 from oemsim.timedomain import DemodResult
+from oemsim.validate import draw_oracle_case, system_for_beta
+
+# a zero of t_p (kappa 0.2, g_c = 0): |t_p| = 1.5e-13 at DARK_DELTAS[0] and 6.8e-7 at DARK_DELTAS[1]
+DARK_PARAMS = system_for_beta(0.2, 1.477893674759695e-05)
+DARK_DELTAS = (0.9999926809374519, 0.9999926810374519)
 
 
 @pytest.mark.parametrize("leakage, passed", [(1e-3, False), (0.0, True)])
@@ -28,3 +36,57 @@ def test_linsys_properties_pass_on_seeds_0_to_39():
         if not oemsim.validate.check_linsys_properties(np.random.default_rng([seed, 4])).passed
     ]
     assert failing == []
+
+
+def scalar_group_delay_disagreement(rng, draws=1000, draw=draw_oracle_case):
+    """The group-delay check one point at a time, as it was written before it was batched."""
+    worst = 0.0
+    used = 0
+    while used < draws:
+        params, delta = draw(rng)
+        op = solve_steady_state(params)
+        if abs(transmission(delta, params, op).t_p) <= 1e-6:
+            continue
+        used += 1
+        analytic = group_delay(delta, params, op, "analytic")
+        fd = group_delay(delta, params, op, "finite-difference")
+        worst = max(worst, abs(analytic - fd) / max(abs(analytic), 1e-300))
+    return worst, used
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_group_delay_check_equals_the_scalar_loop(seed):
+    # the rng stream run_validation gives the check (index 3) for each seed
+    scalar_rng, batch_rng = (np.random.default_rng([seed, 3]) for _ in range(2))
+    worst, used = scalar_group_delay_disagreement(scalar_rng)
+    batch_worst, batch_used = oemsim.validate._group_delay_disagreement(batch_rng, 1000)
+    assert (repr(batch_worst), batch_used) == (repr(float(worst)), used)
+    assert batch_rng.random() == scalar_rng.random()  # both stopped after the same draw
+
+
+def interleaved_dark_draws():
+    """draw_oracle_case, with one of DARK_DELTAS (rejected) after every 5 draws."""
+    calls = itertools.count()
+
+    def draw(rng):
+        n = next(calls)
+        return (DARK_PARAMS, DARK_DELTAS[n // 6 % 2]) if n % 6 == 5 else draw_oracle_case(rng)
+
+    return draw, calls
+
+
+def test_batched_group_delay_check_draws_again_for_rejected_cases(monkeypatch):
+    for delta in DARK_DELTAS:
+        assert abs(transmission(delta, DARK_PARAMS, solve_steady_state(DARK_PARAMS)).t_p) <= 1e-6
+    draw, scalar_calls = interleaved_dark_draws()
+    scalar_rng, batch_rng = np.random.default_rng(5), np.random.default_rng(5)
+    expected = scalar_group_delay_disagreement(scalar_rng, draw=draw)
+    draw, batch_calls = interleaved_dark_draws()
+    monkeypatch.setattr(oemsim.validate, "draw_oracle_case", draw)
+    worst, used = oemsim.validate._group_delay_disagreement(batch_rng, 1000)
+    assert (repr(worst), used) == (repr(float(expected[0])), expected[1])
+    # 1000 accepted and 199 rejected draws on both sides, and the same rng position after them
+    assert next(batch_calls) == next(scalar_calls) == 1199
+    assert batch_rng.random() == scalar_rng.random()
+    result = oemsim.validate.check_group_delay_methods(np.random.default_rng(5))
+    assert result.passed and result.detail.startswith("1000 points")

@@ -32,10 +32,10 @@ is one.  The cases:
 - the exit code and message of malformed configs, non-finite numbers,
   axes that leave their parameter's domain and an SI cavity with neither a
   length nor a g_cav among them;
-- ``validate --seed 20260810`` and ``--seed 7``.
+- ``validate --seed 20260810``, ``--seed 7`` and ``--seed 1`` to ``--seed 10``.
 
 Two trees are the same program output when ``diff -r OUT_A OUT_B`` is empty.
-This takes about half a minute; it is not part of the test suite.
+This takes about a minute; it is not part of the test suite.
 """
 from __future__ import annotations
 
@@ -282,7 +282,7 @@ def main(argv: list[str]) -> int:
     run("bad-sweep-without-section", ["sweep", "--config", config("no-sweep", SLOWFAST)])
     run("bad-delay-without-axis", ["delay", "--config", config("no-axis", SLOWFAST)])
     run("bad-missing-file", ["spectrum", "--config", "absent-oemsim-config.cfg"])
-    for seed in ("20260810", "7"):
+    for seed in ("20260810", "7", *map(str, range(1, 11))):
         run(f"validate-{seed}", ["validate", "--seed", seed, "--jobs", "2"])
     return 0
 
