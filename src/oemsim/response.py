@@ -254,7 +254,7 @@ def _fd_delay(t, h):
 
 
 def group_delays(delta, c: Coefficients, convention: str):
-    """(tau_fd, tau_analytic, |t_p|^2, status) over an array of centre detunings.
+    """(tau_fd, tau_analytic, |t_p|, status) over an array of centre detunings, |t_p| at the centre.
 
     One kernel call with the derivative covers the centres, which fix each
     row's step (`_fd_step`); a second one covers the finite-difference points.
@@ -267,10 +267,11 @@ def group_delays(delta, c: Coefficients, convention: str):
         h = _fd_step(t0, dx0, c)
         x, _, status = amplitude_kernel(np.stack([delta + s * h for s in FD_OFFSETS]), c)
         t = list(zip(*t_p_pair(x, c.kappa, convention)))  # t_p pairs at FD_OFFSETS
-        undefined = np.where(_abs(t0) < MIN_ABS_T, UNDEFINED_PHASE, OK)
+        magnitude = _abs(t0)
+        undefined = np.where(magnitude < MIN_ABS_T, UNDEFINED_PHASE, OK)
         ordered = np.vstack([status0, undefined, status])
         first = ordered[np.argmax(ordered != OK, axis=0), np.arange(ordered.shape[1])]
-        return _fd_delay(t, h), _analytic_delay(t0, dx0, c, convention), abs_squared(t0), first
+        return _fd_delay(t, h), _analytic_delay(t0, dx0, c, convention), magnitude, first
 
 
 def _raise_for(status, delta):

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, config, response
-from .arith import format_g17
+from .arith import format_g17, power
 from .config import SweepAxis, SweepSpec, axis_changes, serialize_config
 from .errors import OK, STATUS_ERRORS, ConfigError
 from .params import SystemParams
@@ -105,9 +105,9 @@ class SweepResult:
 def _spectrum_block(delta, c, convention):
     x, _, status = response.amplitude_kernel(delta, c)
     t = dict(zip(response.CONVENTIONS, response.transmissions(x, c.kappa)))
-    power = {name: response.abs_squared(t[name]) for name in response.CONVENTIONS}
+    squares = {name: response.abs_squared(t[name]) for name in response.CONVENTIONS}
     # in _SPECTRUM_COLUMNS order
-    values = (delta, *x, *t[convention], power[convention], *power.values())
+    values = (delta, *x, *t[convention], squares[convention], *squares.values())
     return dict(zip(_SPECTRUM_COLUMNS, values)), status
 
 
@@ -119,8 +119,8 @@ def _phase_block(delta, c, convention):
 
 
 def _delay_block(delta, c, convention):
-    *values, status = response.group_delays(delta, c, convention)
-    return dict(zip(_DELAY_COLUMNS, values)), status
+    tau_fd, tau_analytic, magnitude, status = response.group_delays(delta, c, convention)
+    return dict(zip(_DELAY_COLUMNS, (tau_fd, tau_analytic, power(magnitude, 2)))), status
 
 
 def _splitting_block(delta, c, convention):

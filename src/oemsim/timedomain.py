@@ -188,10 +188,12 @@ def _rhs_factory(params: SystemParams, op: OperatingPoint, delta: float, eps_p: 
     return rhs
 
 
-def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray):
+def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray, first: int):
     """DOP853 from t = 0 to t_eval[-1], step for step as scipy's under `solve_ivp` with
-    ``t_eval``: the states at t_eval, and None or why the run stopped early.  The state is a
-    list of floats; the initial step is scipy's select_initial_step, on numpy scalars as there."""
+    ``t_eval=t_eval[first:]``: the states there, and None or why the run stopped early.  Step
+    control reads no sample, so every ``first`` gives the same steps; only a step that holds one
+    of t_eval[first:] runs the interpolant stages 13-15.  The state is a list of floats; the
+    initial step is scipy's select_initial_step, on numpy scalars as there."""
     t_bound = t_eval[-1]
     K = np.empty((16, 6))  # one row per stage, as scipy's K_extended
     stages = [(s, K[:s].T.dot, _A[s, :s], _C[s]) for s in range(16)]
@@ -239,7 +241,7 @@ def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray):
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
             rejected = True
-        samples = t_eval[len(rows):bisect.bisect_right(t_eval, t_new)]
+        samples = t_eval[first + len(rows):bisect.bisect_right(t_eval, t_new)]
         if samples:
             run_stages(13, 16, t, h, *y)
             # scipy's Dop853DenseOutput, y + sum_k F[k] x^(k//2 + 1) (1 - x)^((k + 1)//2), in its
@@ -281,11 +283,18 @@ def integrate(
     the interpolant's D . K.  The elementwise rest (stage inputs, new state,
     interpolant) runs on Python floats, which round as numpy does, and the
     right-hand side takes them as ``rhs(t, q1, p1, q2, p2, rc, ic)``.  Only
-    steps that hold samples compute the interpolant stages.
+    steps that hold samples compute the interpolant stages.  `probe_response`
+    samples only the window `demodulate` keeps; step control reads no sample, so
+    its steps, and its states in that window, are these.
 
     The package's one perturbative check is here, where the probe drives the
     run: a probe/pump ratio above PERTURBATIVE_RATIO warns `PerturbativeRegimeWarning`.
     """
+    return _integrate(params, delta, config, initial_state, 0.0)
+
+
+def _integrate(params, delta, config, initial_state, window: float) -> Trajectory:
+    """`integrate`, sampled from the first t_eval >= window * t_eval[-1] on."""
     if delta > 0 and config.dt > (2.0 * math.pi / delta) / MIN_BEAT_SAMPLES:
         raise ValueError(
             f"dt = {config.dt!r} undersamples the beat period; need at least "
@@ -299,7 +308,7 @@ def integrate(
                 f"duration {config.duration:.3g} below recommended minimum "
                 f"{recommended:.3g} (20 ring-down periods)",
                 TrajectoryConfigWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
     omega_l = params.pump_amplitude()
     eps_p = params.probe_amplitude(delta)
@@ -307,7 +316,7 @@ def integrate(
         warnings.warn(
             f"probe/pump ratio {eps_p / omega_l:.3g} exceeds {PERTURBATIVE_RATIO}",
             PerturbativeRegimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     op = solve_steady_state(params)
     if initial_state is None:
@@ -321,13 +330,15 @@ def integrate(
     tolerance = DOP853_TOLERANCE_FACTOR * config.integrator_tolerance
     atol = tolerance * np.maximum(np.abs(y0), 1e-6 * scale)
     if tolerance < RTOL_FLOOR:
-        warnings.warn(f"rtol {tolerance:.3g} raised to {RTOL_FLOOR:.3g}", TrajectoryConfigWarning, stacklevel=2)
+        warnings.warn(f"rtol {tolerance:.3g} raised to {RTOL_FLOOR:.3g}", TrajectoryConfigWarning, stacklevel=3)
     rhs = _rhs_factory(params, op, delta, eps_p)
+    times = t_eval.tolist()
+    first = bisect.bisect_left(times, window * times[-1])
     try:
-        rows, failure = _dop853(rhs, y0, t_eval.tolist(), max(tolerance, RTOL_FLOOR), atol)
+        rows, failure = _dop853(rhs, y0, times, max(tolerance, RTOL_FLOOR), atol, first)
     except _NonFiniteState as exc:
         raise DivergenceError("trajectory diverged", time=float(exc.time)) from None
-    t = t_eval[: len(rows)]
+    t = t_eval[first:first + len(rows)]
     if failure:
         last_t, last_y = (float(t[-1]), rows[-1]) if rows else (0.0, y0)
         if not np.all(np.isfinite(last_y)):
@@ -400,12 +411,23 @@ def demodulate(
 
 
 def probe_response(params: SystemParams, delta: float, config: TrajectoryConfig) -> DemodResult:
-    """Integrate and demodulate in one step, normalizing by the probe drive."""
+    """Integrate and demodulate in one step, normalizing by the probe drive.
+
+    Only the window `demodulate` keeps is sampled; the steps are `integrate`'s, so
+    the result is ``demodulate(integrate(...))``.  After a failure the fully sampled
+    run is made: it fails as early or earlier, and names the last sample before the
+    window.
+    """
     if not 0.0 < delta < math.inf:  # demodulate's rule, checked before the integration it would end
         raise ValueError(f"probe detuning delta = {delta!r} must be finite and positive")
     eps_p = params.probe_amplitude(delta)
     if eps_p == 0:
         raise ValueError("probe drive is zero; nothing to demodulate against")
-    trajectory = integrate(params, delta, config)
+    try:
+        trajectory = _integrate(params, delta, config, None, config.transient_fraction)
+    except IntegrationError:  # read again outside the handler, so its message is not chained to this one
+        trajectory = None
+    if trajectory is None:  # warns from the same line as the first run, so not twice
+        trajectory = _integrate(params, delta, config, None, 0.0)
     return demodulate(trajectory, delta, config, probe_amplitude=eps_p)
 

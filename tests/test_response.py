@@ -317,7 +317,7 @@ def closed_form(delta, kappa, big_delta, w1, w2, gamma1, gamma2, m1, m2, hbar, g
 
 
 def closed_form_delays(case, convention):
-    """(tau_fd, tau_analytic, |t_p|^2 at the centre) or the first error, in the scalar order."""
+    """(tau_fd, tau_analytic, |t_p| at the centre) or the first error, in the scalar order."""
     kappa, w1 = case[1], case[3]
     sign = -1.0 if convention == "paper-corrected" else 1.0
 
@@ -346,7 +346,7 @@ def closed_form_delays(case, convention):
 
     tau_fd = (4.0 * slope(t[2], t[3], h / 2.0) - slope(t[0], t[1], h)) / 3.0
     tau_analytic = (sign * 2.0 * kappa * centre[1] / t0).imag
-    return tau_fd, tau_analytic, abs(t0) ** 2
+    return tau_fd, tau_analytic, abs(t0)
 
 
 def _unit(lo, hi):
@@ -417,7 +417,7 @@ def test_kernel_matches_scalar_closed_form_bit_for_bit(cases):
     for convention in CONVENTIONS:
         t_p = dict(zip(CONVENTIONS, transmissions(x, coefs.kappa)))[convention]
         power, phases = abs_squared(t_p), phase(t_p)
-        tau_fd, tau_analytic, centre_power, delay_status = group_delays(delta, coefs, convention)
+        tau_fd, tau_analytic, centre_abs, delay_status = group_delays(delta, coefs, convention)
         for k, (params, op, delta_k, args) in enumerate(cases):
             expected = closed_form(*args)
             if not isinstance(expected, tuple):
@@ -432,7 +432,7 @@ def test_kernel_matches_scalar_closed_form_bit_for_bit(cases):
                 assert STATUS_ERRORS[delay_status[k]] is delays
                 continue
             assert delay_status[k] == OK
-            assert [_bits(v[k]) for v in (tau_fd, tau_analytic, centre_power)] == list(map(_bits, delays))
+            assert [_bits(v[k]) for v in (tau_fd, tau_analytic, centre_abs)] == list(map(_bits, delays))
             if k < 3:
                 for method, tau in zip(("finite-difference", "analytic"), delays):
                     assert _bits(group_delay(delta_k, params, op, method, convention)) == _bits(tau)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -206,22 +207,28 @@ class TestIntegrate:
         assert np.array_equal(data[:, 1:], trajectory.states)
 
 
-def timedomain_check_case(kappa, gamma, g_cav, g_c, power, delta):
-    """One case of validate.check_timedomain, run for 4 ring-down periods instead of 20."""
+def timedomain_check_case(kappa, gamma, g_cav, g_c, power, delta, ringdowns=4.0):
+    """One case of validate.check_timedomain, run for 4 ring-down periods unless told (validate runs 20)."""
     pump = math.sqrt(2.0 * kappa * power)
     params = dimensionless_system(
         kappa=kappa, gamma1=gamma, gamma2=gamma, g_cav=g_cav, g_coulomb=g_c,
         pump_power=power, pump_amplitude=None, probe_amplitude=1e-3 * pump,
     )
-    config = TrajectoryConfig(duration=4.0 * 2.0 * math.pi / gamma,
+    config = TrajectoryConfig(duration=ringdowns * 2.0 * math.pi / gamma,
                               dt=(2.0 * math.pi / delta) / 16.0, integrator_tolerance=1e-9)
     return params, delta, config, None
 
 
+VALIDATE_RING_DOWNS = {  # validate.check_timedomain's two cases
+    "validate-1": (0.2, 0.05, 0.10, 0.10, 1.0, 1.03),
+    "validate-2": (0.3, 0.06, 0.08, 0.00, 1.5, 0.97),
+}
+
+
 ENERGY_CONFIG = TrajectoryConfig(duration=20.0 * 2.0 * math.pi, dt=0.35, integrator_tolerance=1e-10)
 SCIPY_CASES = {
-    "timedomain-check-1": timedomain_check_case(0.2, 0.05, 0.10, 0.10, 1.0, 1.03),
-    "timedomain-check-2": timedomain_check_case(0.3, 0.06, 0.08, 0.00, 1.5, 0.97),
+    "timedomain-check-1": timedomain_check_case(*VALIDATE_RING_DOWNS["validate-1"]),
+    "timedomain-check-2": timedomain_check_case(*VALIDATE_RING_DOWNS["validate-2"]),
     "energy-pinned": (energy_system(), 1.0, ENERGY_CONFIG, PINNED_STATE),
     **{
         f"energy-random-{seed}": (
@@ -232,8 +239,15 @@ SCIPY_CASES = {
 }
 
 
-def solve_ivp_reference(params, delta, config, initial_state=None, t_eval=True):
-    """scipy's solve_ivp on integrate's problem: the same right-hand side, tolerances and samples."""
+def window_start(config):
+    """The index of the first sample demodulate keeps: t >= transient_fraction * t_end."""
+    samples = np.arange(0.0, config.duration + 0.5 * config.dt, config.dt)
+    return int(np.argmax(samples >= config.transient_fraction * samples[-1]))
+
+
+def solve_ivp_reference(params, delta, config, initial_state=None, t_eval=True, first=0):
+    """scipy's solve_ivp on integrate's problem: the same right-hand side, tolerances and samples
+    (from samples[first] on)."""
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     op = solve_steady_state(params)
     y0 = initial_state
@@ -245,7 +259,25 @@ def solve_ivp_reference(params, delta, config, initial_state=None, t_eval=True):
     rhs = timedomain._rhs_factory(params, op, delta, params.probe_amplitude(delta))
     # solve_ivp calls fun(t, y) with y a numpy array; the stepper hands rhs six Python floats
     return solve_ivp(lambda t, y: rhs(t, *y.tolist()), (0.0, float(samples[-1])), y0, method="DOP853",
-                     rtol=tolerance, atol=atol, t_eval=samples if t_eval else None)
+                     rtol=tolerance, atol=atol, t_eval=samples[first:] if t_eval else None)
+
+
+def count_rhs_calls(monkeypatch):
+    """Make `integrate`'s right-hand sides count their calls; returns the count as a one-item list."""
+    calls = [0]
+    factory = timedomain._rhs_factory
+
+    def counting_factory(*args):
+        rhs = factory(*args)
+
+        def counted(*state):
+            calls[0] += 1
+            return rhs(*state)
+
+        return counted
+
+    monkeypatch.setattr(timedomain, "_rhs_factory", counting_factory)
+    return calls
 
 
 class TestMatchesSolveIvp:
@@ -298,6 +330,24 @@ class TestMatchesSolveIvp:
             warnings.simplefilter("ignore", TrajectoryConfigWarning)
             integrate(params, delta, config, initial_state=initial_state)
         assert calls == reference.nfev
+
+    @pytest.mark.parametrize("case", list(SCIPY_CASES))
+    def test_windowed_stepper_equals_solve_ivp_on_the_window(self, case, monkeypatch):
+        # probe_response's run: samples from the first one demodulate keeps, and scipy's
+        # t_eval = samples[first:], which skips the interpolant (3 calls) on earlier steps
+        params, delta, config, initial_state = SCIPY_CASES[case]
+        first = window_start(config)
+        assert first > 0
+        reference = solve_ivp_reference(params, delta, config, initial_state, first=first)
+        assert reference.success
+        assert reference.nfev < solve_ivp_reference(params, delta, config, initial_state).nfev
+        calls = count_rhs_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrajectoryConfigWarning)
+            trajectory = timedomain._integrate(params, delta, config, initial_state, config.transient_fraction)
+        assert np.array_equal(trajectory.t, reference.t)
+        assert np.array_equal(trajectory.states, reference.y.T)
+        assert calls == [reference.nfev]
 
     def test_one_sample_run_returns_the_initial_state(self):
         # t_eval = [0]: no step is taken (solve_ivp returns no sample at all here)
@@ -448,6 +498,44 @@ class TestEndToEnd:
         monkeypatch.setattr(timedomain, "integrate", lambda *args: pytest.fail("probe_response integrated"))
         with pytest.raises(ValueError, match="finite and positive"):
             probe_response(quick_system(), delta, quick_config())
+
+    @pytest.mark.parametrize("case", list(VALIDATE_RING_DOWNS))
+    def test_probe_response_equals_demodulating_the_full_run(self, case):
+        params, delta, config, _ = timedomain_check_case(*VALIDATE_RING_DOWNS[case], ringdowns=20.0)
+        full = demodulate(integrate(params, delta, config), delta, config,
+                          probe_amplitude=params.probe_amplitude(delta))
+        assert repr(probe_response(params, delta, config)) == repr(full)
+
+    def test_a_stop_before_the_window_is_reported_as_integrate_reports_it(self, monkeypatch):
+        # q1' = q1^2 from q1s = 0.0389 blows up at t = 25.7, long before the window at t = 300:
+        # the windowed run has no sample to name, integrate names the last one, t = 25.5
+        monkeypatch.setattr(timedomain, "_rhs_factory",
+                            lambda *args: lambda t, q1, *rest: (q1 * q1, 0.0, 0.0, 0.0, 0.0, 0.0))
+        params, config = quick_system(), TrajectoryConfig(duration=400.0, dt=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrajectoryConfigWarning)
+            with pytest.raises(IntegrationError) as expected:
+                integrate(params, 1.0, config)
+            with pytest.raises(IntegrationError) as err:
+                probe_response(params, 1.0, config)
+        assert type(expected.value) is type(err.value) is IntegrationError
+        assert str(err.value) == str(expected.value)
+        assert str(err.value).startswith("integrator failed at t = 25.5: Required step size")
+
+    def test_a_diverging_initial_state_is_reported_as_integrate_reports_it(self, monkeypatch):
+        # an operating point whose photon number overflows: the state leaves the finite domain at once
+        operating_point = timedomain.solve_steady_state
+        monkeypatch.setattr(timedomain, "solve_steady_state",
+                            lambda params: dataclasses.replace(operating_point(params), cs=1e160 + 0j))
+        params, config = quick_system(), quick_config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow inside the stages
+            with pytest.raises(DivergenceError) as expected:
+                integrate(params, 1.03, config)
+            with pytest.raises(DivergenceError) as err:
+                probe_response(params, 1.03, config)
+        assert err.value.time == expected.value.time
+        assert str(err.value) == str(expected.value)
 
     def test_probe_required(self):
         params = quick_system(ratio=0.0)

@@ -5,10 +5,11 @@ import pytest
 
 import oemsim.validate
 from oemsim.linsys import solve_sidebands
-from oemsim.response import group_delay, transmission
+from oemsim.errors import MechanicalPoleError
+from oemsim.response import group_delay, sideband_amplitude, transmission
 from oemsim.steady import solve_steady_state
 from oemsim.timedomain import DemodResult
-from oemsim.validate import draw_oracle_case, system_for_beta
+from oemsim.validate import dimensionless_system, draw_oracle_case, system_for_beta
 
 # a zero of t_p (kappa 0.2, g_c = 0): |t_p| = 1.5e-13 at DARK_DELTAS[0] and 6.8e-7 at DARK_DELTAS[1]
 DARK_PARAMS = system_for_beta(0.2, 1.477893674759695e-05)
@@ -90,3 +91,90 @@ def test_batched_group_delay_check_draws_again_for_rejected_cases(monkeypatch):
     assert batch_rng.random() == scalar_rng.random()
     result = oemsim.validate.check_group_delay_methods(np.random.default_rng(5))
     assert result.passed and result.detail.startswith("1000 points")
+
+
+def scalar_pump_off_deviations(rng):
+    """The pump-off all-pass check one detuning at a time, as it was written before it was batched."""
+    worst_mag = 0.0
+    worst_tau = 0.0
+    for _ in range(50):
+        kappa = rng.uniform(0.02, 0.5)
+        delta_c = rng.uniform(0.2, 2.0)
+        params = oemsim.validate.pump_off_system(kappa, delta_c)
+        op = solve_steady_state(params)
+        for delta in np.linspace(delta_c - 3.0, delta_c + 3.0, 41):
+            sample = transmission(float(delta), params, op)
+            worst_mag = max(worst_mag, abs(abs(sample.t_p) - 1.0))
+        tau = group_delay(delta_c, params, op)
+        worst_tau = max(worst_tau, abs(tau - 2.0 / kappa) / (2.0 / kappa))
+    return worst_mag, worst_tau
+
+
+def scalar_factorization_deviation(rng, draws=1000):
+    """The factorization-identity check one draw at a time, as it was written before it was batched."""
+    worst = 0.0
+    for _ in range(draws):
+        kappa = rng.uniform(0.02, 0.5)
+        delta_c = rng.uniform(0.2, 2.0)
+        delta = rng.uniform(-2.0, 2.0)
+        params = oemsim.validate.pump_off_system(kappa, delta_c)
+        op = solve_steady_state(params)
+        x = sideband_amplitude(delta, params, op)
+        reference = -1j / (delta_c - delta - 1j * kappa)
+        worst = max(worst, abs(x - reference) / abs(x))
+    return worst
+
+
+PUMP_OFF_CHECKS = {  # run_validation's rng stream index, the batched check and its scalar loop
+    "pump_off_allpass": (1, oemsim.validate._pump_off_deviations, scalar_pump_off_deviations),
+    "factorization_identity": (
+        2, lambda rng: oemsim.validate._factorization_deviation(rng, 1000), scalar_factorization_deviation
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(PUMP_OFF_CHECKS))
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_pump_off_checks_equal_the_scalar_loops(seed, check):
+    index, batched, scalar = PUMP_OFF_CHECKS[check]
+    scalar_rng, batch_rng = (np.random.default_rng([seed, index]) for _ in range(2))
+    assert repr(batched(batch_rng)) == repr(scalar(scalar_rng))
+    assert batch_rng.random() == scalar_rng.random()  # both stopped after the same draw
+
+
+class ScriptedDraws:
+    """An rng whose uniform draws are the given values, in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def uniform(self, low, high):
+        return next(self.values)
+
+
+# uniform draws on which an undamped second resonator (omega2 = 1, pole at delta = 1) fails: the
+# first cavity's grid, delta_c +- 3 at delta_c = 0.7, holds delta = 1, and so does the second
+# factorization draw; no later grid holds it, and tau is taken at delta_c, never at the pole
+POLE_DRAWS = {
+    "pump_off_allpass": (0.1, 0.7) + (0.2, 0.55) * 49,
+    "factorization_identity": (0.1, 0.7, 0.3, 0.2, 0.7, 1.0) + (0.3, 0.55, 0.3) * 998,
+}
+
+
+@pytest.mark.parametrize("check", list(PUMP_OFF_CHECKS))
+def test_batched_pump_off_checks_raise_the_scalar_loops_first_error(check, monkeypatch):
+    def undamped(kappa, delta_c):
+        return dimensionless_system(kappa=kappa, gamma2=0.0, pump_amplitude=0.0,
+                                    detuning_mode="explicit", detuning=delta_c)
+
+    assert 1.0 in np.linspace(0.7 - 3.0, 0.7 + 3.0, 41)
+    assert 1.0 not in np.linspace(0.55 - 3.0, 0.55 + 3.0, 41)
+    monkeypatch.setattr(oemsim.validate, "pump_off_system", undamped)
+    _, batched, scalar = PUMP_OFF_CHECKS[check]
+    draws = POLE_DRAWS[check]
+    errors = []
+    for run in (batched, scalar):
+        with pytest.raises(MechanicalPoleError) as err:
+            run(ScriptedDraws(draws))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
