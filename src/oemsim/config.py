@@ -8,6 +8,12 @@ value uses the ``dimensionless`` suffix.  ``preset = <name>`` imports a named pr
 is itself config text (`presets.PRESET_TEXT`) read by the same parser, and
 later lines override it, in file order.  Unknown keys are hard errors.
 
+`_SECTION_KEYS` is the one table of keys and their kinds.  It drives reading
+(`parse_config`), resolving (`resolve_state`, through the key -> field map
+`_FIELDS`) and writing: `serialize_config` writes every key whose resolved
+value is set, so a written config names only keys the reader knows.  The
+default delta_bar axis that `sweep` appends as a third axis is implied, not written.
+
 `AXES` is the one table of swept names: each one's unit kind and the
 `SystemParams` field that `axis_changes` sets, for one value (`apply_override`)
 or for a sweep's array of them.  An axis bound outside that field's domain is
@@ -16,7 +22,7 @@ a config error at the bound's line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,7 +57,7 @@ _SI_SUFFIXES = {
     POWER: {"W": 1.0, "uW": 1e-6},
     PURE: {"dimensionless": 1.0},
 }
-_SI_BASE_UNITS = {FREQUENCY: "rad_s", RATE: "rad_s", LENGTH: "m", MASS: "kg", POWER: "W"}
+_BASE_UNITS = {FREQUENCY: "rad_s", RATE: "rad_s", LENGTH: "m", MASS: "kg", POWER: "W", PURE: "dimensionless"}
 
 # swept name -> (unit kind, SystemParams section, field it sets, field it sets
 # to None so that the swept value alone gives the pump); delta_bar moves the
@@ -92,17 +98,19 @@ _SECTION_KEYS = {
         "scenario": SCENARIOS,
         "convention": CONVENTIONS,
         "axis1": AXIS_NAMES,
-        "axis2": AXIS_NAMES,
         "axis1_min": "raw",
         "axis1_max": "raw",
+        "axis1_points": "int",
+        "axis1_spacing": SPACINGS,
+        "axis2": AXIS_NAMES,
         "axis2_min": "raw",
         "axis2_max": "raw",
-        "axis1_points": "int",
         "axis2_points": "int",
-        "axis1_spacing": SPACINGS,
         "axis2_spacing": SPACINGS,
     },
 }
+# config key -> the field of its SystemParams section, where the two differ
+_FIELDS = {"wavelength": "pump_wavelength", "power": "pump_power"}
 
 # Setting a key resets another key of its section: of two ways to give one
 # quantity the later line wins, and an explicit detuning ends locked mode.
@@ -261,69 +269,59 @@ def _require(value, what):
     return value
 
 
-def _resolve_mech(entry: dict, label: str, unit_mode: str) -> MechanicalMode:
-    mass = entry["mass"]
-    if mass is None:
-        if unit_mode != DIMENSIONLESS:
-            raise ConfigError(f"missing required parameter: {label}.mass")
-        mass = 1.0
-    omega = _require(entry["omega"], f"{label}.omega")
-    gamma = entry["gamma"]
-    if gamma is None:
-        quality = _require(entry["quality"], f"{label}.gamma (or {label}.quality)")
-        if quality <= 0:
-            raise ConfigError(f"{label}.quality must be positive")
-        gamma = omega / quality
+def _checked(label: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError raised as a ConfigError prefixed by ``label``."""
     try:
-        return MechanicalMode(mass=mass, omega=omega, gamma=gamma)
+        return build(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
+        raise ConfigError(f"{label}{exc}") from exc
+
+
+def _section(cls, label: str, entry: dict, **resolved):
+    """``cls`` built from a section's state: each key as its field (`_FIELDS`), unless ``resolved``
+    gives the field; input-only keys, which name no field, are dropped."""
+    values = {_FIELDS.get(key, key): value for key, value in entry.items()} | resolved
+    return _checked(label, cls, **{field.name: values[field.name] for field in fields(cls)})
 
 
 def resolve_state(state: dict) -> SystemParams:
-    """Turn raw builder state into validated SystemParams."""
+    """Turn raw builder state into validated SystemParams.
+
+    The rules below fill in or refuse what a section leaves unset, in the
+    order of their messages; a mechanical or cavity error names its section.
+    """
     unit_mode = state[""]["units"] or SI
+    dimless = unit_mode == DIMENSIONLESS
+    built = {}
+    for label in ("mech1", "mech2"):
+        entry = state[label]
+        mass = entry["mass"]
+        if mass is None:
+            if not dimless:
+                raise ConfigError(f"missing required parameter: {label}.mass")
+            mass = 1.0
+        omega = _require(entry["omega"], f"{label}.omega")
+        gamma = entry["gamma"]
+        if gamma is None:
+            quality = _require(entry["quality"], f"{label}.gamma (or {label}.quality)")
+            if quality <= 0:
+                raise ConfigError(f"{label}.quality must be positive")
+            gamma = omega / quality
+        built[label] = _section(MechanicalMode, f"{label}: ", entry, mass=mass, gamma=gamma)
     cav = state["cavity"]
-    mech1 = _resolve_mech(state["mech1"], "mech1", unit_mode)
-    mech2 = _resolve_mech(state["mech2"], "mech2", unit_mode)
-    kappa = _require(cav["kappa"], "cavity.kappa")
-    detuning_mode = cav["detuning_mode"]
-    detuning = 0.0
-    if detuning_mode == "explicit":
+    _require(cav["kappa"], "cavity.kappa")
+    detuning = 0.0  # locked mode derives Delta_c
+    if cav["detuning_mode"] == "explicit":
         detuning = _require(cav["detuning"], "cavity.detuning (or detuning_mode = locked)")
-    try:
-        cavity = CavityParams(
-            kappa=kappa,
-            detuning_mode=detuning_mode,
-            detuning=detuning,
-            length=cav["length"],
-            pump_wavelength=cav["wavelength"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"cavity: {exc}") from exc
+    built["cavity"] = _section(CavityParams, "cavity: ", cav, detuning=detuning)
     g_cav = state["coupling"]["g_cav"]
-    if g_cav is None and unit_mode == DIMENSIONLESS:
-        raise ConfigError("missing required parameter: coupling.g_cav")
-    try:
-        if g_cav is None:
-            g_cav = default_g_cav(cavity, mech1.omega)
-        coupling = CouplingParams(g_cav=g_cav, g_coulomb=state["coupling"]["g_coulomb"])
-        drive = DriveParams(
-            pump_power=state["drive"]["power"],
-            pump_amplitude=state["drive"]["pump_amplitude"],
-            probe_power=state["drive"]["probe_power"],
-            probe_amplitude=state["drive"]["probe_amplitude"],
-        )
-        return SystemParams(
-            cavity=cavity,
-            mech1=mech1,
-            mech2=mech2,
-            coupling=coupling,
-            drive=drive,
-            unit_mode=unit_mode,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if g_cav is None:
+        if dimless:
+            raise ConfigError("missing required parameter: coupling.g_cav")
+        g_cav = _checked("", default_g_cav, built["cavity"], built["mech1"].omega)
+    built["coupling"] = _section(CouplingParams, "", state["coupling"], g_cav=g_cav)
+    built["drive"] = _section(DriveParams, "", state["drive"])
+    return _checked("", SystemParams, unit_mode=unit_mode, **built)
 
 
 def _resolve_sweep(raw: dict, params: SystemParams) -> SweepSpec:
@@ -369,59 +367,43 @@ def _resolve_sweep(raw: dict, params: SystemParams) -> SweepSpec:
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def serialize_config(params: SystemParams, sweep: SweepSpec | None = None) -> str:
     """Canonical config text that parses back to identical values.
 
-    SI quantities are emitted in base units (rad_s, kg, m, W); dimensionless
-    runs use the dimensionless suffix throughout.
+    Walks the key table and writes, in its order, every key whose resolved
+    value is set: SI quantities in the base unit of their kind (rad_s, kg, m,
+    W), dimensionless runs with the dimensionless suffix throughout.  A third
+    axis, which a config can only imply (the default delta_bar), has no key.
     """
     dimless = params.unit_mode == DIMENSIONLESS
-    unit = {kind: "dimensionless" if dimless else base for kind, base in _SI_BASE_UNITS.items()}
-    freq, rate = unit[FREQUENCY], unit[RATE]
-    lines = [f"units = {params.unit_mode}"]
-    lines.append("[cavity]")
-    lines.append(f"kappa = {_fmt(params.cavity.kappa)} {freq}")
-    if params.cavity.detuning_mode == "locked":
-        lines.append("detuning_mode = locked")
-    else:
-        lines.append(f"detuning = {_fmt(params.cavity.detuning)} {freq}")
-    if params.cavity.length is not None:
-        lines.append(f"length = {_fmt(params.cavity.length)} {unit[LENGTH]}")
-    if params.cavity.pump_wavelength is not None:
-        lines.append(f"wavelength = {_fmt(params.cavity.pump_wavelength)} {unit[LENGTH]}")
-    for label, mech in (("mech1", params.mech1), ("mech2", params.mech2)):
-        lines.append(f"[{label}]")
-        lines.append(f"mass = {_fmt(mech.mass)} {unit[MASS]}")
-        lines.append(f"omega = {_fmt(mech.omega)} {freq}")
-        lines.append(f"gamma = {_fmt(mech.gamma)} {freq}")
-    lines.append("[coupling]")
-    lines.append(f"g_cav = {_fmt(params.coupling.g_cav)} {freq}")
-    lines.append(f"g_coulomb = {_fmt(params.coupling.g_coulomb)} {freq}")
-    lines.append("[drive]")
-    drive = params.drive
-    if drive.pump_power is not None:
-        lines.append(f"power = {_fmt(drive.pump_power)} {unit[POWER]}")
-    else:
-        lines.append(f"pump_amplitude = {_fmt(drive.pump_amplitude)} {rate}")
-    if drive.probe_power is not None:
-        lines.append(f"probe_power = {_fmt(drive.probe_power)} {unit[POWER]}")
-    elif drive.probe_amplitude is not None:
-        lines.append(f"probe_amplitude = {_fmt(drive.probe_amplitude)} {rate}")
+    unit = {kind: DIMENSIONLESS if dimless else base for kind, base in _BASE_UNITS.items()}
+    state = {"": {"units": params.unit_mode}, "sweep": {}}
+    for section in ("cavity", "mech1", "mech2", "coupling", "drive"):
+        part = getattr(params, section)
+        state[section] = {key: getattr(part, _FIELDS.get(key, key), None) for key in _SECTION_KEYS[section]}
+    # a detuning implies explicit mode, and locked mode has none
+    state["cavity"]["detuning" if params.cavity.detuning_mode == "locked" else "detuning_mode"] = None
     if sweep is not None:
-        lines.append("[sweep]")
-        lines.append(f"scenario = {sweep.scenario}")
-        lines.append(f"convention = {sweep.convention}")
+        state["sweep"] = {"scenario": sweep.scenario, "convention": sweep.convention}
         for idx, axis in enumerate(sweep.axes, start=1):
             axis_unit = unit[AXES[axis.name][0]]
-            lines.append(f"axis{idx} = {axis.name}")
-            lines.append(f"axis{idx}_min = {_fmt(axis.lo)} {axis_unit}")
-            lines.append(f"axis{idx}_max = {_fmt(axis.hi)} {axis_unit}")
-            lines.append(f"axis{idx}_points = {axis.points}")
-            lines.append(f"axis{idx}_spacing = {axis.spacing}")
+            state["sweep"].update({
+                f"axis{idx}": axis.name,
+                f"axis{idx}_min": f"{axis.lo:.17g} {axis_unit}",
+                f"axis{idx}_max": f"{axis.hi:.17g} {axis_unit}",
+                f"axis{idx}_points": axis.points,
+                f"axis{idx}_spacing": axis.spacing,
+            })
+    lines = []
+    for section, keys in _SECTION_KEYS.items():
+        written = [
+            f"{key} = {value:.17g} {unit[kind]}" if kind in unit else f"{key} = {value}"
+            for key, kind in keys.items()
+            if (value := state[section].get(key)) is not None
+        ]
+        if section and written:
+            lines.append(f"[{section}]")
+        lines += written
     return "\n".join(lines) + "\n"
 
 

@@ -175,18 +175,18 @@ _SLUGS = np.array(
 
 def _resolve_axes(name: str, params: SystemParams, axes: tuple[SweepAxis, ...]) -> tuple[SweepAxis, ...]:
     """The axes to run, or ConfigError: exactly one from the scenario's axis choices where it has
-    some, else a delta_bar axis, appended (innermost) when none is given and innermost where the
-    table has a phase column, which is unwrapped along it."""
+    some, else a delta_bar axis, appended (innermost) when none is given.  Where the table has a
+    phase column, which is unwrapped along the innermost axis, a given delta_bar must be innermost."""
     scenario = SCENARIOS[name]
     if scenario.axes:
         if len(axes) != 1 or axes[0].name not in scenario.axes:
             raise ConfigError(f"{name} needs exactly one axis from {scenario.axes}")
         return axes
-    if "phase" in scenario.columns and axes and axes[-1].name != "delta_bar":
-        raise ConfigError(f"{name} sweeps need delta_bar as the innermost axis")
     if not any(a.name == "delta_bar" for a in axes):
         hw = SPLITTING_WINDOW_FRACTION * params.mech1.omega
-        axes = axes + (SweepAxis("delta_bar", -hw, hw, DEFAULT_SPECTRUM_POINTS),)
+        return axes + (SweepAxis("delta_bar", -hw, hw, DEFAULT_SPECTRUM_POINTS),)
+    if "phase" in scenario.columns and axes[-1].name != "delta_bar":
+        raise ConfigError(f"{name} sweeps need delta_bar as the innermost axis")
     return axes
 
 
@@ -294,9 +294,11 @@ def render_table(result: SweepResult, stream, fmt: str = "csv", timestamp: bool 
     is whitespace-separated with a blank line between outer-axis blocks.
     Doubles are written as ``'%.17g' %`` writes them (`arith.format_g17`);
     the header echoes the resolved configuration between config-begin and
-    config-end markers.  The header, each slice of RENDER_ROWS rows (never
-    across a gnuplot block) and each blank line is one write, so no more
-    than a slice of the text is alive at once; a table without rows is its header.
+    config-end markers, and running that block (`config.parse_config`, then
+    `run_sweep`) gives the same table text again, the timestamp line aside.
+    The header, each slice of RENDER_ROWS rows (never across a gnuplot block)
+    and each blank line is one write, so no more than a slice of the text is
+    alive at once; a table without rows is its header.
     """
     if fmt not in ("csv", "gnuplot"):
         raise ValueError(f"unknown format {fmt!r}")

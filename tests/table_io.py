@@ -1,4 +1,4 @@
-"""Tables of `oemsim.sweep.render_table` as text, and read back, for the tests."""
+"""Tables of `oemsim.sweep.render_table` as text, read back, and the [sweep] sections that make them."""
 import io
 
 from oemsim.errors import OK, STATUS_ERRORS
@@ -48,3 +48,16 @@ def read_sweep_csv(path):
             values = [parts[i] if columns[i] == "error" else float(parts[i]) for i in range(len(parts))]
             rows.append(tuple(values))
     return "\n".join(config_lines) + "\n", columns, rows
+
+
+def sweep_section(scenario, *axes, convention=None):
+    """A config's [sweep] section; each axis is (name, min, max, points[, spacing]), each bound a
+    number in dimensionless units or text with its unit."""
+    lines = ["[sweep]", f"scenario = {scenario}"]
+    if convention:
+        lines.append(f"convention = {convention}")
+    for idx, (name, lo, hi, points, *spacing) in enumerate(axes, start=1):
+        lo, hi = (x if isinstance(x, str) else f"{x} dimensionless" for x in (lo, hi))
+        lines += [f"axis{idx} = {name}", f"axis{idx}_min = {lo}", f"axis{idx}_max = {hi}",
+                  f"axis{idx}_points = {points}"] + [f"axis{idx}_spacing = {s}" for s in spacing]
+    return "\n".join(lines) + "\n"

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oemsim.config import SweepAxis, SweepSpec, parse_config, serialize_config
+from oemsim.config import _SECTION_KEYS, SweepAxis, SweepSpec, parse_config, serialize_config
 from oemsim.errors import ConfigError
 from oemsim.params import (
     CavityParams,
@@ -13,6 +13,7 @@ from oemsim.params import (
     default_g_cav,
 )
 from oemsim.presets import SLOWFAST_BETA_SPECTRUM, get_preset, slowfast_pump_power
+from table_io import sweep_section
 
 TWO_PI = 2 * math.pi
 
@@ -272,23 +273,88 @@ class TestSweepSection:
         assert sweep.axes[0].hi == pytest.approx(1e-5)
 
 
-class TestSerialization:
-    def test_round_trip_dimensionless(self):
-        params = get_preset("dimensionless-slowfast")
-        sweep = SweepSpec(
+# (params, sweep) inputs of the round trips: presets with each pump and probe key, both
+# detuning modes, quality in place of gamma, and every axis name with both spacings
+DIMENSIONLESS_CASES = {
+    "preset": (
+        get_preset("dimensionless-slowfast"),
+        SweepSpec(
             scenario="spectrum",
             axes=(SweepAxis("delta_bar", -0.2, 0.2, 401), SweepAxis("g_coulomb", 0.05, 0.2, 4)),
             convention="paper-corrected",
-        )
+        ),
+    ),
+    **{
+        name: parse_config("preset = dimensionless-slowfast\n" + text)
+        for name, text in {
+            "pump-amplitude-probe-power": "[drive]\npump_amplitude = 0.05 dimensionless\n"
+                                          "probe_power = 1e-8 dimensionless\n",
+            "explicit-quality-mass": "[cavity]\ndetuning = 0.9 dimensionless\n[mech1]\n"
+                                     "quality = 100 dimensionless\n[mech2]\nmass = 2 dimensionless\n",
+            "delta-linear-power-log": sweep_section(
+                "phase", ("delta_bar", -0.2, 0.2, 5, "linear"), ("P_l", 1e-4, 1, 3, "log")),
+            "power-linear-delta-log": sweep_section(
+                "spectrum", ("P_l", 0.1, 0.4, 3, "linear"), ("delta_bar", 0.01, 0.2, 5, "log"),
+                convention="intracavity"),
+            "amplitude-log-gc-linear": sweep_section(
+                "spectrum", ("Omega_l", 1e-3, 0.5, 3, "log"), ("g_coulomb", 0, 0.2, 3, "linear")),
+            "gc-log-amplitude-linear": sweep_section(
+                "spectrum", ("g_coulomb", 0.01, 0.2, 3, "log"), ("Omega_l", 0.01, 0.05, 3, "linear")),
+            "kappa-linear-gcav-log": sweep_section(
+                "spectrum", ("kappa", 0.1, 0.3, 3, "linear"), ("g_cav", 0.01, 0.1, 3, "log")),
+            "gcav-linear-kappa-log": sweep_section(
+                "spectrum", ("g_cav", 0.05, 0.1, 3, "linear"), ("kappa", 0.1, 0.3, 3, "log")),
+        }.items()
+    },
+}
+SI_CASES = {
+    "preset": (get_preset("paper-2012"), None),
+    **{
+        name: parse_config("preset = paper-2012\n" + text)
+        for name, text in {
+            "explicit-amplitudes-g-cav": "[cavity]\ndetuning = 950 kHz\n[mech2]\ngamma = 200 rad_s\n"
+                                         "[coupling]\ng_cav = 1e17 rad_s\n[drive]\n"
+                                         "pump_amplitude = 1e5 rad_s\nprobe_amplitude = 10 rad_s\n",
+            "power-log-delta-linear": sweep_section(
+                "delay-vs-power", ("P_l", "1 uW", "10 uW", 7, "log"),
+                ("delta_bar", "-20 kHz", "20 kHz", 41, "linear")),
+            "gc-linear-kappa-log": sweep_section(
+                "spectrum", ("g_coulomb", "0 MHz", "16 MHz", 3, "linear"),
+                ("kappa", "100 kHz", "300 kHz", 3, "log")),
+            "amplitude-linear-gcav-linear": sweep_section(
+                "spectrum", ("Omega_l", "1e3 rad_s", "1e5 rad_s", 3, "linear"),
+                ("g_cav", "1e16 rad_s", "1e17 rad_s", 3, "linear")),
+        }.items()
+    },
+}
+
+
+class TestSerialization:
+    @pytest.mark.parametrize("params, sweep", DIMENSIONLESS_CASES.values(), ids=DIMENSIONLESS_CASES)
+    def test_round_trip_dimensionless(self, params, sweep):
         text = serialize_config(params, sweep)
         params2, sweep2 = parse_config(text)
         assert params2 == params
         assert sweep2 == sweep
         assert serialize_config(params2, sweep2) == text
 
-    def test_round_trip_si(self):
-        params = get_preset("paper-2012")
-        text = serialize_config(params)
-        params2, _ = parse_config(text)
+    @pytest.mark.parametrize("params, sweep", SI_CASES.values(), ids=SI_CASES)
+    def test_round_trip_si(self, params, sweep):
+        text = serialize_config(params, sweep)
+        params2, sweep2 = parse_config(text)
         assert params2 == params
-        assert serialize_config(params2) == text
+        assert sweep2 == sweep
+        assert serialize_config(params2, sweep2) == text
+
+    def test_every_key_is_written_for_some_input(self):
+        written = set()
+        for params, sweep in (*DIMENSIONLESS_CASES.values(), *SI_CASES.values()):
+            section = ""
+            for line in serialize_config(params, sweep).splitlines():
+                if line.startswith("["):
+                    section = line[1:-1]
+                else:
+                    written.add((section, line.split(" = ")[0]))
+        input_only = {"preset", "quality"}
+        assert written == {(section, key) for section, keys in _SECTION_KEYS.items()
+                           for key in keys if key not in input_only}

@@ -26,7 +26,7 @@ from oemsim.response import group_delay, transmission
 from oemsim.steady import solve_steady_state
 from oemsim.sweep import NO_ERROR, emit_csv, render_table, run_sweep
 from oemsim.validate import dimensionless_system, system_for_beta
-from table_io import read_sweep_csv, render_text, table_rows
+from table_io import read_sweep_csv, render_text, sweep_section, table_rows
 
 # one small grid per sweep scenario the config accepts, plus one with unstable rows
 PARALLEL_CASES = {
@@ -42,6 +42,40 @@ PARALLEL_CASES = {
     "static-instability": SweepSpec(
         "phase", (SweepAxis("g_coulomb", 0.8, 1.2, 3), SweepAxis("delta_bar", -0.05, 0.05, 5))
     ),
+}
+
+# runs whose header is rerun: the case of the spectrum_spec fixture, then configs of every
+# scenario with no axis, one or two, delta_bar given or implied (the default axis the sweep
+# appends, a third one after g_coulomb x kappa)
+SLOWFAST = "preset = dimensionless-slowfast\n[coupling]\ng_coulomb = 0.1 dimensionless\n"
+HEADER_CONFIGS = {
+    "spectrum": SLOWFAST + sweep_section("spectrum"),
+    "spectrum-delta": SLOWFAST + sweep_section("spectrum", ("delta_bar", -0.1, 0.1, 7)),
+    "spectrum-gc": SLOWFAST + sweep_section("spectrum", ("g_coulomb", 0, 0.2, 2)),
+    "spectrum-gc-delta": SLOWFAST + sweep_section(
+        "spectrum", ("g_coulomb", 0, 0.2, 3), ("delta_bar", -0.1, 0.1, 5)),
+    "spectrum-delta-kappa": SLOWFAST + sweep_section(
+        "spectrum", ("delta_bar", -0.1, 0.1, 5), ("kappa", 0.1, 0.3, 3, "log")),
+    "spectrum-gc-kappa": SLOWFAST + sweep_section("spectrum", ("g_coulomb", 0, 0.2, 2), ("kappa", 0.1, 0.3, 2)),
+    "phase": SLOWFAST + sweep_section("phase"),
+    "phase-gc": SLOWFAST + sweep_section("phase", ("g_coulomb", 0, 0.2, 2)),
+    "phase-gc-delta": SLOWFAST + sweep_section("phase", ("g_coulomb", 0, 0.2, 3), ("delta_bar", -0.1, 0.1, 9)),
+    "phase-gc-kappa": SLOWFAST + sweep_section("phase", ("g_coulomb", 0, 0.2, 2), ("kappa", 0.1, 0.3, 2)),
+    "delay-power": SLOWFAST + sweep_section("delay-vs-power", ("P_l", 1e-4, 1, 5, "log")),
+    "delay-amplitude": SLOWFAST + sweep_section("delay-vs-power", ("Omega_l", 1e-3, 0.5, 5)),
+    "delay-kappa": SLOWFAST + sweep_section("delay-vs-kappa", ("kappa", 0.113, 0.34, 5)),
+    "splitting": SLOWFAST + sweep_section("splitting-vs-gc", ("g_coulomb", 0, 1.2, 4)),
+    "paper-spectrum-gc-kappa": "preset = paper-2012\n" + sweep_section(
+        "spectrum", ("g_coulomb", "0 MHz", "16 MHz", 2), ("kappa", "100 kHz", "300 kHz", 2)),
+    "paper-delay-power": "preset = paper-2012\n" + sweep_section(
+        "delay-vs-power", ("P_l", "1 uW", "10 uW", 3, "log")),
+}
+HEADER_CASES = {
+    "spectrum-spec": (
+        system_for_beta(0.227, 5e-3, g_coulomb=0.2),
+        SweepSpec("spectrum", (SweepAxis("g_coulomb", 0.05, 0.2, 3), SweepAxis("delta_bar", -0.1, 0.1, 4))),
+    ),
+    **{name: parse_config(text) for name, text in HEADER_CONFIGS.items()},
 }
 
 
@@ -98,6 +132,17 @@ class TestRunSweep:
         result = run_sweep(slowfast_spectrum, SweepSpec(scenario="spectrum"))
         assert result.spec.axes[0].name == "delta_bar"
         assert len(table_rows(result)) == result.spec.axes[0].points
+
+    def test_phase_appends_the_default_delta_bar_axis_innermost(self, slowfast_spectrum):
+        axes = (SweepAxis("g_coulomb", 0.05, 0.2, 3),)
+        phase = run_sweep(slowfast_spectrum, SweepSpec("phase", axes))
+        spectrum = run_sweep(slowfast_spectrum, SweepSpec("spectrum", axes))
+        assert [axis.name for axis in phase.spec.axes] == ["g_coulomb", "delta_bar"]
+        assert phase.spec.axes == spectrum.spec.axes
+        assert phase.columns[-2:] == ("phase", "error")
+        np.testing.assert_array_equal(phase.values[:-1], spectrum.values)
+        blocks = phase.values[-1].reshape(3, -1)
+        assert np.max(np.abs(np.diff(blocks, axis=1))) < math.pi  # unwrapped along delta_bar
 
     def test_instability_marks_rows_and_continues(self):
         params = system_for_beta(kappa=0.2, beta=1e-3, g_coulomb=0.0)
@@ -162,6 +207,9 @@ class TestRunSweep:
             )
         with pytest.raises(ConfigError):
             run_sweep(slowfast_spectrum, SweepSpec(scenario="validate"))
+        outer_delta = (SweepAxis("delta_bar", -0.1, 0.1, 5), SweepAxis("kappa", 0.1, 0.3, 3))
+        with pytest.raises(ConfigError, match="phase sweeps need delta_bar as the innermost axis"):
+            run_sweep(slowfast_spectrum, SweepSpec("phase", outer_delta))
 
     @pytest.mark.parametrize("case", list(SCENARIOS) + ["static-instability"])
     def test_parallel_matches_serial(self, slowfast_spectrum, case):
@@ -554,8 +602,9 @@ class TestEmission:
             header += ",".join(result.columns) + "\n"
         assert render_text(empty, fmt=fmt, timestamp=False) == header
 
-    def test_rerun_from_header_reproduces_data(self, tmp_path, slowfast_spectrum, spectrum_spec):
-        result = run_sweep(slowfast_spectrum, spectrum_spec)
+    @pytest.mark.parametrize("params, spec", HEADER_CASES.values(), ids=HEADER_CASES)
+    def test_rerun_from_header_reproduces_data(self, tmp_path, params, spec):
+        result = run_sweep(params, spec)
         path = tmp_path / "out.csv"
         emit_csv(result, path, timestamp=False)
         config_text, _, _ = read_sweep_csv(path)

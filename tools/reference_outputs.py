@@ -17,6 +17,8 @@ is one.  The cases:
 - a phase grid whose delta_bar axis steps by 2^-17, so that the delta column
   1 + m 2^-17 holds exact 18-digit ties, which `arith.format_g17` leaves to
   Python's ``%``;
+- a phase table whose one axis is g_coulomb, to which the sweep appends the
+  default delta_bar axis innermost;
 - ``paper-2012`` tables, whose header is written in SI base units;
 - tables with response-error rows: spectrum and phase grids through the
   exact pole of an undamped second resonator (the unwrap restarts after
@@ -92,6 +94,7 @@ TABLES = {
         "phase", ("g_coulomb", _d(0), _d(0.2), 3), ("delta_bar", _d(-0.2), _d(0.2), 2049))),
     "phase-ties": ("phase", SLOWFAST + _sweep(
         "phase", ("g_coulomb", _d(0), _d(0.2), 3), ("delta_bar", _d(0), _d(2.0**-11), 65))),
+    "phase-gc": ("phase", SLOWFAST + _sweep("phase", ("g_coulomb", _d(0), _d(0.2), 3))),
     "delay-power": ("delay", SLOWFAST + _sweep(
         "delay-vs-power", ("P_l", _d(1e-4), _d(1), 301, "log"))),
     "delay-amplitude": ("delay", SLOWFAST + _sweep(
