@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage, parse or i/o error, 2 physics-domain error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import os
 import sys
@@ -19,7 +20,7 @@ from . import __version__
 from .config import CONVENTIONS, SweepSpec, parse_config_file
 from .errors import ConfigError, SimulationError
 from .steady import solve_steady_state
-from .sweep import DELAY_SCENARIOS, emit_csv, render_table, run_sweep
+from .sweep import DELAY_SCENARIOS, render_table, run_sweep
 from .validate import DEFAULT_SEED, run_validation
 
 EXIT_OK = 0
@@ -31,11 +32,7 @@ EXIT_VALIDATION = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit2(message)
-
-
-class SystemExit2(Exception):
-    pass
+        self.exit(EXIT_USAGE, f"oemsim: {message}\n")
 
 
 def _at_least(minimum: int):
@@ -94,17 +91,13 @@ def _resolve_scenario(command: str, sweep: SweepSpec | None) -> SweepSpec:
         if sweep is None:
             raise ConfigError("the sweep subcommand needs a [sweep] section with a scenario")
         return sweep
-    if command in ("spectrum", "phase"):
-        if sweep is None:
-            return SweepSpec(scenario=command)
-        return replace(sweep, scenario=command)
+    scenario = command  # spectrum or phase
     if command == "delay":
         scenario = DELAY_SCENARIOS.get(sweep.axes[0].name) if sweep and sweep.axes else None
         if scenario is None:
             *axes, last = DELAY_SCENARIOS
             raise ConfigError(f"delay needs a [sweep] axis: {', '.join(axes)} or {last}")
-        return replace(sweep, scenario=scenario)
-    raise ConfigError(f"unhandled command {command!r}")  # pragma: no cover
+    return SweepSpec(scenario=scenario) if sweep is None else replace(sweep, scenario=scenario)
 
 
 def _write_stdout(text: str) -> None:
@@ -126,33 +119,32 @@ def _write_stdout(text: str) -> None:
         data = data[taken:]
 
 
+@contextlib.contextmanager
+def _output(path):
+    """A command's text sink: the file ``path`` (utf-8, ``\\n`` newlines), else stdout via `_write_stdout`."""
+    if path is None:
+        yield SimpleNamespace(write=_write_stdout)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
+
+
 def _run_table_command(args) -> int:
     params, sweep = parse_config_file(args.config)
     spec = _resolve_scenario(args.command, sweep)
     if args.convention:
         spec = replace(spec, convention=args.convention)
     result = run_sweep(params, spec, jobs=args.jobs)
-    if args.out is None:
-        stdout = SimpleNamespace(write=_write_stdout)  # a text sink whose writes are whole
-        render_table(result, stdout, fmt=args.format, timestamp=not args.no_timestamp)
-    else:
-        emit_csv(result, args.out, fmt=args.format, timestamp=not args.no_timestamp)
+    with _output(args.out) as sink:
+        render_table(result, sink, fmt=args.format, timestamp=not args.no_timestamp)
     return EXIT_OK
 
 
-def _write(text: str, path) -> None:
-    """Write ``text`` to the file ``path``, or to stdout when there is none."""
-    if path is None:
-        _write_stdout(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _finish_validation(report, out_path) -> int:
-    for line in report.summary_lines():
-        print(line)
-    _write(report.to_json(), out_path)
+    with _output(None) as stdout:  # the summary first, also when the report's file cannot be opened
+        stdout.write("".join(f"{line}\n" for line in report.summary_lines()))
+    with _output(out_path) as sink:
+        sink.write(report.to_json())
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -170,7 +162,8 @@ def _run_steady_state(args) -> int:
         f"branch_count = {op.branch_count}",
         f"residual = {op.residual:.17g}",
     ]
-    _write("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as sink:
+        sink.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -178,10 +171,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit2 as exc:
-        print(f"oemsim: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --version / --help
+    except SystemExit as exc:  # --version, --help or a usage error (`_Parser.error`)
         return int(exc.code or 0)
     try:
         if args.command == "validate":

@@ -17,7 +17,7 @@ default delta_bar axis that `sweep` appends as a third axis is implied, not writ
 `AXES` is the one table of swept names: each one's unit kind and the
 `SystemParams` field that `axis_changes` sets, for one value (`apply_override`)
 or for a sweep's array of them.  An axis bound outside that field's domain is
-a config error at the bound's line.
+a config error (`check_axis_bound`), at the bound's line when it is read here.
 """
 from __future__ import annotations
 
@@ -166,6 +166,15 @@ def apply_override(params: SystemParams, name: str, value: float) -> SystemParam
     """Params with the field swept by ``name`` set to ``value``; ValueError if none or out of domain."""
     section, changes = axis_changes(name, value)
     return replace(params, **{section: replace(getattr(params, section), **changes)})
+
+
+def check_axis_bound(params: SystemParams, name: str, bound: float, line: int | None = None) -> None:
+    """ConfigError if axis ``name`` at ``bound`` takes its field out of its domain (an interval)."""
+    if AXES[name][1] is not None:
+        try:
+            apply_override(params, name, bound)
+        except ValueError as exc:
+            raise ConfigError(f"axis {name}: {exc}", line=line) from exc
 
 
 def _blank_state() -> dict:
@@ -334,7 +343,7 @@ def _resolve_sweep(raw: dict, params: SystemParams) -> SweepSpec:
             if any(v is not None for k, v in raw.items() if k.startswith(f"axis{idx}_")):
                 raise ConfigError(f"axis{idx}_* keys given without axis{idx}")
             continue
-        kind, section, _, _ = AXES[name]
+        kind = AXES[name][0]
         bounds = {}
         for end in ("min", "max"):
             key = f"axis{idx}_{end}"
@@ -342,13 +351,7 @@ def _resolve_sweep(raw: dict, params: SystemParams) -> SweepSpec:
                 raise ConfigError(f"missing {key} for axis {name}")
             text, line_no = raw[key]
             bounds[end] = _parse_physical(text, kind, params.unit_mode, line_no)
-            # a bound outside its field's domain fails here, so no grid value
-            # can: each lies between the bounds, and each domain is an interval
-            if section is not None:
-                try:
-                    apply_override(params, name, bounds[end])
-                except ValueError as exc:
-                    raise ConfigError(f"axis {name}: {exc}", line=line_no) from exc
+            check_axis_bound(params, name, bounds[end], line_no)
         points = raw[f"axis{idx}_points"]
         if points is None:
             raise ConfigError(f"missing axis{idx}_points for axis {name}")

@@ -304,8 +304,8 @@ def _one_point(solve):
 def _batch(params: SystemParams, swept: dict, size: int) -> SystemParams:
     """``params`` with every number a column of ``size`` elements, the swept fields set from ``swept``.
 
-    Built without validation: the config parser checked both bounds of every
-    swept axis, and a linear or geometric grid value lies between them.
+    Built without validation: `sweep` checked both bounds of every swept
+    axis (`config.check_axis_bound`), and a grid value lies between them.
     """
 
     def column(value):

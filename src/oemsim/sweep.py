@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, config, response
 from .arith import format_g17, power
-from .config import SweepAxis, SweepSpec, axis_changes, serialize_config
+from .config import SweepAxis, SweepSpec, axis_changes, check_axis_bound, serialize_config
 from .errors import OK, STATUS_ERRORS, ConfigError
 from .params import SystemParams
 from .response import SPLITTING_POINTS, SPLITTING_WINDOW_FRACTION
@@ -176,7 +176,13 @@ _SLUGS = np.array(
 def _resolve_axes(name: str, params: SystemParams, axes: tuple[SweepAxis, ...]) -> tuple[SweepAxis, ...]:
     """The axes to run, or ConfigError: exactly one from the scenario's axis choices where it has
     some, else a delta_bar axis, appended (innermost) when none is given.  Where the table has a
-    phase column, which is unwrapped along the innermost axis, a given delta_bar must be innermost."""
+    phase column, which is unwrapped along the innermost axis, a given delta_bar must be innermost.
+    A header has keys for two given axes; both bounds of each must lie in its field's domain."""
+    if len(axes) > 2:
+        raise ConfigError(f"a sweep takes at most two given axes, got {len(axes)}")
+    for axis in axes:
+        check_axis_bound(params, axis.name, axis.lo)
+        check_axis_bound(params, axis.name, axis.hi)
     scenario = SCENARIOS[name]
     if scenario.axes:
         if len(axes) != 1 or axes[0].name not in scenario.axes:

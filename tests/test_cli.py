@@ -15,6 +15,10 @@ from oemsim.cli import (
     _finish_validation,
     main,
 )
+from oemsim.config import SweepAxis, SweepSpec
+from oemsim.errors import ConfigError
+from oemsim.presets import get_preset
+from oemsim.sweep import run_sweep
 from oemsim.validate import CheckResult, ValidationReport
 from table_io import read_sweep_csv
 
@@ -76,6 +80,12 @@ OUT_OF_DOMAIN_AXES = {
         "axis1_max = 1 dimensionless\naxis1_points = 5\n",
         "line 5: axis P_l: pump_power must be nonnegative, got -1.0",
     ),
+}
+# the same axes as a SweepSpec built in Python, which no config line checks: (scenario, lo, hi)
+OUT_OF_DOMAIN_SPECS = {
+    "kappa": ("delay-vs-kappa", -0.1, 0.3),
+    "g_coulomb": ("splitting-vs-gc", -0.1, 0.1),
+    "P_l": ("delay-vs-power", -1.0, 1.0),
 }
 
 
@@ -186,6 +196,23 @@ class TestErrorPaths:
         assert len(raw.taken) > raw.limit
         assert bytes(raw.taken) == (tmp_path / "table.txt").read_bytes()
 
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+    def test_validate_output_survives_short_raw_writes(self, tmp_path, monkeypatch, out):
+        # the summary line of the long check alone is 268 bytes, so each line takes several writes
+        report = ValidationReport(seed=1, checks=(CheckResult("c" * 60, True, "d" * 200),
+                                                  CheckResult("short", True, "ok")))
+        monkeypatch.setattr("oemsim.cli.run_validation", lambda seed: report)
+        raw = ShortWrites(limit=97)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+        path = tmp_path / "report.json"
+        assert main(["validate"] + (["--out", str(path)] if out else [])) == EXIT_OK
+        summary = "".join(f"{line}\n" for line in report.summary_lines())
+        if out:
+            assert bytes(raw.taken) == summary.encode()
+            assert path.read_text(encoding="utf-8") == report.to_json()
+        else:
+            assert bytes(raw.taken) == (summary + report.to_json()).encode()
+
     def test_raw_write_taking_nothing_exits_1(self, monkeypatch, capsys, spectrum_config):
         monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(ShortWrites(limit=0), encoding="utf-8",
                                                             write_through=True))
@@ -260,6 +287,17 @@ class TestErrorPaths:
         assert captured.err == f"oemsim: config error: {message}\n"
         assert captured.out == ""
         assert not table.exists()
+
+    @pytest.mark.parametrize("axis", sorted(OUT_OF_DOMAIN_AXES))
+    def test_axis_out_of_domain_from_python_is_a_config_error(self, axis):
+        # the message of the config path without its line number, whichever bound is outside
+        scenario, lo, hi = OUT_OF_DOMAIN_SPECS[axis]
+        message = OUT_OF_DOMAIN_AXES[axis][2].removeprefix("line 5: ")
+        for bounds in ((lo, hi), (hi, lo)):
+            spec = SweepSpec(scenario, (SweepAxis(axis, *bounds, 5),))
+            with pytest.raises(ConfigError) as info:
+                run_sweep(get_preset("dimensionless-slowfast"), spec)
+            assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "argv",

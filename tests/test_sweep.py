@@ -211,6 +211,13 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="phase sweeps need delta_bar as the innermost axis"):
             run_sweep(slowfast_spectrum, SweepSpec("phase", outer_delta))
 
+    def test_more_than_two_given_axes_rejected(self, slowfast_spectrum):
+        # a header has keys for two axes, so it would drop the third and rerun another grid
+        axes = (SweepAxis("g_coulomb", 0, 0.2, 2), SweepAxis("kappa", 0.1, 0.3, 2),
+                SweepAxis("delta_bar", -0.1, 0.1, 3))
+        with pytest.raises(ConfigError, match="at most two given axes, got 3"):
+            run_sweep(slowfast_spectrum, SweepSpec("spectrum", axes))
+
     @pytest.mark.parametrize("case", list(SCENARIOS) + ["static-instability"])
     def test_parallel_matches_serial(self, slowfast_spectrum, case):
         spec = PARALLEL_CASES[case]

@@ -1,6 +1,7 @@
 """Write oemsim's reference outputs into a directory, to compare two source trees.
 
     python3 tools/reference_outputs.py SRC OUTDIR
+    python3 tools/reference_outputs.py --digest SRC DIGEST
 
 SRC is the directory that holds the ``oemsim`` package (``src`` in a checkout).
 Every case runs ``oemsim.cli.main`` in this process, with ``--no-timestamp``
@@ -34,16 +35,26 @@ is one.  The cases:
 - the exit code and message of malformed configs, non-finite numbers,
   axes that leave their parameter's domain and an SI cavity with neither a
   length nor a g_cav among them;
-- ``validate --seed 20260810``, ``--seed 7`` and ``--seed 1`` to ``--seed 10``.
+- ``validate --seed 20260810`` and ``--seed 1`` to ``--seed 10``.
 
 Two trees are the same program output when ``diff -r OUT_A OUT_B`` is empty.
-This takes about a minute; it is not part of the test suite.
+With ``--digest`` the tree goes to a temporary directory, and DIGEST gets its
+digest instead: a header of the platform the bytes rest on (`platform_lines`),
+then one line per file: its path, its sha256 and the short hashes of its
+first SPAN lines, then of each SPAN lines after them.  ``tests/test_reference_digest.py`` compares a fresh
+tree with the committed ``tests/reference_digest.txt``, which this regenerates:
+
+    PYTHONPATH=src python3 tools/reference_outputs.py --digest src tests/reference_digest.txt
 """
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import itertools
+import platform
 import sys
+import tempfile
 from pathlib import Path
 
 SLOWFAST = "preset = dimensionless-slowfast\n"
@@ -55,6 +66,10 @@ PAPER = "preset = paper-2012\n"
 POLE = "[mech2]\ngamma = 0 dimensionless\n"
 POLE_FD = POLE + f"omega = {1.0 + 1e-6!r} dimensionless\n"
 EXPLICIT = "[cavity]\ndetuning = 0.9 dimensionless\n"
+VALIDATE_SEEDS = ("20260810", *map(str, range(1, 11)))
+# a digest entry hashes a file's first SPAN lines one by one, then SPAN lines at a time,
+# so that a changed header or first rows are named to the line
+SPAN = 64
 
 
 def _sweep(scenario, *axes):
@@ -237,14 +252,9 @@ def _run(main, out_dir: Path, name: str, argv: list[str]) -> None:
     (out_dir / f"{name}.txt").write_text(text, encoding="utf-8")
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python3 tools/reference_outputs.py SRC OUTDIR", file=sys.stderr)
-        return 1
-    src, out_dir = Path(argv[0]).resolve(), Path(argv[1])
-    sys.path.insert(0, str(src))
-    from oemsim.cli import main as oemsim_main
-
+def write_tree(out_dir: Path, oemsim_main, seeds=VALIDATE_SEEDS) -> None:
+    """Run every case through ``oemsim_main`` (`oemsim.cli.main`) into ``out_dir``, ``validate``
+    at each of ``seeds``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     configs = out_dir / "configs"
     configs.mkdir(exist_ok=True)
@@ -285,8 +295,84 @@ def main(argv: list[str]) -> int:
     run("bad-sweep-without-section", ["sweep", "--config", config("no-sweep", SLOWFAST)])
     run("bad-delay-without-axis", ["delay", "--config", config("no-axis", SLOWFAST)])
     run("bad-missing-file", ["spectrum", "--config", "absent-oemsim-config.cfg"])
-    for seed in ("20260810", "7", *map(str, range(1, 11))):
+    for seed in seeds:
         run(f"validate-{seed}", ["validate", "--seed", seed, "--jobs", "2"])
+
+
+def platform_lines() -> list[str]:
+    """Python, numpy, the libc and numpy's dispatched CPU features: what the tree's bytes rest on
+    (the exact-square rule on glibc's ``pow``, the steady roots on LAPACK, numpy's loops on the
+    features it dispatched to)."""
+    import numpy as np
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    dispatched = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return [
+        f"python {platform.python_version()} ({platform.python_implementation()})",
+        "libc: " + (" ".join(platform.libc_ver()) or "unknown"),
+        f"numpy {np.__version__} dispatched CPU features: {' '.join(dispatched) or 'none'}",
+    ]
+
+
+def _segment(i: int) -> range:
+    """The lines (from 0) of a file's segment ``i``: one line for each of the first SPAN, then SPAN."""
+    return range(i, i + 1) if i < SPAN else range(SPAN * (i - SPAN + 1), SPAN * (i - SPAN + 2))
+
+
+def _file_digest(data: bytes) -> str:
+    """The sha256 of ``data``, then the first 4 hex digits of each segment's, comma-separated."""
+    lines = data.splitlines(keepends=True)
+    segments = itertools.takewhile(lambda at: at.start < len(lines), map(_segment, itertools.count()))
+    return f"{hashlib.sha256(data).hexdigest()} " + ",".join(
+        hashlib.sha256(b"".join(lines[at.start : at.stop])).hexdigest()[:4] for at in segments)
+
+
+def digest(out_dir: Path) -> dict[str, str]:
+    """Relative path -> "sha256 block,hashes" of every file under ``out_dir``, sorted by path."""
+    files = sorted(p for p in out_dir.rglob("*") if p.is_file())
+    return {p.relative_to(out_dir).as_posix(): _file_digest(p.read_bytes()) for p in files}
+
+
+def digest_text(out_dir: Path) -> str:
+    """The digest file of the tree in ``out_dir``: `platform_lines` as comments, then `digest`."""
+    lines = [f"# {line}" for line in platform_lines()]
+    lines += [f"{path} {entry}" for path, entry in digest(out_dir).items()]
+    return "\n".join(lines) + "\n"
+
+
+def read_digest(text: str) -> tuple[list[str], dict[str, str]]:
+    """(platform lines, `digest`) of a digest file."""
+    lines = text.splitlines()
+    header = [line.removeprefix("# ") for line in lines if line.startswith("# ")]
+    entries = dict(line.split(" ", 1) for line in lines if not line.startswith("# "))
+    return header, entries
+
+
+def first_changed_lines(old: str, new: str) -> range:
+    """The lines (from 0) of the first segment where two `digest` entries of one file differ."""
+    old_hashes, new_hashes = old.split(" ")[1].split(","), new.split(" ")[1].split(",")
+    pairs = enumerate(zip(old_hashes, new_hashes))
+    return _segment(next((i for i, (a, b) in pairs if a != b), min(len(old_hashes), len(new_hashes))))
+
+
+def main(argv: list[str]) -> int:
+    to_digest = argv[:1] == ["--digest"]
+    if len(argv) != 2 + to_digest:
+        print("usage: python3 tools/reference_outputs.py [--digest] SRC OUTDIR|DIGEST", file=sys.stderr)
+        return 1
+    src, target = Path(argv[-2]).resolve(), Path(argv[-1])
+    sys.path.insert(0, str(src))
+    from oemsim.cli import main as oemsim_main
+
+    if not to_digest:
+        write_tree(target, oemsim_main)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tree(Path(tmp), oemsim_main)
+        target.write_text(digest_text(Path(tmp)), encoding="utf-8")
     return 0
 
 
