@@ -16,8 +16,9 @@ default delta_bar axis that `sweep` appends as a third axis is implied, not writ
 
 `AXES` is the one table of swept names: each one's unit kind and the
 `SystemParams` field that `axis_changes` sets, for one value (`apply_override`)
-or for a sweep's array of them.  An axis bound outside that field's domain is
-a config error (`check_axis_bound`), at the bound's line when it is read here.
+or for a sweep's array of them.  The parser checks what needs the text or a line
+number, and an axis bound's domain at its line (`check_axis_bound`); `SweepAxis`
+and `SweepSpec` check a sweep's own rules when built, from text or in Python.
 """
 from __future__ import annotations
 
@@ -125,9 +126,15 @@ _RESETS = {
 }
 
 
+def _check_choice(key: str, value, choices: tuple[str, ...], line: int | None = None) -> None:
+    if value not in choices:
+        raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {value!r}", line=line)
+
+
 @dataclass(frozen=True)
 class SweepAxis:
-    """One swept parameter with an inclusive range."""
+    """One swept parameter with an inclusive range; ConfigError unless the name is one of `AXES`,
+    the spacing one of `SPACINGS`, points >= 2 and both bounds finite, and positive for log spacing."""
 
     name: str
     lo: float
@@ -135,19 +142,34 @@ class SweepAxis:
     points: int
     spacing: str = "linear"
 
+    def __post_init__(self):
+        _check_choice("axis", self.name, AXIS_NAMES)
+        _check_choice(f"axis {self.name}: spacing", self.spacing, SPACINGS)
+        if not self.points >= 2:
+            raise ConfigError(f"axis {self.name}: points must be >= 2, got {self.points}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ConfigError(f"axis {self.name}: bounds must be finite, got {self.lo} and {self.hi}")
+        if self.spacing == "log" and (self.lo <= 0 or self.hi <= 0):
+            raise ConfigError(f"axis {self.name}: log spacing requires positive bounds")
+
     def values(self):
-        if self.spacing == "log":
-            return np.geomspace(self.lo, self.hi, self.points)
-        return np.linspace(self.lo, self.hi, self.points)
+        return (np.geomspace if self.spacing == "log" else np.linspace)(self.lo, self.hi, self.points)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Scenario, swept axes and the reporting convention."""
+    """Scenario, swept axes and the reporting convention; ConfigError unless the scenario is one of
+    `SCENARIOS`, the convention one of `CONVENTIONS` and the axis names distinct."""
 
     scenario: str
     axes: tuple[SweepAxis, ...] = ()
     convention: str = "paper-corrected"
+
+    def __post_init__(self):
+        _check_choice("scenario", self.scenario, SCENARIOS)
+        _check_choice("convention", self.convention, CONVENTIONS)
+        if len({axis.name for axis in self.axes}) < len(self.axes):
+            raise ConfigError("swept parameter names must be distinct")
 
 
 def axis_changes(name: str, value) -> tuple[str, dict]:
@@ -251,8 +273,7 @@ def _read(text: str) -> dict:
             except ValueError:
                 raise ConfigError(f"expected an integer for {key}, got {value!r}", line=line_no) from None
         elif isinstance(kind, tuple):
-            if value not in kind:
-                raise ConfigError(f"{key} must be one of {', '.join(kind)}; got {value!r}", line=line_no)
+            _check_choice(key, value, kind, line_no)
             parsed = value
         else:
             parsed = _parse_physical(value, kind, state[""]["units"], line_no)
@@ -343,31 +364,18 @@ def _resolve_sweep(raw: dict, params: SystemParams) -> SweepSpec:
             if any(v is not None for k, v in raw.items() if k.startswith(f"axis{idx}_")):
                 raise ConfigError(f"axis{idx}_* keys given without axis{idx}")
             continue
-        kind = AXES[name][0]
-        bounds = {}
-        for end in ("min", "max"):
-            key = f"axis{idx}_{end}"
+        bounds = []
+        for key in (f"axis{idx}_min", f"axis{idx}_max"):
             if raw[key] is None:
                 raise ConfigError(f"missing {key} for axis {name}")
             text, line_no = raw[key]
-            bounds[end] = _parse_physical(text, kind, params.unit_mode, line_no)
-            check_axis_bound(params, name, bounds[end], line_no)
+            bounds.append(_parse_physical(text, AXES[name][0], params.unit_mode, line_no))
+            check_axis_bound(params, name, bounds[-1], line_no)
         points = raw[f"axis{idx}_points"]
         if points is None:
             raise ConfigError(f"missing axis{idx}_points for axis {name}")
-        spacing = raw[f"axis{idx}_spacing"] or "linear"
-        if points < 2:
-            raise ConfigError(f"axis {name}: points must be >= 2, got {points}")
-        if spacing == "log" and (bounds["min"] <= 0 or bounds["max"] <= 0):
-            raise ConfigError(f"axis {name}: log spacing requires positive bounds")
-        axes.append(SweepAxis(name, bounds["min"], bounds["max"], points, spacing))
-    if len(axes) == 2 and axes[0].name == axes[1].name:
-        raise ConfigError("swept parameter names must be distinct")
-    return SweepSpec(
-        scenario=raw["scenario"],
-        axes=tuple(axes),
-        convention=raw["convention"] or "paper-corrected",
-    )
+        axes.append(SweepAxis(name, *bounds, points, raw[f"axis{idx}_spacing"] or "linear"))
+    return SweepSpec(raw["scenario"], tuple(axes), raw["convention"] or "paper-corrected")
 
 
 def serialize_config(params: SystemParams, sweep: SweepSpec | None = None) -> str:

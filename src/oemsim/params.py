@@ -44,7 +44,7 @@ class MechanicalMode:
             raise ValueError(f"mechanical mass must be positive, got {self.mass}")
         if not self.omega > 0:
             raise ValueError(f"mechanical frequency must be positive, got {self.omega}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError(f"mechanical damping must be nonnegative, got {self.gamma}")
 
 
@@ -95,9 +95,9 @@ class CouplingParams:
     g_coulomb: float = 0.0  # rad s^-1 m^-2
 
     def __post_init__(self):
-        if self.g_cav < 0:
+        if not self.g_cav >= 0:
             raise ValueError(f"g_cav must be nonnegative, got {self.g_cav}")
-        if self.g_coulomb < 0:
+        if not self.g_coulomb >= 0:
             raise ValueError(f"g_coulomb must be nonnegative, got {self.g_coulomb}")
 
 
@@ -121,7 +121,7 @@ class DriveParams:
             raise ValueError("specify at most one of probe_power / probe_amplitude")
         for name in ("pump_power", "pump_amplitude", "probe_power", "probe_amplitude"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
 

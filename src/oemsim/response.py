@@ -348,7 +348,7 @@ def phase_spectrum(
     deltas = list(deltas)
     if len(deltas) < 3:
         raise ValueError("phase spectra need at least 3 grid points")
-    if any(b <= a for a, b in zip(deltas, deltas[1:])):
+    if not all(b > a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("detuning grid must be strictly increasing")
     _check_convention(convention)
     c = coefficients(params, op)

@@ -174,10 +174,10 @@ _SLUGS = np.array(
 
 
 def _resolve_axes(name: str, params: SystemParams, axes: tuple[SweepAxis, ...]) -> tuple[SweepAxis, ...]:
-    """The axes to run, or ConfigError: exactly one from the scenario's axis choices where it has
-    some, else a delta_bar axis, appended (innermost) when none is given.  Where the table has a
-    phase column, which is unwrapped along the innermost axis, a given delta_bar must be innermost.
-    A header has keys for two given axes; both bounds of each must lie in its field's domain."""
+    """The axes to run, or ConfigError on a rule that needs the parameters or the scenario table (the
+    rest are `SweepAxis`' and `SweepSpec`'s): at most two given axes, as a header has keys for two;
+    both bounds of each in its field's domain; one of the scenario's axis choices where it has some,
+    else a delta_bar axis, appended when none is given and innermost where a phase column unwraps."""
     if len(axes) > 2:
         raise ConfigError(f"a sweep takes at most two given axes, got {len(axes)}")
     for axis in axes:
@@ -242,9 +242,6 @@ def _evaluate_chunk(task):
 
 def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the sweep grid; row order is row-major over axes as declared."""
-    if spec.scenario not in SCENARIOS:
-        raise ConfigError(f"scenario {spec.scenario!r} cannot run as a sweep")
-    scenario = SCENARIOS[spec.scenario]
     spec = replace(spec, axes=_resolve_axes(spec.scenario, params, spec.axes))
     names = tuple(axis.name for axis in spec.axes)
     grid = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
@@ -269,7 +266,7 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
     # a lone chunk is the table as it is; only several are joined, in grid order
     values, status = chunks[0] if len(chunks) == 1 else (np.concatenate(part, axis=-1) for part in zip(*chunks))
 
-    columns = names + scenario.columns + ("error",)
+    columns = names + SCENARIOS[spec.scenario].columns + ("error",)
     if "phase" in columns:
         # unwrap in place along each innermost block, restarting after each error row
         phase, block, ok = values[columns.index("phase")], spec.axes[-1].points, status == OK

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,11 +16,12 @@ from oemsim.cli import (
     _finish_validation,
     main,
 )
-from oemsim.config import SweepAxis, SweepSpec
+from oemsim.config import SweepAxis, SweepSpec, parse_config
 from oemsim.errors import ConfigError
 from oemsim.presets import get_preset
 from oemsim.sweep import run_sweep
 from oemsim.validate import CheckResult, ValidationReport
+from reference_outputs import MALFORMED
 from table_io import read_sweep_csv
 
 SPECTRUM_CFG = """\
@@ -86,6 +88,37 @@ OUT_OF_DOMAIN_SPECS = {
     "kappa": ("delay-vs-kappa", -0.1, 0.3),
     "g_coulomb": ("splitting-vs-gc", -0.1, 0.1),
     "P_l": ("delay-vs-power", -1.0, 1.0),
+}
+_SCENARIOS = "spectrum, phase, delay-vs-power, delay-vs-kappa, splitting-vs-gc"
+# sweep rules that SweepAxis and SweepSpec check when built, each broken by a spec built in Python:
+# (scenario, SweepAxis arguments, convention, message).  A case named as in
+# tools/reference_outputs.MALFORMED is a twin: parsing that config raises the same message.
+INVALID_SPECS = {
+    "points-below-2": ("spectrum", [("delta_bar", -0.1, 0.1, 1)], "paper-corrected",
+                       "axis delta_bar: points must be >= 2, got 1"),
+    "points-zero": ("spectrum", [("delta_bar", -0.1, 0.1, 0)], "paper-corrected",
+                    "axis delta_bar: points must be >= 2, got 0"),
+    "log-nonpositive": ("delay-vs-power", [("P_l", 0.0, 1.0, 5, "log")], "paper-corrected",
+                        "axis P_l: log spacing requires positive bounds"),
+    "log-through-zero": ("spectrum", [("delta_bar", -0.1, 0.1, 5, "log")], "paper-corrected",
+                         "axis delta_bar: log spacing requires positive bounds"),
+    "inf-bound": ("spectrum", [("delta_bar", -0.1, math.inf, 5)], "paper-corrected",
+                  "axis delta_bar: bounds must be finite, got -0.1 and inf"),
+    "nan-bound": ("delay-vs-power", [("P_l", math.nan, 1.0, 5, "log")], "paper-corrected",
+                  "axis P_l: bounds must be finite, got nan and 1.0"),
+    "cubic-spacing": ("spectrum", [("delta_bar", -0.1, 0.1, 5, "cubic")], "paper-corrected",
+                      "axis delta_bar: spacing must be one of linear, log; got 'cubic'"),
+    "unknown-axis": ("spectrum", [("omega", 0.9, 1.1, 5)], "paper-corrected",
+                     "axis must be one of delta_bar, P_l, Omega_l, g_coulomb, kappa, g_cav; got 'omega'"),
+    "same-axis-names": ("spectrum", [("delta_bar", -0.1, 0.1, 5)] * 2, "paper-corrected",
+                        "swept parameter names must be distinct"),
+    "bad-scenario": ("bogus", [], "paper-corrected", f"scenario must be one of {_SCENARIOS}; got 'bogus'"),
+    "scenario-validate": ("validate", [], "paper-corrected",
+                          f"scenario must be one of {_SCENARIOS}; got 'validate'"),
+    "bad-convention": ("spectrum", [], "other",
+                       "convention must be one of paper-corrected, intracavity; got 'other'"),
+    "unknown-convention": ("phase", [("delta_bar", -0.1, 0.1, 5)], "nope",
+                           "convention must be one of paper-corrected, intracavity; got 'nope'"),
 }
 
 
@@ -298,6 +331,24 @@ class TestErrorPaths:
             with pytest.raises(ConfigError) as info:
                 run_sweep(get_preset("dimensionless-slowfast"), spec)
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", sorted(INVALID_SPECS))
+    def test_sweep_rule_from_python_is_a_config_error(self, monkeypatch, case):
+        # raised where the spec is built, before any row is computed
+        scenario, axes, convention, message = INVALID_SPECS[case]
+
+        def evaluate_chunk(task):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr("oemsim.sweep._evaluate_chunk", evaluate_chunk)
+        with pytest.raises(ConfigError) as info:
+            spec = SweepSpec(scenario, tuple(SweepAxis(*axis) for axis in axes), convention)
+            run_sweep(get_preset("dimensionless-slowfast"), spec)
+        assert str(info.value) == message
+        if case in MALFORMED:
+            with pytest.raises(ConfigError) as parsed:
+                parse_config(MALFORMED[case])
+            assert str(parsed.value).removeprefix(f"line {parsed.value.line}: ") == message
 
     @pytest.mark.parametrize(
         "argv",

@@ -263,6 +263,15 @@ class TestSweepSection:
         with pytest.raises(ConfigError, match="points"):
             parse_config(text)
 
+    def test_bound_that_overflows_its_unit_is_not_finite(self):
+        # each number is finite, but 1e308 MHz is not once scaled to rad_s
+        text = "preset = paper-2012\n" + (
+            "[sweep]\nscenario = spectrum\n"
+            "axis1 = delta_bar\naxis1_min = -10 kHz\naxis1_max = 1e308 MHz\naxis1_points = 3\n"
+        )
+        with pytest.raises(ConfigError, match="axis delta_bar: bounds must be finite, got .* and inf"):
+            parse_config(text)
+
     def test_axis_values_use_axis_units(self):
         text = "preset = paper-2012\n" + (
             "[sweep]\nscenario = delay-vs-power\n"

@@ -87,6 +87,20 @@ class TestInvariants:
         with pytest.raises(ValueError):
             MechanicalMode(mass=1.0, omega=1.0, gamma=-0.1)
 
+    @pytest.mark.parametrize("cls, fields", [
+        (MechanicalMode, {"mass": 1.0, "omega": 1.0, "gamma": math.nan}),
+        (CouplingParams, {"g_cav": math.nan}),
+        (CouplingParams, {"g_cav": 0.1, "g_coulomb": math.nan}),
+        (DriveParams, {"pump_power": math.nan}),
+        (DriveParams, {"pump_amplitude": math.nan}),
+        (DriveParams, {"pump_amplitude": 0.1, "probe_power": math.nan}),
+        (DriveParams, {"pump_amplitude": 0.1, "probe_amplitude": math.nan}),
+    ], ids=["gamma", "g_cav", "g_coulomb", "pump_power", "pump_amplitude", "probe_power", "probe_amplitude"])
+    def test_nan_rejected_where_negative_is(self, cls, fields):
+        # NaN passes no comparison, so `x < 0` lets it through where `not x >= 0` does not
+        with pytest.raises(ValueError, match="nan"):
+            cls(**fields)
+
     def test_dimensionless_requires_unit_mech1_frequency(self):
         with pytest.raises(ValueError, match="omega == 1"):
             SystemParams(

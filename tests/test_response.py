@@ -247,6 +247,12 @@ class TestPhaseSpectrum:
         with pytest.raises(ValueError):
             phase_spectrum([1.0, 0.9, 1.1], pump_off, op)
 
+    def test_nan_in_grid_is_not_increasing(self, pump_off):
+        # NaN passes no comparison, so the grid check must ask for b > a, not refuse b <= a
+        op = solve_steady_state(pump_off)
+        with pytest.raises(ValueError, match="detuning grid must be strictly increasing"):
+            phase_spectrum([1.0, math.nan, 1.1], pump_off, op)
+
 
 class TestGroupDelay:
     def test_pump_off_line_center_delay(self, pump_off):
