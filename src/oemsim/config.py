@@ -228,7 +228,10 @@ def _parse_physical(value_text: str, kind: str, unit_mode: str, line_no: int) ->
             f"(allowed: {', '.join(sorted(allowed))})",
             line=line_no,
         )
-    return number * allowed[suffix]
+    value = number * allowed[suffix]
+    if not math.isfinite(value):
+        raise ConfigError(f"not finite in SI units: {value_text!r}", line=line_no)
+    return value
 
 
 def _read(text: str) -> dict:

@@ -256,8 +256,8 @@ def _fd_delay(t, h):
 def group_delays(delta, c: Coefficients, convention: str):
     """(tau_fd, tau_analytic, |t_p|, status) over an array of centre detunings, |t_p| at the centre.
 
-    One kernel call with the derivative covers the centres, which fix each
-    row's step (`_fd_step`); a second one covers the finite-difference points.
+    The centres may have any shape that broadcasts with ``c``.  One kernel call with the derivative covers
+    them, which fix each one's step (`_fd_step`); a second one covers the finite-difference points.
     The status is the first failure in the order `group_delay` meets them:
     the centre, an undefined phase there, then delta + h, - h, + h/2, - h/2.
     """
@@ -269,8 +269,8 @@ def group_delays(delta, c: Coefficients, convention: str):
         t = list(zip(*t_p_pair(x, c.kappa, convention)))  # t_p pairs at FD_OFFSETS
         magnitude = _abs(t0)
         undefined = np.where(magnitude < MIN_ABS_T, UNDEFINED_PHASE, OK)
-        ordered = np.vstack([status0, undefined, status])
-        first = ordered[np.argmax(ordered != OK, axis=0), np.arange(ordered.shape[1])]
+        ordered = np.stack([status0, undefined, *status])
+        first = np.take_along_axis(ordered, np.argmax(ordered != OK, axis=0)[np.newaxis], axis=0)[0]
         return _fd_delay(t, h), _analytic_delay(t0, dx0, c, convention), magnitude, first
 
 

@@ -354,6 +354,11 @@ def _integrate(params, delta, config, initial_state, window: float) -> Trajector
     return Trajectory(t=t, states=states)
 
 
+def _check_probe_detuning(delta: float) -> None:
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"probe detuning delta = {delta!r} must be finite and positive")
+
+
 def demodulate(
     trajectory: Trajectory,
     delta: float,
@@ -367,8 +372,7 @@ def demodulate(
     for a pure three-tone signal regardless of the window length.  The probe
     detuning sets the beat period 2pi/delta, so it must be finite and positive.
     """
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"probe detuning delta = {delta!r} must be finite and positive")
+    _check_probe_detuning(delta)
     duration = float(trajectory.t[-1])
     t_start = config.transient_fraction * duration
     keep = trajectory.t >= t_start
@@ -418,8 +422,7 @@ def probe_response(params: SystemParams, delta: float, config: TrajectoryConfig)
     run is made: it fails as early or earlier, and names the last sample before the
     window.
     """
-    if not 0.0 < delta < math.inf:  # demodulate's rule, checked before the integration it would end
-        raise ValueError(f"probe detuning delta = {delta!r} must be finite and positive")
+    _check_probe_detuning(delta)  # demodulate's rule, checked before the integration it would end
     eps_p = params.probe_amplitude(delta)
     if eps_p == 0:
         raise ValueError("probe drive is zero; nothing to demodulate against")

@@ -4,27 +4,30 @@ Runs deterministic randomized suites (fixed seed) and reports one
 pass/fail entry per check with a machine-readable JSON rendering.  This is
 what the ``validate`` CLI subcommand executes; exit status 0 means every
 check passed.
+
+Batches.  Each drawn-case check that needs no linear-system oracle solves a
+batch of cases in one `solve_steady_states` call and evaluates it in one kernel
+or `response.group_delays` call.  The cases are drawn in the rng order of a loop
+over one case at a time, so the cases used, and where the rng stops, are that
+loop's; the first failed case, in draw order, raises its one-point error
+(`_raise_first`).  ``closed_form_vs_linsys``, ``linsys_properties`` and
+``timedomain_end_to_end`` wait for a batched `linsys`, which solves one
+`OperatingPoint` at a time.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import response
 from .linsys import build_linear_system, solve_sidebands
-from .params import (
-    DIMENSIONLESS,
-    CavityParams,
-    CouplingParams,
-    DriveParams,
-    MechanicalMode,
-    SystemParams,
-)
-from .response import group_delay, sideband_amplitude, transmission
-from .steady import solve_steady_state, solve_steady_states
+from .params import DIMENSIONLESS, CavityParams, CouplingParams, DriveParams, MechanicalMode, SystemParams
+from .response import CONVENTION_CORRECTED, group_delay, sideband_amplitude, transmission
+from .steady import SteadyStates, solve_steady_state, solve_steady_states
 from .sweep import PASS_POINTS
 from .timedomain import LEAKAGE_LIMIT, Trajectory, TrajectoryConfig, demodulate, probe_response
 
@@ -131,17 +134,33 @@ def check_closed_form_vs_linsys(rng: np.random.Generator, cases: int = 200) -> C
         accepted += 1
         x = sideband_amplitude(delta, params, op)
         worst = max(worst, abs(x - sol.c_minus) / abs(sol.c_minus))
-    passed = accepted == cases and worst <= ORACLE_TOL
-    return CheckResult(
-        "closed_form_vs_linsys",
-        passed,
-        f"{accepted} cases, max relative error {worst:.3e} (tol {ORACLE_TOL:.0e})",
-    )
+    detail = f"{accepted} cases, max relative error {worst:.3e} (tol {ORACLE_TOL:.0e})"
+    return CheckResult("closed_form_vs_linsys", accepted == cases and worst <= ORACLE_TOL, detail)
 
 
 def pump_off_system(kappa: float, delta_c: float) -> SystemParams:
     """The cavity alone at explicit detuning ``delta_c``: no pump, so t_p is an all-pass."""
     return dimensionless_system(kappa=kappa, pump_amplitude=0.0, detuning_mode="explicit", detuning=delta_c)
+
+
+def _oracle_states(cases):
+    """(operating points, detunings) of `draw_oracle_case` cases, which differ in kappa, g_c and the pump."""
+    kappa, g_c, pump, delta = map(np.array, zip(*(
+        (p.cavity.kappa, p.coupling.g_coulomb, p.drive.pump_amplitude, d) for p, d in cases)))
+    swept = {"cavity": {"kappa": kappa}, "coupling": {"g_coulomb": g_c}, "drive": {"pump_amplitude": pump}}
+    return solve_steady_states(cases[0][0], swept), delta
+
+
+def _pump_off_states(kappa, delta_c):
+    """The operating points of pump-off cavities, which differ in kappa and delta_c (arrays)."""
+    swept = {"cavity": {"kappa": kappa, "detuning": delta_c}}
+    return solve_steady_states(pump_off_system(kappa[0], delta_c[0]), swept)
+
+
+def _raise_first(failed, cases, one_point):
+    """Run ``one_point`` on each failed case in draw order: the first that fails alone raises its error."""
+    for i in np.flatnonzero(failed):
+        one_point(*cases[i])
 
 
 def check_pump_off_allpass(rng: np.random.Generator) -> CheckResult:
@@ -152,22 +171,24 @@ def check_pump_off_allpass(rng: np.random.Generator) -> CheckResult:
 
 def _pump_off_deviations(rng: np.random.Generator) -> tuple[float, float]:
     """max | |t_p| - 1 | over delta_c +- 3 and max |tau kappa/2 - 1| at delta_c, on 50 drawn cavities;
-    a cavity's 41 detunings are one kernel call, and a failed one raises its one-point error."""
-    worst_mag = worst_tau = 0.0
-    for _ in range(50):
-        kappa = rng.uniform(0.02, 0.5)
-        delta_c = rng.uniform(0.2, 2.0)
-        params = pump_off_system(kappa, delta_c)
-        op = solve_steady_state(params)
-        grid = np.linspace(delta_c - 3.0, delta_c + 3.0, 41)
-        x, _, status = response.amplitude_kernel(grid, response.coefficients(params, op))
-        for i in np.flatnonzero(status):
-            transmission(float(grid[i]), params, op)  # raises the detuning's error
-        magnitude = np.hypot(*response.t_p_pair(x, kappa, response.CONVENTION_CORRECTED))  # abs(complex)
-        worst_mag = max(worst_mag, *abs(magnitude - 1.0).tolist())
-        tau = group_delay(delta_c, params, op)
-        worst_tau = max(worst_tau, abs(tau - 2.0 / kappa) / (2.0 / kappa))
-    return worst_mag, worst_tau
+    a cavity's 41 detunings and delta_c are one column of the group-delay call."""
+    cases = [(rng.uniform(0.02, 0.5), rng.uniform(0.2, 2.0)) for _ in range(50)]
+    kappa, delta_c = map(np.array, zip(*cases))
+    states = _pump_off_states(kappa, delta_c)
+    grid = np.vstack([np.linspace(delta_c - 3.0, delta_c + 3.0, 41), delta_c])
+    _, tau, magnitude, status = response.group_delays(grid, states.coefficients, CONVENTION_CORRECTED)
+    _raise_first(states.status | status.any(axis=0), cases, _pump_off_cavity)
+    tau_error = abs(tau[-1] - 2.0 / kappa) / (2.0 / kappa)
+    return float(abs(magnitude[:-1] - 1.0).max()), float(tau_error.max())
+
+
+def _pump_off_cavity(kappa: float, delta_c: float) -> None:
+    """One cavity of `_pump_off_deviations`, one detuning at a time."""
+    params = pump_off_system(kappa, delta_c)
+    op = solve_steady_state(params)
+    for delta in np.linspace(delta_c - 3.0, delta_c + 3.0, 41):
+        transmission(float(delta), params, op)
+    group_delay(delta_c, params, op)
 
 
 def check_factorization_identity(rng: np.random.Generator, draws: int = 1000) -> CheckResult:
@@ -177,16 +198,13 @@ def check_factorization_identity(rng: np.random.Generator, draws: int = 1000) ->
 
 
 def _factorization_deviation(rng: np.random.Generator, draws: int) -> float:
-    """max |X - r| / |X|, r = -i / (Delta_c - delta - i kappa), pump off, on ``draws`` drawn cases: one
-    steady solve and one kernel call; r stays a Python complex, as numpy's division rounds otherwise."""
+    """max |X - r| / |X|, r = -i / (Delta_c - delta - i kappa), pump off, on ``draws`` drawn cases;
+    r stays a Python complex, as numpy's division rounds otherwise."""
     cases = [(rng.uniform(0.02, 0.5), rng.uniform(0.2, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(draws)]
     kappa, delta_c, delta = map(np.array, zip(*cases))
-    swept = {"cavity": {"kappa": kappa, "detuning": delta_c}}
-    states = solve_steady_states(pump_off_system(*cases[0][:2]), swept)
+    states = _pump_off_states(kappa, delta_c)
     x, _, status = response.amplitude_kernel(delta, states.coefficients)
-    for k, d_c, d in (cases[i] for i in np.flatnonzero(states.status | status)):
-        params = pump_off_system(k, d_c)
-        sideband_amplitude(d, params, solve_steady_state(params))  # raises the case's error
+    _raise_first(states.status | status, cases, _pump_off_amplitude)
     worst = 0.0
     for (k, d_c, d), x_k in zip(cases, map(complex, *(part.tolist() for part in x))):
         reference = -1j / (d_c - d - 1j * k)
@@ -194,39 +212,38 @@ def _factorization_deviation(rng: np.random.Generator, draws: int) -> float:
     return worst
 
 
-def check_group_delay_methods(rng: np.random.Generator, draws: int = 1000) -> CheckResult:
-    """Analytic against finite-difference group delay on the first ``draws`` cases with |t_p| > 1e-6.
+def _pump_off_amplitude(kappa: float, delta_c: float, delta: float) -> complex:
+    params = pump_off_system(kappa, delta_c)
+    return sideband_amplitude(delta, params, solve_steady_state(params))
 
-    Each batch draws the accepted cases still missing (at most PASS_POINTS) with `draw_oracle_case`
-    and rejects |t_p| <= 1e-6 (``hypot``, as ``abs(complex)``), so the cases used, and where the rng
-    stops, are those of drawing one case at a time.  A failed case raises its one-point error.
-    """
+
+def check_group_delay_methods(rng: np.random.Generator, draws: int = 1000) -> CheckResult:
+    """Analytic against finite-difference group delay on the first ``draws`` cases with |t_p| > 1e-6."""
     worst, used = _group_delay_disagreement(rng, draws)
-    return CheckResult(
-        "group_delay_methods", worst <= 1e-6, f"{used} points, max relative disagreement {worst:.3e}"
-    )
+    detail = f"{used} points, max relative disagreement {worst:.3e}"
+    return CheckResult("group_delay_methods", worst <= 1e-6, detail)
 
 
 def _group_delay_disagreement(rng: np.random.Generator, draws: int) -> tuple[float, int]:
-    """The largest relative analytic/finite-difference difference, and the cases used; the cases
-    differ only in what `draw_oracle_case` draws: kappa, g_coulomb, the pump amplitude and delta."""
-    worst, used, convention = 0.0, 0, response.CONVENTION_CORRECTED
+    """The largest relative analytic/finite-difference difference, and the cases used.  Each batch
+    draws the accepted cases still missing (at most PASS_POINTS) and rejects |t_p| <= 1e-6."""
+    worst, used = 0.0, 0
     while used < draws:
         cases = [draw_oracle_case(rng) for _ in range(min(draws - used, PASS_POINTS))]
-        kappa, g_c, pump, delta = map(np.array, zip(*(
-            (p.cavity.kappa, p.coupling.g_coulomb, p.drive.pump_amplitude, d) for p, d in cases)))
-        swept = {"cavity": {"kappa": kappa}, "coupling": {"g_coulomb": g_c}, "drive": {"pump_amplitude": pump}}
-        states = solve_steady_states(cases[0][0], swept)
-        fd, analytic, magnitude, status = response.group_delays(delta, states.coefficients, convention)
-        for params, d in (cases[i] for i in np.flatnonzero(states.status | status)):  # a status not OK
-            op = solve_steady_state(params)  # the one-point functions raise the case's error
-            if not abs(transmission(d, params, op).t_p) <= 1e-6:
-                group_delay(d, params, op, "finite-difference")
-        kept = ~(magnitude <= 1e-6)  # |t_p| is libm hypot, as abs(complex)
+        states, delta = _oracle_states(cases)
+        fd, analytic, t_abs, status = response.group_delays(delta, states.coefficients, CONVENTION_CORRECTED)
+        _raise_first(states.status | status, cases, _group_delay_case)
+        kept = ~(t_abs <= 1e-6)  # |t_p| is libm hypot, as abs(complex)
         used += int(kept.sum())
         relative = abs(analytic - fd)[kept] / np.maximum(abs(analytic[kept]), 1e-300)
         worst = max(worst, float(relative.max(initial=0.0)))
     return worst, used
+
+
+def _group_delay_case(params: SystemParams, delta: float) -> None:
+    op = solve_steady_state(params)
+    if not abs(transmission(delta, params, op).t_p) <= 1e-6:  # a rejected case is not evaluated
+        group_delay(delta, params, op, "finite-difference")
 
 
 def check_linsys_properties(rng: np.random.Generator) -> CheckResult:
@@ -262,73 +279,59 @@ def check_linsys_properties(rng: np.random.Generator) -> CheckResult:
         op = solve_steady_state(params)
         a, b = build_linear_system(delta, params, op)
         sol = solve_sidebands(delta, params, op)
-        x_vec = np.array(
-            [sol.c_minus, np.conj(sol.c_plus), sol.q1_minus, sol.q1_minus, sol.q2_minus, sol.q2_minus],
-            dtype=complex,
-        )
+        x_vec = np.array([sol.c_minus, np.conj(sol.c_plus), sol.q1_minus, sol.q1_minus,
+                          sol.q2_minus, sol.q2_minus])
         residual = np.linalg.norm(a @ x_vec - b) / np.linalg.norm(b)
         if residual > 1e-10:
             problems.append(f"reconstructed residual {residual:.3e} at delta {delta:.3f}")
             break
     # Coulomb decoupling limit
-    base = 0.0
-    errors = []
-    params0 = system_for_beta(0.3, 5e-3, g_coulomb=0.0)
-    op0 = solve_steady_state(params0)
-    reference = solve_sidebands(1.2, params0, op0).c_minus
-    for g_c in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
-        params_g = system_for_beta(0.3, 5e-3, g_coulomb=g_c)
-        op_g = solve_steady_state(params_g)
-        errors.append(abs(solve_sidebands(1.2, params_g, op_g).c_minus - reference))
+    def c_minus(g_c):
+        params = system_for_beta(0.3, 5e-3, g_coulomb=g_c)
+        return solve_sidebands(1.2, params, solve_steady_state(params)).c_minus
+
+    reference = c_minus(0.0)
+    errors = [abs(c_minus(g_c) - reference) for g_c in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)]
     if not all(b < a for a, b in zip(errors, errors[1:])):
         problems.append(f"g_c -> 0 limit not monotone: {errors}")
     if errors[-1] >= 1e-10:
         problems.append(f"g_c -> 0 limit does not reach 1e-10: {errors[-1]:.3e}")
-    passed = not problems
-    return CheckResult("linsys_properties", passed, "; ".join(problems) or "all properties hold")
+    return CheckResult("linsys_properties", not problems, "; ".join(problems) or "all properties hold")
 
 
 def check_steady_state(rng: np.random.Generator) -> CheckResult:
-    problems = []
-    worst_residual = 0.0
-    for _ in range(100):
-        params, _ = draw_oracle_case(rng)
-        op = solve_steady_state(params)
-        omega_sq = params.pump_amplitude() ** 2
-        worst_residual = max(worst_residual, op.residual / max(omega_sq, 1.0))
-    if worst_residual > 1e-12:
-        problems.append(f"residual {worst_residual:.3e}")
+    cases = [draw_oracle_case(rng) for _ in range(100)]
+    states, _ = _oracle_states(cases)
+    _raise_first(states.status, cases, lambda params, _: solve_steady_state(params))
+    omega_sq = np.array([params.pump_amplitude() ** 2 for params, _ in cases])
+    worst_residual = float((states.residual / np.maximum(omega_sq, 1.0)).max())
+    problems = [f"residual {worst_residual:.3e}"] if worst_residual > 1e-12 else []
     # bistability on the reference dimensionless scan
-    found = None
-    previous_n = -1.0
-    for pump in np.linspace(0.05, 0.45, 81):
-        params = dimensionless_system(
-            kappa=0.1, g_cav=1.0, pump_amplitude=float(pump),
-            detuning_mode="explicit", detuning=1.0,
-        )
-        op = solve_steady_state(params)
-        if op.branch_count == 3 and found is None:
-            found = float(pump)
-        if found is None:
-            if op.photon_number < previous_n:
-                problems.append("lowest branch not monotone below the knee")
-            previous_n = op.photon_number
-    if found is None:
+    pumps = np.linspace(0.05, 0.45, 81).tolist()
+    scan = _pump_scan(pumps, kappa=0.1, g_cav=1.0, detuning=1.0)
+    knee = np.flatnonzero(scan.branch_count == 3)[:1]
+    below = scan.photon_number[:knee[0] if knee.size else None]
+    rises = np.count_nonzero(below < np.append(-1.0, below[:-1]))
+    problems += ["lowest branch not monotone below the knee"] * rises
+    if not knee.size:
         problems.append("no bistable region found on the reference scan")
     # quadratic pump scaling for a linear cavity
-    params1 = dimensionless_system(kappa=0.3, g_cav=0.0, pump_amplitude=0.2,
-                                   detuning_mode="explicit", detuning=0.7)
-    params2 = dimensionless_system(kappa=0.3, g_cav=0.0, pump_amplitude=0.6,
-                                   detuning_mode="explicit", detuning=0.7)
-    n1 = solve_steady_state(params1).photon_number
-    n2 = solve_steady_state(params2).photon_number
+    n1, n2 = _pump_scan([0.2, 0.6], kappa=0.3, g_cav=0.0, detuning=0.7).photon_number.tolist()
     if abs(n2 - 9.0 * n1) > 1e-12 * n2:
         problems.append(f"pump scaling violated: {n2} vs {9 * n1}")
-    passed = not problems
     detail = "; ".join(problems) or (
-        f"max residual {worst_residual:.3e}; bistability first at pump {found:.4f}"
+        f"max residual {worst_residual:.3e}; bistability first at pump {pumps[knee[0]]:.4f}"
     )
-    return CheckResult("steady_state", passed, detail)
+    return CheckResult("steady_state", not problems, detail)
+
+
+def _pump_scan(pumps: list[float], **system) -> SteadyStates:
+    """The operating points of one explicit-detuning system over pump amplitudes, as one batch."""
+    at = partial(dimensionless_system, detuning_mode="explicit", **system)
+    states = solve_steady_states(at(), {"drive": {"pump_amplitude": np.array(pumps)}})
+    cases = [(pump,) for pump in pumps]
+    _raise_first(states.status, cases, lambda pump: solve_steady_state(at(pump_amplitude=pump)))
+    return states
 
 
 def check_timedomain(rng: np.random.Generator) -> CheckResult:
@@ -344,23 +347,17 @@ def check_timedomain(rng: np.random.Generator) -> CheckResult:
             kappa=kappa, gamma1=gamma, gamma2=gamma, g_cav=g_cav, g_coulomb=g_c,
             pump_power=power, pump_amplitude=None, probe_amplitude=1e-3 * pump,
         )
-        config = TrajectoryConfig(
-            duration=20.0 * 2.0 * math.pi / gamma,
-            dt=(2.0 * math.pi / delta) / 16.0,
-            integrator_tolerance=1e-9,
-        )
+        config = TrajectoryConfig(duration=20.0 * 2.0 * math.pi / gamma, dt=(2.0 * math.pi / delta) / 16.0,
+                                  integrator_tolerance=1e-9)
         op = solve_steady_state(params)
         reference = solve_sidebands(delta, params, op).c_minus
         demod = probe_response(params, delta, config)
         worst = max(worst, abs(demod.c_minus_est - reference) / abs(reference))
         if not demod.accepted:
-            rejected.append(
-                f"demodulation leakage {demod.leakage:.3e} at kappa = {kappa} "
-                f"(limit {LEAKAGE_LIMIT:.0e})"
-            )
-    passed = worst <= 1e-2 and not rejected
+            rejected.append(f"demodulation leakage {demod.leakage:.3e} at kappa = {kappa} "
+                            f"(limit {LEAKAGE_LIMIT:.0e})")
     detail = "; ".join([f"max relative error {worst:.3e} (tol 1e-02)"] + rejected)
-    return CheckResult("timedomain_end_to_end", passed, detail)
+    return CheckResult("timedomain_end_to_end", worst <= 1e-2 and not rejected, detail)
 
 
 def check_demodulation(rng: np.random.Generator) -> CheckResult:
@@ -368,32 +365,30 @@ def check_demodulation(rng: np.random.Generator) -> CheckResult:
     delta = 1.1
     t = np.arange(0.0, 4000.0, 0.3)
     field = 2.0 + 0.1 * np.exp(-1j * delta * t)
-    states = np.zeros((t.size, 6))
-    states[:, 4] = field.real
-    states[:, 5] = field.imag
     config = TrajectoryConfig(duration=float(t[-1]), dt=0.3, transient_fraction=0.5)
-    result = demodulate(Trajectory(t=t, states=states), delta, config)
+
+    def demodulated(signal):
+        states = np.zeros((t.size, 6))
+        states[:, 4], states[:, 5] = signal.real, signal.imag
+        return demodulate(Trajectory(t=t, states=states), delta, config)
+
+    result = demodulated(field)
     if abs(result.cs_est - 2.0) > 1e-12 or abs(result.c_minus_est - 0.1) > 1e-12:
         problems.append("exact three-tone projection failed")
     if abs(result.c_plus_est) > 1e-12 or result.leakage > 1e-24:
         problems.append("spurious tone content on a clean signal")
     noise = 1e-3 * (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size))
-    states2 = states.copy()
-    states2[:, 4] += noise.real
-    states2[:, 5] += noise.imag
-    noisy = demodulate(Trajectory(t=t, states=states2), delta, config)
+    noisy = demodulated(field + noise)
     if abs(noisy.c_minus_est - 0.1) > 1e-3:
         problems.append(f"noisy coefficient error {abs(noisy.c_minus_est - 0.1):.2e}")
     expected_leak = float(np.sum(np.abs(noise) ** 2) / np.sum(np.abs(field + noise) ** 2))
     if not 0.1 * expected_leak < noisy.leakage < 10 * expected_leak:
         problems.append(f"leakage {noisy.leakage:.2e} vs expected {expected_leak:.2e}")
-    passed = not problems
-    return CheckResult("demodulation", passed, "; ".join(problems) or "exact and noisy cases hold")
+    return CheckResult("demodulation", not problems, "; ".join(problems) or "exact and noisy cases hold")
 
 
 def run_validation(seed: int = DEFAULT_SEED) -> ValidationReport:
     """Run every cross-check with a deterministic RNG stream per check."""
-    checks = []
     suites = (
         check_closed_form_vs_linsys,
         check_pump_off_allpass,
@@ -404,7 +399,5 @@ def run_validation(seed: int = DEFAULT_SEED) -> ValidationReport:
         check_demodulation,
         check_timedomain,
     )
-    for index, fn in enumerate(suites):
-        rng = np.random.default_rng([seed, index])
-        checks.append(fn(rng))
-    return ValidationReport(seed=seed, checks=tuple(checks))
+    checks = tuple(fn(np.random.default_rng([seed, index])) for index, fn in enumerate(suites))
+    return ValidationReport(seed=seed, checks=checks)

@@ -9,7 +9,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from oemsim.linsys import solve_sidebands
 from oemsim.presets import (
@@ -23,12 +22,7 @@ from oemsim.response import group_delay, sideband_amplitude, transmission, trans
 from oemsim.steady import solve_steady_state
 from oemsim.sweep import SPLITTING_POINTS
 from oemsim.timedomain import TrajectoryConfig, probe_response
-from oemsim.validate import (
-    dimensionless_system,
-    draw_oracle_case,
-    run_validation,
-    system_for_beta,
-)
+from oemsim.validate import dimensionless_system, draw_oracle_case, run_validation
 
 
 def _report(criterion, passed, detail):

@@ -383,6 +383,15 @@ class TestSteadyState:
         assert "steady state leaves the float range" in captured.err
         assert captured.out == ""
 
+    def test_decay_rate_that_overflows_its_unit_exits_1(self, tmp_path, capsys):
+        # 1e308 is finite, but 1e308 MHz is not once scaled to rad/s
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("preset = paper-2012\n[cavity]\nkappa = 1e308 MHz\n")
+        assert main(["steady-state", "--config", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "oemsim: config error: line 3: not finite in SI units: '1e308 MHz'\n"
+        assert captured.out == ""
+
 
 class TestValidation:
     def test_failing_report_maps_to_exit_3(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every name that a module of the package imports is used in that module or listed in its ``__all__``.
+"""Every name that a module of the package, the tests or the tools imports is used in that module or
+listed in its ``__all__``.
 
 No linter is part of the toolchain, so this test is the unused-import check.
 """
@@ -9,7 +10,9 @@ import pytest
 
 import oemsim
 
-MODULES = sorted(Path(oemsim.__file__).parent.glob("*.py"))
+PACKAGE = sorted(Path(oemsim.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = PACKAGE + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("tools/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,6 +39,9 @@ def test_the_check_finds_unused_imports():
     assert unused_imports(source) == ["b", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+# a package module by its file name, a test or tool module by its path from the repository root
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda path: path.name if path in PACKAGE else path.relative_to(ROOT).as_posix()
+)
 def test_every_imported_name_is_used_or_exported(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

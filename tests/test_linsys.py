@@ -132,6 +132,15 @@ def test_regular_at_second_resonator_pole():
     assert abs(sol.q1_minus) <= 1e-12
 
 
+def test_ill_conditioned_system_raises():
+    # pump off and undamped mirror 1 at resonance, held only by a g_c = 1e-14 link to mirror 2:
+    # no row is empty, but the condition passes the limit
+    params = dimensionless_system(kappa=0.2, gamma1=0.0, gamma2=1e-2, g_coulomb=1e-14, pump_amplitude=0.0)
+    op = solve_steady_state(params)
+    with pytest.raises(SingularResponseError, match=r"near-singular \(condition 2e\+12\)"):
+        solve_sidebands(1.0, params, op)
+
+
 def test_singular_system_raises():
     # undamped decoupled mirror 1 driven exactly on resonance: its row vanishes
     params = dimensionless_system(kappa=0.2, gamma1=0.0, g_cav=0.0, g_coulomb=0.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -57,6 +58,24 @@ class TestPumpAmplitude:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             DriveParams(pump_power=-1.0)
+
+
+class TestProbeAmplitude:
+    def test_si_probe_power_is_taken_at_the_probe_frequency(self):
+        # eps_p = sqrt(2 kappa P_p / (hbar omega_p)), omega_p = omega_l + delta
+        kappa, power, delta = 2 * math.pi * 215e3, 1e-9, PAPER_OMEGA
+        cavity = CavityParams(kappa=kappa, length=25e-3, pump_wavelength=1064e-9)
+        params = si_system(cavity, DriveParams(pump_power=6e-6, probe_power=power))
+        omega_p = 2 * math.pi * C_LIGHT / 1064e-9 + delta
+        assert params.probe_amplitude(delta) == pytest.approx(
+            math.sqrt(2 * kappa * power / (HBAR * omega_p)), rel=1e-14
+        )
+        assert params.probe_amplitude(delta) < params.probe_amplitude(0.0)
+
+    def test_dimensionless_probe_power_has_no_frequency_shift(self):
+        drive = DriveParams(pump_amplitude=0.5, probe_power=2e-6)
+        params = dataclasses.replace(dimensionless_system(kappa=0.3), drive=drive)
+        assert params.probe_amplitude(0.7) == params.probe_amplitude(0.0) == math.sqrt(2 * 0.3 * 2e-6)
 
 
 class TestEffectiveStiffness:

@@ -86,6 +86,18 @@ class TestSusceptibilityParts:
         with pytest.raises(MechanicalPoleError):
             sideband_amplitude(1.0, params, op)
 
+    def test_exact_pole_on_a_grid_raises(self):
+        # the grid functions raise the first failed detuning of their array status
+        params = dimensionless_system(kappa=0.2, gamma2=0.0, pump_amplitude=0.2)
+        op = solve_steady_state(params)
+        with pytest.raises(MechanicalPoleError):
+            phase_spectrum([0.9, 1.0, 1.1], params, op)
+        phase_spectrum([0.9, 1.05, 1.1], params, op)
+        assert 1.0 in np.linspace(0.8, 1.2, 3)
+        with pytest.raises(MechanicalPoleError):
+            transmission_maxima(params, op, half_width=0.2, points=3)
+        transmission_maxima(params, op, half_width=0.2, points=4)
+
 
 class TestSidebandAmplitude:
     def test_bare_cavity_factorization(self, rng):

@@ -460,6 +460,14 @@ class TestDemodulate:
         with pytest.raises(InsufficientDataError):
             demodulate(trajectory, delta, config)
 
+    def test_fewer_than_four_samples_after_the_transient_raise(self):
+        # t = 0, 1, ..., 6: discarding half leaves the 4 samples needed, discarding 51 % leaves 3
+        trajectory = self.synthetic(1.0, (1.0, 0.1, 0.0), t_end=7.0, dt=1.0)
+        for fraction, message in ((0.5, "shorter than one beat period"), (0.51, "no samples left")):
+            config = TrajectoryConfig(duration=6.0, dt=1.0, transient_fraction=fraction)
+            with pytest.raises(InsufficientDataError, match=message):
+                demodulate(trajectory, 1.0, config)
+
     def test_few_beats_warns(self):
         delta = 1.0
         trajectory = self.synthetic(delta, (1.0, 0.1, 0.0), t_end=100.0, dt=0.2)

@@ -5,7 +5,7 @@ import pytest
 
 import oemsim.validate
 from oemsim.linsys import solve_sidebands
-from oemsim.errors import MechanicalPoleError
+from oemsim.errors import MechanicalPoleError, StaticInstabilityError
 from oemsim.response import group_delay, sideband_amplitude, transmission
 from oemsim.steady import solve_steady_state
 from oemsim.timedomain import DemodResult
@@ -178,3 +178,74 @@ def test_batched_pump_off_checks_raise_the_scalar_loops_first_error(check, monke
             run(ScriptedDraws(draws))
         errors.append(str(err.value))
     assert errors[0] == errors[1]
+
+
+def scalar_check_steady_state(rng):
+    """check_steady_state one operating point at a time, as it was written before it was batched."""
+    problems = []
+    worst_residual = 0.0
+    for _ in range(100):
+        params, _ = oemsim.validate.draw_oracle_case(rng)
+        op = solve_steady_state(params)
+        omega_sq = params.pump_amplitude() ** 2
+        worst_residual = max(worst_residual, op.residual / max(omega_sq, 1.0))
+    if worst_residual > 1e-12:
+        problems.append(f"residual {worst_residual:.3e}")
+    found = None
+    previous_n = -1.0
+    for pump in np.linspace(0.05, 0.45, 81):
+        params = dimensionless_system(
+            kappa=0.1, g_cav=1.0, pump_amplitude=float(pump), detuning_mode="explicit", detuning=1.0
+        )
+        op = solve_steady_state(params)
+        if op.branch_count == 3 and found is None:
+            found = float(pump)
+        if found is None:
+            if op.photon_number < previous_n:
+                problems.append("lowest branch not monotone below the knee")
+            previous_n = op.photon_number
+    if found is None:
+        problems.append("no bistable region found on the reference scan")
+    n1, n2 = (
+        solve_steady_state(dimensionless_system(
+            kappa=0.3, g_cav=0.0, pump_amplitude=pump, detuning_mode="explicit", detuning=0.7
+        )).photon_number
+        for pump in (0.2, 0.6)
+    )
+    if abs(n2 - 9.0 * n1) > 1e-12 * n2:
+        problems.append(f"pump scaling violated: {n2} vs {9 * n1}")
+    detail = "; ".join(problems) or (
+        f"max residual {worst_residual:.3e}; bistability first at pump {found:.4f}"
+    )
+    return oemsim.validate.CheckResult("steady_state", not problems, detail)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_steady_state_check_equals_the_scalar_loop(seed):
+    # the rng stream run_validation gives the check (index 5) for each seed
+    scalar_rng, batch_rng = (np.random.default_rng([seed, 5]) for _ in range(2))
+    batched = oemsim.validate.check_steady_state(batch_rng)
+    assert repr(batched) == repr(scalar_check_steady_state(scalar_rng))
+    assert batch_rng.random() == scalar_rng.random()  # both stopped after the same draw
+
+
+def test_batched_steady_state_check_raises_the_scalar_loops_first_error(monkeypatch):
+    # draws 37 and 60 are statically unstable, K = 1 - g_c^2 = -1.25 and -3; the first must raise
+    unstable = {37: system_for_beta(0.2, 1e-3, g_coulomb=1.5), 60: system_for_beta(0.2, 1e-3, g_coulomb=2.0)}
+
+    def draws():
+        calls = itertools.count()
+
+        def draw(rng):
+            params, delta = draw_oracle_case(rng)
+            return unstable.get(next(calls), params), delta
+
+        return draw
+
+    errors = []
+    for check in (oemsim.validate.check_steady_state, scalar_check_steady_state):
+        monkeypatch.setattr(oemsim.validate, "draw_oracle_case", draws())
+        with pytest.raises(StaticInstabilityError) as err:
+            check(np.random.default_rng(3))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == "Coulomb softening exceeds mechanical stiffness (K = -1.25 <= 0)"
