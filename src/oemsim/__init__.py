@@ -4,97 +4,41 @@ Core pipeline: a self-consistent steady state (`solve_steady_state`), the
 closed-form sideband amplitude and transmission (`response`), an
 independent linear-system oracle (`linsys`), a full nonlinear time-domain
 oracle (`timedomain`), and a parallel sweep engine with a CLI (`sweep`,
-`cli`).
+`cli`).  Each name in `__all__` is imported from its module on first use
+(PEP 562), so ``import oemsim`` alone loads no submodule and no numpy.
 """
+import importlib
 
 __version__ = "0.1.0"
 
-from .config import SweepAxis, SweepSpec, parse_config, parse_config_file, serialize_config
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    GridTooCoarseError,
-    InsufficientDataError,
-    IntegrationError,
-    InvariantViolationError,
-    MechanicalPoleError,
-    SimulationError,
-    SingularResponseError,
-    StaticInstabilityError,
-    UndefinedPhaseError,
-)
-from .linsys import SidebandSolution, build_linear_system, solve_sidebands
-from .params import (
-    CavityParams,
-    CouplingParams,
-    DriveParams,
-    MechanicalMode,
-    SystemParams,
-)
-from .presets import get_preset
-from .response import (
-    ResponseSample,
-    group_delay,
-    phase_spectrum,
-    sideband_amplitude,
-    transmission,
-    transmission_maxima,
-)
-from .steady import OperatingPoint, photon_number_roots, solve_steady_state, solve_steady_states
-from .sweep import SweepResult, emit_csv, run_sweep
-from .timedomain import (
-    DemodResult,
-    Trajectory,
-    TrajectoryConfig,
-    demodulate,
-    integrate,
-    probe_response,
-)
+# each export, by the module that defines it
+_EXPORTS = {
+    "config": ("SweepAxis", "SweepSpec", "parse_config", "parse_config_file", "serialize_config"),
+    "errors": ("ConfigError", "DivergenceError", "GridTooCoarseError", "InsufficientDataError",
+               "IntegrationError", "InvariantViolationError", "MechanicalPoleError", "SimulationError",
+               "SingularResponseError", "StaticInstabilityError", "UndefinedPhaseError"),
+    "linsys": ("SidebandSolution", "build_linear_system", "solve_sidebands"),
+    "params": ("CavityParams", "CouplingParams", "DriveParams", "MechanicalMode", "SystemParams"),
+    "presets": ("get_preset",),
+    "response": ("ResponseSample", "group_delay", "phase_spectrum", "sideband_amplitude", "transmission",
+                 "transmission_maxima"),
+    "steady": ("OperatingPoint", "photon_number_roots", "solve_steady_state", "solve_steady_states"),
+    "sweep": ("SweepResult", "emit_csv", "run_sweep"),
+    "timedomain": ("DemodResult", "Trajectory", "TrajectoryConfig", "demodulate", "integrate",
+                   "probe_response"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "CavityParams",
-    "ConfigError",
-    "CouplingParams",
-    "DemodResult",
-    "DivergenceError",
-    "DriveParams",
-    "GridTooCoarseError",
-    "InsufficientDataError",
-    "IntegrationError",
-    "InvariantViolationError",
-    "MechanicalMode",
-    "MechanicalPoleError",
-    "OperatingPoint",
-    "ResponseSample",
-    "SidebandSolution",
-    "SimulationError",
-    "SingularResponseError",
-    "StaticInstabilityError",
-    "SweepAxis",
-    "SweepResult",
-    "SweepSpec",
-    "SystemParams",
-    "Trajectory",
-    "TrajectoryConfig",
-    "UndefinedPhaseError",
-    "build_linear_system",
-    "demodulate",
-    "emit_csv",
-    "get_preset",
-    "group_delay",
-    "integrate",
-    "parse_config",
-    "parse_config_file",
-    "phase_spectrum",
-    "photon_number_roots",
-    "probe_response",
-    "run_sweep",
-    "serialize_config",
-    "sideband_amplitude",
-    "solve_sidebands",
-    "solve_steady_state",
-    "solve_steady_states",
-    "transmission",
-    "transmission_maxima",
-]
+__all__ = ["__version__", *sorted(_MODULE_OF)]
+
+
+def __getattr__(name):
+    """Import export ``name`` from its module and keep it in the package namespace."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

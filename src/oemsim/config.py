@@ -23,6 +23,7 @@ and `SweepSpec` check a sweep's own rules when built, from text or in Python.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -134,7 +135,8 @@ def _check_choice(key: str, value, choices: tuple[str, ...], line: int | None = 
 @dataclass(frozen=True)
 class SweepAxis:
     """One swept parameter with an inclusive range; ConfigError unless the name is one of `AXES`,
-    the spacing one of `SPACINGS`, points >= 2 and both bounds finite, and positive for log spacing."""
+    the spacing one of `SPACINGS`, points an integer >= 2 and both bounds real and finite, and
+    positive for log spacing."""
 
     name: str
     lo: float
@@ -145,8 +147,12 @@ class SweepAxis:
     def __post_init__(self):
         _check_choice("axis", self.name, AXIS_NAMES)
         _check_choice(f"axis {self.name}: spacing", self.spacing, SPACINGS)
+        if not isinstance(self.points, numbers.Integral):
+            raise ConfigError(f"axis {self.name}: points must be an integer, got {self.points!r}")
         if not self.points >= 2:
             raise ConfigError(f"axis {self.name}: points must be >= 2, got {self.points}")
+        if not (isinstance(self.lo, numbers.Real) and isinstance(self.hi, numbers.Real)):
+            raise ConfigError(f"axis {self.name}: bounds must be real numbers, got {self.lo!r} and {self.hi!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ConfigError(f"axis {self.name}: bounds must be finite, got {self.lo} and {self.hi}")
         if self.spacing == "log" and (self.lo <= 0 or self.hi <= 0):
@@ -158,14 +164,15 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Scenario, swept axes and the reporting convention; ConfigError unless the scenario is one of
-    `SCENARIOS`, the convention one of `CONVENTIONS` and the axis names distinct."""
+    """Scenario, swept axes (kept as a tuple) and the reporting convention; ConfigError unless the
+    scenario is one of `SCENARIOS`, the convention one of `CONVENTIONS` and the axis names distinct."""
 
     scenario: str
     axes: tuple[SweepAxis, ...] = ()
     convention: str = "paper-corrected"
 
     def __post_init__(self):
+        object.__setattr__(self, "axes", tuple(self.axes))
         _check_choice("scenario", self.scenario, SCENARIOS)
         _check_choice("convention", self.convention, CONVENTIONS)
         if len({axis.name for axis in self.axes}) < len(self.axes):

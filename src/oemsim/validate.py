@@ -35,6 +35,8 @@ DEFAULT_SEED = 20260810
 ORACLE_TOL = 1e-9
 CONDITION_ACCEPT = 1e8
 QUALITY_GAMMA = 1.0 / 6700.0
+ORACLE_CASES = 200  # accepted cases of closed_form_vs_linsys
+DRAWS = 1000  # drawn cases of factorization_identity and group_delay_methods
 
 
 @dataclass(frozen=True)
@@ -120,11 +122,11 @@ def draw_oracle_case(rng: np.random.Generator):
     return params, delta
 
 
-def check_closed_form_vs_linsys(rng: np.random.Generator, cases: int = 200) -> CheckResult:
+def check_closed_form_vs_linsys(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     accepted = 0
     tries = 0
-    while accepted < cases and tries < cases * 20:
+    while accepted < ORACLE_CASES and tries < ORACLE_CASES * 20:
         tries += 1
         params, delta = draw_oracle_case(rng)
         op = solve_steady_state(params)
@@ -135,7 +137,7 @@ def check_closed_form_vs_linsys(rng: np.random.Generator, cases: int = 200) -> C
         x = sideband_amplitude(delta, params, op)
         worst = max(worst, abs(x - sol.c_minus) / abs(sol.c_minus))
     detail = f"{accepted} cases, max relative error {worst:.3e} (tol {ORACLE_TOL:.0e})"
-    return CheckResult("closed_form_vs_linsys", accepted == cases and worst <= ORACLE_TOL, detail)
+    return CheckResult("closed_form_vs_linsys", accepted == ORACLE_CASES and worst <= ORACLE_TOL, detail)
 
 
 def pump_off_system(kappa: float, delta_c: float) -> SystemParams:
@@ -191,9 +193,9 @@ def _pump_off_cavity(kappa: float, delta_c: float) -> None:
     group_delay(delta_c, params, op)
 
 
-def check_factorization_identity(rng: np.random.Generator, draws: int = 1000) -> CheckResult:
-    worst = _factorization_deviation(rng, draws)
-    detail = f"{draws} draws, max relative deviation {worst:.3e}"
+def check_factorization_identity(rng: np.random.Generator) -> CheckResult:
+    worst = _factorization_deviation(rng, DRAWS)
+    detail = f"{DRAWS} draws, max relative deviation {worst:.3e}"
     return CheckResult("factorization_identity", worst <= 1e-12, detail)
 
 
@@ -217,9 +219,9 @@ def _pump_off_amplitude(kappa: float, delta_c: float, delta: float) -> complex:
     return sideband_amplitude(delta, params, solve_steady_state(params))
 
 
-def check_group_delay_methods(rng: np.random.Generator, draws: int = 1000) -> CheckResult:
-    """Analytic against finite-difference group delay on the first ``draws`` cases with |t_p| > 1e-6."""
-    worst, used = _group_delay_disagreement(rng, draws)
+def check_group_delay_methods(rng: np.random.Generator) -> CheckResult:
+    """Analytic against finite-difference group delay on the first `DRAWS` cases with |t_p| > 1e-6."""
+    worst, used = _group_delay_disagreement(rng, DRAWS)
     detail = f"{used} points, max relative disagreement {worst:.3e}"
     return CheckResult("group_delay_methods", worst <= 1e-6, detail)
 

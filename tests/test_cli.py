@@ -106,6 +106,12 @@ INVALID_SPECS = {
                   "axis delta_bar: bounds must be finite, got -0.1 and inf"),
     "nan-bound": ("delay-vs-power", [("P_l", math.nan, 1.0, 5, "log")], "paper-corrected",
                   "axis P_l: bounds must be finite, got nan and 1.0"),
+    "points-not-integer": ("spectrum", [("delta_bar", -0.1, 0.1, 3.0)], "paper-corrected",
+                           "axis delta_bar: points must be an integer, got 3.0"),
+    "string-bound": ("spectrum", [("delta_bar", "-0.1", 0.1, 3)], "paper-corrected",
+                     "axis delta_bar: bounds must be real numbers, got '-0.1' and 0.1"),
+    "none-bound": ("spectrum", [("delta_bar", -0.1, None, 3)], "paper-corrected",
+                   "axis delta_bar: bounds must be real numbers, got -0.1 and None"),
     "cubic-spacing": ("spectrum", [("delta_bar", -0.1, 0.1, 5, "cubic")], "paper-corrected",
                       "axis delta_bar: spacing must be one of linear, log; got 'cubic'"),
     "unknown-axis": ("spectrum", [("omega", 0.9, 1.1, 5)], "paper-corrected",
@@ -452,6 +458,35 @@ def test_serial_table_does_not_load_the_process_pool(tmp_path):
 
 def test_every_exported_name_resolves():
     assert [name for name in oemsim.__all__ if not hasattr(oemsim, name)] == []
+
+
+def _fresh_package(code):
+    """What ``code`` prints, as JSON, run after ``import json, sys, oemsim`` in a fresh interpreter."""
+    result = _run_python("-c", "import json, sys, oemsim\n" + code)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    code = "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('oemsim.', 'numpy')))))"
+    assert _fresh_package(code) == []
+
+
+def test_dir_lists_every_export_before_it_is_imported():
+    listed = _fresh_package("print(json.dumps(dir(oemsim)))")
+    assert set(oemsim.__all__) <= set(listed)
+
+
+def test_star_import_binds_every_export():
+    code = "namespace = {}\nexec('from oemsim import *', namespace)\nprint(json.dumps(sorted(namespace)))"
+    assert set(oemsim.__all__) <= set(_fresh_package(code))
+
+
+def test_every_export_comes_from_the_module_its_table_names():
+    # the table is the package's _EXPORTS: module -> the names it exports
+    code = "print(json.dumps({name: getattr(oemsim, name).__module__ for name in oemsim.__all__[1:]}))"
+    table = {name: f"oemsim.{module}" for module, names in oemsim._EXPORTS.items() for name in names}
+    assert _fresh_package(code) == table
 
 
 def test_delay_rows_of_a_nonperturbative_probe_do_not_warn(tmp_path):

@@ -4,6 +4,7 @@ listed in its ``__all__``.
 No linter is part of the toolchain, so this test is the unused-import check.
 """
 import ast
+import contextlib
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ MODULES = PACKAGE + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("tools/*.
 
 
 def unused_imports(source: str) -> list[str]:
-    """The names bound by the imports of ``source`` that it neither uses nor lists in ``__all__``."""
+    """The names bound by the imports of ``source`` that it neither uses nor lists in ``__all__``; an
+    ``__all__`` that is not a literal lists none."""
     tree = ast.parse(source)
     imported = set()
     for node in ast.walk(tree):
@@ -27,7 +29,8 @@ def unused_imports(source: str) -> list[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
-            used.update(ast.literal_eval(node.value))
+            with contextlib.suppress(ValueError):  # a computed __all__
+                used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
 
 
@@ -37,6 +40,8 @@ def test_the_check_finds_unused_imports():
         "from .a import b, c as d, e\n__all__ = ['e']\nx: np.ndarray = d\n"
     )
     assert unused_imports(source) == ["b", "os"]
+    # a computed __all__ keeps no import: "f" is only a string in it
+    assert unused_imports("from .a import f, g\n__all__ = ['g', *sorted(['f'])]\n") == ["f", "g"]
 
 
 # a package module by its file name, a test or tool module by its path from the repository root

@@ -133,6 +133,16 @@ class TestRunSweep:
         assert result.spec.axes[0].name == "delta_bar"
         assert len(table_rows(result)) == result.spec.axes[0].points
 
+    @pytest.mark.parametrize("axes", [
+        [SweepAxis("g_coulomb", 0.0, 0.1, 3)],
+        [SweepAxis("g_coulomb", 0.0, 0.1, 3), SweepAxis("delta_bar", -0.1, 0.1, 5)],
+    ], ids=["default-delta_bar", "given-delta_bar"])
+    def test_a_list_of_axes_gives_the_table_of_the_tuple(self, slowfast_spectrum, axes):
+        from_list = run_sweep(slowfast_spectrum, SweepSpec("spectrum", axes))
+        from_tuple = run_sweep(slowfast_spectrum, SweepSpec("spectrum", tuple(axes)))
+        assert from_list.spec == from_tuple.spec and isinstance(from_list.spec.axes, tuple)
+        assert render_text(from_list, timestamp=False) == render_text(from_tuple, timestamp=False)
+
     def test_phase_appends_the_default_delta_bar_axis_innermost(self, slowfast_spectrum):
         axes = (SweepAxis("g_coulomb", 0.05, 0.2, 3),)
         phase = run_sweep(slowfast_spectrum, SweepSpec("phase", axes))
