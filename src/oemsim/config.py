@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -164,15 +165,18 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Scenario, swept axes (kept as a tuple) and the reporting convention; ConfigError unless the
-    scenario is one of `SCENARIOS`, the convention one of `CONVENTIONS` and the axis names distinct."""
+    """Scenario, swept axes (kept as a tuple) and the reporting convention; ConfigError unless each axis
+    is a `SweepAxis`, the scenario one of `SCENARIOS`, the convention one of `CONVENTIONS`, names distinct."""
 
     scenario: str
     axes: tuple[SweepAxis, ...] = ()
     convention: str = "paper-corrected"
 
     def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(self.axes))
+        axes = tuple(self.axes) if isinstance(self.axes, Iterable) and not isinstance(self.axes, str) else None
+        if axes is None or not all(isinstance(axis, SweepAxis) for axis in axes):
+            raise ConfigError(f"axes must be SweepAxis objects, got {self.axes!r}")
+        object.__setattr__(self, "axes", axes)
         _check_choice("scenario", self.scenario, SCENARIOS)
         _check_choice("convention", self.convention, CONVENTIONS)
         if len({axis.name for axis in self.axes}) < len(self.axes):

@@ -6,25 +6,26 @@ row-major order (axis1 outermost), cut into contiguous chunks of whole delta_bar
 blocks, one at ``jobs=1`` and several over a process pool otherwise, so serial and
 parallel runs emit identical bytes.  One copy of the columns (`SweepResult`) holds the
 table until `render_table` writes it, one write per bounded slice of rows,
-whose doubles one numpy pass formats as ``'%.17g' %`` does (`arith.format_g17`).
+whose doubles one numpy pass formats as ``'%.17g' %`` does (`arith.format_g17`);
+a column that repeats by delta_bar block is formatted once and its text reused.
 
 Within a chunk two things are batched.  The operating point moves with every
-axis but delta_bar, so the chunk's swept values are deduped once and its
-distinct operating points solved PASS_POINTS at a time, each pass in one
-`steady.solve_steady_states` call: the values go in as arrays, set and cleared
-as `config.axis_changes` says, and come back as columns of status, photon
-number, branch count and `response.Coefficients`, from which each row takes
-its own.  After each pass its solved rows go to the evaluator, BLOCK_ELEMENTS
-kernel elements' worth per call, which returns column arrays and a per-row
-status; they fill the chunk's NaN-initialised columns by row index.  So a
-41 x 1001 g_c x delta_bar grid takes one pass for its 41 operating points, as
-a splitting sweep of 1-row blocks does, and a pass's memory stays bounded
-where every row is an operating point of its own.  Physics failures
-(instability, float overflow, singular response) mark rows with a status code
-of `errors` and leave their data NaN, and the run continues: a steady-state
-failure marks every row of its operating point, a response failure only its
-own row.  A code's slug names the error that `steady` and `response` raise
-there on one point.
+axis but delta_bar, so the swept values of each delta_bar block's first row are
+deduped once and the chunk's distinct operating points solved PASS_POINTS at a
+time, each pass in one `steady.solve_steady_states` call: the values go in as
+arrays, set and cleared as `config.axis_changes` says, and come back as columns
+of status, photon number, branch count and `response.Coefficients`, from which
+each row takes its own.  After each pass its solved rows go to the evaluator,
+BLOCK_ELEMENTS kernel elements' worth per call, which returns column arrays and
+a per-row status; they fill the chunk's NaN-initialised columns by row index.
+So a 41 x 1001 g_c x delta_bar grid dedupes 41 rows and takes one pass for its
+41 operating points, as a splitting sweep of 1-row blocks does, and a pass's
+memory stays bounded where every row is an operating point of its own.
+Physics failures (instability, float overflow, singular response) mark rows
+with a status code of `errors` and leave their data NaN, and the run
+continues: a steady-state failure marks every row of its operating point, a
+response failure only its own row.  A code's slug names the error that
+`steady` and `response` raise there on one point.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, config, response
-from .arith import format_g17, power
+from .arith import G17_WIDTH, format_g17, power
 from .config import SweepAxis, SweepSpec, axis_changes, check_axis_bound, serialize_config
 from .errors import OK, STATUS_ERRORS, ConfigError
 from .params import SystemParams
@@ -51,7 +52,7 @@ BLOCK_ELEMENTS = 4100
 # operating points per steady pass: bounds a pass's memory, and holds one block of
 # delay rows, whose operating points all differ
 PASS_POINTS = BLOCK_ELEMENTS // (1 + len(response.FD_OFFSETS))
-# rows formatted and written at a time: bounds the row tuples and text alive while rendering
+# rows per slice written, and the most distinct values of a reused column: bounds the text alive while rendering
 RENDER_ROWS = 2048
 
 _SPECTRUM_COLUMNS = (
@@ -167,10 +168,10 @@ DELAY_SCENARIOS = {
     axis: name for name, scenario in SCENARIOS.items() if scenario.evaluate is _delay_block
     for axis in scenario.axes
 }
-# the slug of each status code, as table bytes
+# the slug of each status code, as a row of NUL-padded table bytes
 _SLUGS = np.array(
     [NO_ERROR, *(error.__name__.removesuffix("Error") for error in STATUS_ERRORS[1:])], dtype=bytes
-)
+).view(np.uint8).reshape(len(STATUS_ERRORS), -1)
 
 
 def _resolve_axes(name: str, params: SystemParams, axes: tuple[SweepAxis, ...]) -> tuple[SweepAxis, ...]:
@@ -199,13 +200,13 @@ def _resolve_axes(name: str, params: SystemParams, axes: tuple[SweepAxis, ...]) 
 def _evaluate_chunk(task):
     """Table columns and status codes of one contiguous run of grid points.
 
-    ``points`` holds the run's axis values, one row per name in ``names``.
-    The run's distinct operating points are solved PASS_POINTS at a time;
-    after each pass, the rows of its solved points go to the evaluator a
-    block at a time.  The probe detuning is omega1 + delta_bar, the line
-    centre when no delta_bar axis is swept.
+    ``points`` holds the run's axis values, one row per name in ``names``, in blocks of ``block``
+    rows that share an operating point.  The distinct points of the blocks' first rows are solved
+    PASS_POINTS at a time; after each pass, the rows of its solved points go to the evaluator a
+    block at a time.  The probe detuning is omega1 + delta_bar, the line centre when no delta_bar
+    axis is swept.
     """
-    params, name, convention, names, points = task
+    params, name, convention, names, block, points = task
     scenario = SCENARIOS[name]
     per_block = max(1, BLOCK_ELEMENTS // scenario.kernel_points)
     swept = [axis for axis in names if axis != "delta_bar"]
@@ -214,8 +215,8 @@ def _evaluate_chunk(task):
     values = np.full((len(names) + len(scenario.columns), n), np.nan)
     values[: len(names)] = points
     status = np.zeros(n, dtype=np.int8)
-    distinct, point = np.unique(points[[axis in swept for axis in names]].T, axis=0, return_inverse=True)
-    point = point.reshape(-1)
+    distinct, point = np.unique(points[[axis in swept for axis in names], ::block].T, axis=0, return_inverse=True)
+    point = np.repeat(point.reshape(-1), block)
     for first in range(0, len(distinct), PASS_POINTS):
         changes = {}
         for axis, column in zip(swept, distinct[first : first + PASS_POINTS].T):
@@ -251,7 +252,7 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
     block = spec.axes[-1].points if names[-1] == "delta_bar" else 1  # chunks of whole delta_bar blocks
     chunk_size = block * max(1, n // block // (jobs * 4)) if jobs > 1 else max(n, 1)
     tasks = [
-        (params, spec.scenario, spec.convention, names, grid[:, i : i + chunk_size])
+        (params, spec.scenario, spec.convention, names, block, grid[:, i : i + chunk_size])
         for i in range(0, n, chunk_size)
     ]
     if len(tasks) > 1:
@@ -278,15 +279,35 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
     return SweepResult(params=params, spec=spec, columns=columns, values=values, status=status)
 
 
-def _render_rows(result: SweepResult, start: int, stop: int, sep: str) -> str:
-    """Rows ``start:stop`` as text: the fields, separators, slugs and newlines of a NUL-padded
-    byte matrix, NULs dropped."""
-    fields = format_g17(result.values[:, start:stop]).transpose(1, 0, 2)
-    rows, columns = fields.shape[:2]
-    seps = np.full((rows, columns, 1), ord(sep), np.uint8)
-    slugs = _SLUGS[result.status[start:stop]].view(np.uint8).reshape(rows, -1)
-    newlines = np.full((rows, 1), ord("\n"), np.uint8)
-    matrix = np.concatenate([np.concatenate([fields, seps], axis=2).reshape(rows, -1), slugs, newlines], axis=1)
+def _repeated_text(result: SweepResult) -> dict:
+    """{column: (text, block, constant)} of the columns that repeat bit for bit by innermost-axis
+    block, constant along each or the same in each, with at most RENDER_ROWS distinct values.  Row
+    r's field is ``text[r // block]`` if constant, else ``text[r % block]``."""
+    n, block, repeated = len(result.status), result.spec.axes[-1].points, {}
+    if len(result.spec.axes) < 2 or n < 2 * block:
+        return repeated
+    for j, column in enumerate(result.values.view(np.int64)):
+        constant = n // block <= RENDER_ROWS and (column.reshape(-1, block) == column[::block, None]).all()
+        if constant or (block <= RENDER_ROWS and np.array_equal(column[block:], column[:-block])):
+            distinct = result.values[j, ::block] if constant else result.values[j, :block]
+            repeated[j] = np.ascontiguousarray(format_g17(distinct)), block, constant
+    return repeated
+
+
+def _render_rows(result: SweepResult, start: int, stop: int, sep: str, repeated: dict) -> str:
+    """Rows ``start:stop`` as text: one row-order byte matrix of NUL-padded fields, separators, slug
+    and newline, NULs dropped.  A repeated column's fields are gathered from its text."""
+    matrix = np.empty((stop - start, len(result.values) * (G17_WIDTH + 1) + _SLUGS.shape[1] + 1), np.uint8)
+    cells = matrix[:, : -1 - _SLUGS.shape[1]].reshape(stop - start, -1, G17_WIDTH + 1)
+    cells[:, :, G17_WIDTH] = ord(sep)
+    plain = [j for j in range(len(result.values)) if j not in repeated]
+    for j, fields in zip(plain, format_g17(result.values[plain, start:stop])):
+        cells[:, j, :G17_WIDTH] = fields
+    at = np.arange(start, stop)
+    for j, (text, block, constant) in repeated.items():
+        cells[:, j, :G17_WIDTH] = text[at // block if constant else at % block]
+    matrix[:, -1 - _SLUGS.shape[1] : -1] = _SLUGS[result.status[start:stop]]
+    matrix[:, -1] = ord("\n")
     return matrix[matrix != 0].tobytes().decode("ascii")
 
 
@@ -301,7 +322,8 @@ def render_table(result: SweepResult, stream, fmt: str = "csv", timestamp: bool 
     `run_sweep`) gives the same table text again, the timestamp line aside.
     The header, each slice of RENDER_ROWS rows (never across a gnuplot block)
     and each blank line is one write, so no more than a slice of the text is
-    alive at once; a table without rows is its header.
+    alive at once; a table without rows is its header.  A column that repeats
+    by innermost-axis block is formatted once per distinct value (`_repeated_text`).
     """
     if fmt not in ("csv", "gnuplot"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -320,12 +342,13 @@ def render_table(result: SweepResult, stream, fmt: str = "csv", timestamp: bool 
         lines.append(",".join(result.columns))
     n = len(result.status)
     block = result.spec.axes[-1].points if fmt == "gnuplot" and len(result.spec.axes) > 1 else max(n, 1)
+    repeated = _repeated_text(result)
     stream.write("\n".join(lines) + "\n")
     for first in range(0, n, block):
         if first:
             stream.write("\n")
         for start in range(first, first + block, RENDER_ROWS):
-            stream.write(_render_rows(result, start, min(start + RENDER_ROWS, first + block), sep))
+            stream.write(_render_rows(result, start, min(start + RENDER_ROWS, first + block), sep, repeated))
 
 
 def emit_csv(result: SweepResult, path, fmt: str = "csv", timestamp: bool = True) -> None:

@@ -90,8 +90,17 @@ OUT_OF_DOMAIN_SPECS = {
     "P_l": ("delay-vs-power", -1.0, 1.0),
 }
 _SCENARIOS = "spectrum, phase, delay-vs-power, delay-vs-kappa, splitting-vs-gc"
+
+
+class AsGiven:
+    """An axes argument that goes to SweepSpec as it is, not as SweepAxis arguments."""
+
+    def __init__(self, axes):
+        self.axes = axes
+
+
 # sweep rules that SweepAxis and SweepSpec check when built, each broken by a spec built in Python:
-# (scenario, SweepAxis arguments, convention, message).  A case named as in
+# (scenario, SweepAxis arguments or AsGiven axes, convention, message).  A case named as in
 # tools/reference_outputs.MALFORMED is a twin: parsing that config raises the same message.
 INVALID_SPECS = {
     "points-below-2": ("spectrum", [("delta_bar", -0.1, 0.1, 1)], "paper-corrected",
@@ -125,6 +134,11 @@ INVALID_SPECS = {
                        "convention must be one of paper-corrected, intracavity; got 'other'"),
     "unknown-convention": ("phase", [("delta_bar", -0.1, 0.1, 5)], "nope",
                            "convention must be one of paper-corrected, intracavity; got 'nope'"),
+    "tuple-axis": ("spectrum", AsGiven([("delta_bar", -0.1, 0.1, 3)]), "paper-corrected",
+                   "axes must be SweepAxis objects, got [('delta_bar', -0.1, 0.1, 3)]"),
+    "none-axes": ("spectrum", AsGiven(None), "paper-corrected", "axes must be SweepAxis objects, got None"),
+    "name-as-axes": ("spectrum", AsGiven("delta_bar"), "paper-corrected",
+                     "axes must be SweepAxis objects, got 'delta_bar'"),
 }
 
 
@@ -348,7 +362,8 @@ class TestErrorPaths:
 
         monkeypatch.setattr("oemsim.sweep._evaluate_chunk", evaluate_chunk)
         with pytest.raises(ConfigError) as info:
-            spec = SweepSpec(scenario, tuple(SweepAxis(*axis) for axis in axes), convention)
+            given = axes.axes if isinstance(axes, AsGiven) else tuple(SweepAxis(*axis) for axis in axes)
+            spec = SweepSpec(scenario, given, convention)
             run_sweep(get_preset("dimensionless-slowfast"), spec)
         assert str(info.value) == message
         if case in MALFORMED:

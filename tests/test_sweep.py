@@ -11,7 +11,7 @@ import pytest
 import oemsim.response
 import oemsim.steady
 import oemsim.sweep
-from oemsim.config import SCENARIOS, SweepAxis, SweepSpec, apply_override, parse_config
+from oemsim.config import AXES, SCENARIOS, SweepAxis, SweepSpec, apply_override, parse_config
 from oemsim.errors import (
     OK,
     STATUS_ERRORS,
@@ -70,12 +70,49 @@ HEADER_CONFIGS = {
     "paper-delay-power": "preset = paper-2012\n" + sweep_section(
         "delay-vs-power", ("P_l", "1 uW", "10 uW", 3, "log")),
 }
+SLOWFAST_PARAMS = system_for_beta(0.227, 5e-3, g_coulomb=0.2)  # the slowfast_spectrum fixture's
 HEADER_CASES = {
     "spectrum-spec": (
-        system_for_beta(0.227, 5e-3, g_coulomb=0.2),
+        SLOWFAST_PARAMS,
         SweepSpec("spectrum", (SweepAxis("g_coulomb", 0.05, 0.2, 3), SweepAxis("delta_bar", -0.1, 0.1, 4))),
     ),
     **{name: parse_config(text) for name, text in HEADER_CONFIGS.items()},
+}
+
+DEGENERATE_OUTER = SweepSpec(
+    "phase", (SweepAxis("g_coulomb", 0.1, 0.1, 3), SweepAxis("delta_bar", -0.2, 0.2, 401))
+)
+# grids whose operating points a chunk dedupes: one and two given axes, with delta_bar innermost
+# (given or appended), outermost or absent, and an outer axis with one value
+DEDUPE_CASES = {
+    "power": PARALLEL_CASES["delay-vs-power"],
+    "delta": SweepSpec("spectrum", (SweepAxis("delta_bar", -0.1, 0.1, 7),)),
+    "gc-appended-delta": SweepSpec("spectrum", (SweepAxis("g_coulomb", 0.05, 0.2, 3),)),
+    "gc-delta": PARALLEL_CASES["phase"],
+    "delta-kappa": SweepSpec("spectrum", (SweepAxis("delta_bar", -0.1, 0.1, 5), SweepAxis("kappa", 0.1, 0.3, 3))),
+    "gc-kappa": SweepSpec("spectrum", (SweepAxis("g_coulomb", 0.0, 0.2, 2), SweepAxis("kappa", 0.1, 0.3, 3))),
+    "degenerate-outer": DEGENERATE_OUTER,
+}
+# tables whose columns repeat by block, or that take the plain path: (params, spec, the columns
+# rendered from reused text)
+POLE_ROWS = (
+    # gamma2 = 0 puts an exact pole of mirror 2 on the delta_bar = 0 rows: error slugs, NaN data
+    "preset = dimensionless-slowfast\n[mech2]\ngamma = 0 dimensionless\n[sweep]\nscenario = phase\n"
+    "axis1 = g_coulomb\naxis1_min = 0 dimensionless\naxis1_max = 0.1 dimensionless\naxis1_points = 3\n"
+    "axis2 = delta_bar\naxis2_min = -0.1 dimensionless\naxis2_max = 0.1 dimensionless\naxis2_points = 9\n"
+)
+AXIS_REPEATS = {"g_coulomb", "delta_bar", "delta", "photon_number", "branch_count"}
+REPEATED_CASES = {
+    # one operating point: every column repeats, none is formatted per row
+    "degenerate-outer": (SLOWFAST_PARAMS, DEGENERATE_OUTER,
+                         {"g_coulomb", "delta_bar", *oemsim.sweep.SCENARIOS["phase"].columns}),
+    # the NaN of the pole rows repeats in photon_number and branch_count, bit for bit
+    "pole-rows": (*parse_config(POLE_ROWS), AXIS_REPEATS),
+    # delta = 1 + m 2^-17 holds exact 18-digit ties, which format_g17 leaves to Python's %
+    "ties": (SLOWFAST_PARAMS, SweepSpec(
+        "phase", (SweepAxis("g_coulomb", 0, 0.2, 3), SweepAxis("delta_bar", 0, 2.0**-11, 65))), AXIS_REPEATS),
+    "single-block": (SLOWFAST_PARAMS, SweepSpec("spectrum", (SweepAxis("delta_bar", -0.1, 0.1, 41),)), set()),
+    "one-axis": (SLOWFAST_PARAMS, PARALLEL_CASES["delay-vs-power"], set()),
 }
 
 
@@ -115,6 +152,42 @@ def eigvals_sizes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     return sizes
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A function that makes run_sweep's process pool run its tasks in this process, in order,
+    and returns the list of (function, task) that the pool then runs."""
+
+    def use():
+        ran = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                ran.extend((fn, task) for task in tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return ran
+
+    return use
+
+
+def full_row_unique(names, points):
+    """The distinct operating points of a chunk's ``points`` in order, and each row's index into
+    them, as one np.unique over every row of the swept axes gives them."""
+    distinct, point = np.unique(points[[axis != "delta_bar" for axis in names]].T, axis=0, return_inverse=True)
+    return [tuple(row) for row in distinct.tolist()], point.reshape(-1)
 
 
 class TestRunSweep:
@@ -276,7 +349,8 @@ class TestRunSweep:
         assert passes == [60]
 
     @pytest.mark.parametrize("jobs", [2, 3, 8])
-    def test_parallel_chunks_solve_each_operating_point_once(self, monkeypatch, slowfast_spectrum, jobs):
+    def test_parallel_chunks_solve_each_operating_point_once(self, monkeypatch, serial_pool, slowfast_spectrum,
+                                                             jobs):
         # 41 g_coulomb blocks of 101 rows, the shape of a reduced spectrum-2d grid: chunks of whole
         # blocks, so no operating point straddles two chunks and is solved in each
         spec = SweepSpec(
@@ -284,7 +358,7 @@ class TestRunSweep:
         )
         serial = render_text(run_sweep(slowfast_spectrum, spec, jobs=1), timestamp=False)
         assert render_text(run_sweep(slowfast_spectrum, spec, jobs=jobs), timestamp=False) == serial
-        points, chunks = [], []
+        points = []
         solve, evaluate = oemsim.sweep.solve_steady_states, oemsim.sweep._evaluate_chunk
 
         def counting_solve(params, swept):
@@ -292,27 +366,45 @@ class TestRunSweep:
             points.extend(zip(*(column.tolist() for fields in swept.values() for column in fields.values())))
             return states
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                assert fn is evaluate
-                tasks = list(tasks)
-                chunks.extend(task[-1].shape[1] for task in tasks)
-                return map(fn, tasks)
-
         monkeypatch.setattr(oemsim.sweep, "solve_steady_states", counting_solve)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        ran = serial_pool()
         assert render_text(run_sweep(slowfast_spectrum, spec, jobs=jobs), timestamp=False) == serial
+        assert all(fn is evaluate for fn, _ in ran)
+        chunks = [task[-1].shape[1] for _, task in ran]
         assert len(chunks) > 1 and all(size % 101 == 0 for size in chunks)
         assert len(points) == len(set(points)) == 41
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("case", DEDUPE_CASES)
+    def test_operating_points_are_those_of_a_full_row_unique(self, monkeypatch, serial_pool, slowfast_spectrum,
+                                                             case, jobs):
+        # each chunk solves the distinct points of its rows, in np.unique's order, and each row reads
+        # its own: the photon number of a row is that of its point
+        solved, expected, tasks = [], [], []
+        solve, evaluate = oemsim.sweep.solve_steady_states, oemsim.sweep._evaluate_chunk
+
+        def recording_solve(params, changes):
+            states = solve(params, changes)
+            names = tasks[-1][3]
+            columns = [changes[AXES[axis][1]][AXES[axis][2]].tolist() for axis in names if axis != "delta_bar"]
+            points = list(zip(*columns)) if columns else [()] * len(states.status)
+            solved.extend(zip(points, states.photon_number.tolist()))
+            return states
+
+        def recording_evaluate(task):
+            tasks.append(task)
+            expected.append(full_row_unique(task[3], task[-1]))
+            return evaluate(task)
+
+        monkeypatch.setattr(oemsim.sweep, "solve_steady_states", recording_solve)
+        monkeypatch.setattr(oemsim.sweep, "_evaluate_chunk", recording_evaluate)
+        serial_pool()
+        result = run_sweep(slowfast_spectrum, DEDUPE_CASES[case], jobs=jobs)
+        assert [point for point, _ in solved] == [point for distinct, _ in expected for point in distinct]
+        photon_number = dict(solved)
+        rows = [distinct[i] for distinct, point in expected for i in point.tolist()]
+        table = result.values[result.columns.index("photon_number")].tolist()
+        assert table == [photon_number[point] for point in rows]
 
     def test_worker_count_capped_by_task_count(self, monkeypatch, slowfast_spectrum):
         # a fork pool starts all max_workers processes on its first submit
@@ -443,10 +535,7 @@ class TestRunSweep:
             assert slug == type(raised.value).__name__.removesuffix("Error") == "MechanicalPole"
 
     def test_degenerate_outer_axis_keeps_phase_blocks(self, slowfast_spectrum):
-        spec = SweepSpec(
-            "phase", (SweepAxis("g_coulomb", 0.1, 0.1, 3), SweepAxis("delta_bar", -0.2, 0.2, 401))
-        )
-        result = run_sweep(slowfast_spectrum, spec)
+        result = run_sweep(slowfast_spectrum, DEGENERATE_OUTER)
         i_phase = result.columns.index("phase")
         starts = [table_rows(result)[i][i_phase] for i in (0, 401, 802)]
         assert starts[0] == starts[1] == starts[2]
@@ -581,10 +670,7 @@ class TestEmission:
     @pytest.mark.parametrize(
         "config_text",
         [
-            # gamma2 = 0 puts an exact pole of mirror 2 on the delta_bar = 0 rows: error slugs, NaN data
-            "preset = dimensionless-slowfast\n[mech2]\ngamma = 0 dimensionless\n[sweep]\nscenario = phase\n"
-            "axis1 = g_coulomb\naxis1_min = 0 dimensionless\naxis1_max = 0.1 dimensionless\naxis1_points = 3\n"
-            "axis2 = delta_bar\naxis2_min = -0.1 dimensionless\naxis2_max = 0.1 dimensionless\naxis2_points = 9\n",
+            POLE_ROWS,
             "preset = paper-2012\n[sweep]\nscenario = spectrum\naxis1 = delta_bar\n"
             "axis1_min = -20 kHz\naxis1_max = 20 kHz\naxis1_points = 41\n",
         ],
@@ -598,6 +684,32 @@ class TestEmission:
         failed = result.status != OK
         assert failed.any() == ("gamma = 0" in config_text)
         assert np.isnan(result.values[len(result.spec.axes) :, failed]).all()
+
+    @pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
+    @pytest.mark.parametrize("case", REPEATED_CASES)
+    def test_repeated_columns_render_rows_as_percent_g17(self, case, fmt):
+        params, spec, repeated = REPEATED_CASES[case]
+        result = run_sweep(params, spec)
+        assert {result.columns[j] for j in oemsim.sweep._repeated_text(result)} == repeated
+        sep = "," if fmt == "csv" else " "
+        body = [ln for ln in render_text(result, fmt, timestamp=False).splitlines() if ln and not ln.startswith("#")]
+        if fmt == "csv":
+            assert body.pop(0) == ",".join(result.columns)
+        assert body == [sep.join("%.17g" % v for v in row[:-1]) + sep + row[-1] for row in table_rows(result)]
+
+    def test_a_column_repeats_only_bit_for_bit(self, slowfast_spectrum):
+        # 0 == -0, but they print apart: a column equal by value but not by bits is formatted per row
+        result = run_sweep(slowfast_spectrum, PARALLEL_CASES["spectrum"])
+        values = result.values.copy()
+        periodic, constant = result.columns.index("re_X"), result.columns.index("photon_number")
+        values[periodic] = np.tile([0.0, 1.0, 2.0, 3.0], 3)
+        values[constant] = 0.0
+        values[[periodic, constant], [4, 1]] = -0.0
+        signed = dataclasses.replace(result, values=values)
+        assert not {periodic, constant} & set(oemsim.sweep._repeated_text(signed))
+        body = [ln for ln in render_text(signed, timestamp=False).splitlines() if not ln.startswith("#")]
+        assert body[1:] == [",".join("%.17g" % v for v in row[:-1]) + "," + row[-1] for row in table_rows(signed)]
+        assert "-0" in body[2].split(",") and "-0" in body[5].split(",")
 
     def test_each_status_code_renders_the_slug_of_its_error(self, slowfast_spectrum):
         spec = SweepSpec("spectrum", (SweepAxis("delta_bar", -0.1, 0.1, len(STATUS_ERRORS)),))

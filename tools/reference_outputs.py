@@ -15,6 +15,10 @@ is one.  The cases:
   `sweep.render_table` formats and writes at a time, so gnuplot blank lines
   fall between slices and inside them; its gnuplot table also goes to stdout,
   the one multi-slice table written there;
+- phase grids whose outer axis holds one value, so every column repeats from
+  block to block: with 401-row blocks, whose text `sweep.render_table` formats
+  once and reuses, and with blocks longer than a slice, whose columns that
+  vary along a block it formats row by row;
 - a phase grid whose delta_bar axis steps by 2^-17, so that the delta column
   1 + m 2^-17 holds exact 18-digit ties, which `arith.format_g17` leaves to
   Python's ``%``;
@@ -105,6 +109,8 @@ TABLES = {
         "phase", ("g_coulomb", _d(0.8), _d(1.2), 5), ("delta_bar", _d(-0.05), _d(0.05), 51))),
     "phase-degenerate": ("sweep", SLOWFAST + _sweep(
         "phase", ("g_coulomb", _d(0.1), _d(0.1), 3), ("delta_bar", _d(-0.2), _d(0.2), 401))),
+    "phase-degenerate-long-blocks": ("sweep", SLOWFAST + _sweep(
+        "phase", ("g_coulomb", _d(0.1), _d(0.1), 3), ("delta_bar", _d(-0.2), _d(0.2), 2049))),
     "phase-long-blocks": ("phase", SLOWFAST + _sweep(
         "phase", ("g_coulomb", _d(0), _d(0.2), 3), ("delta_bar", _d(-0.2), _d(0.2), 2049))),
     "phase-ties": ("phase", SLOWFAST + _sweep(
