@@ -42,18 +42,18 @@ CPython 3.14 changes mixed real/complex arithmetic; the property test in
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import hypot, power, where
+from .arith import hypot, isfinite, power, where
 from .errors import (
     OK,
     STATUS_ERRORS,
     GridTooCoarseError,
+    InvariantViolationError,
     MechanicalPoleError,
     SingularResponseError,
     UndefinedPhaseError,
@@ -77,8 +77,8 @@ SPLITTING_WINDOW_FRACTION = 0.2  # half-width of the window scan, in units of om
 SPLITTING_POINTS = 4001
 
 # per-element status: OK, or the code of an error, its index in errors.STATUS_ERRORS
-POLE, SINGULAR, UNDEFINED_PHASE = map(
-    STATUS_ERRORS.index, (MechanicalPoleError, SingularResponseError, UndefinedPhaseError)
+POLE, SINGULAR, UNDEFINED_PHASE, OUT_OF_RANGE = map(
+    STATUS_ERRORS.index, (MechanicalPoleError, SingularResponseError, UndefinedPhaseError, InvariantViolationError)
 )
 
 _ONE, _I, _2I, _MINUS_I = (1.0, 0.0), (0.0, 1.0), (0.0, 2.0), (-0.0, -1.0)  # 1, 1j, 2j, -1j
@@ -180,9 +180,9 @@ def phase(z):
 def amplitude_kernel(delta, c: Coefficients, derivative: bool = False):
     """X(delta), dX/d delta (None unless ``derivative``) and a per-element status.
 
-    X and dX are (re, im) pairs.  The status is OK, POLE (chi2 = 0) or
-    SINGULAR (|denominator| < 1e-30 |numerator|); the values of other
-    elements are meaningless.
+    X and dX are (re, im) pairs.  The status is OK, POLE (chi2 = 0), SINGULAR
+    (|denominator| < 1e-30 |numerator|) or else OUT_OF_RANGE (X, or dX when
+    asked for, not finite); the values of other elements are meaningless.
     """
     with np.errstate(all="ignore") if isinstance(delta, np.ndarray) else contextlib.nullcontext():
         i_delta = _mul(_I, _re(delta))
@@ -200,18 +200,18 @@ def amplitude_kernel(delta, c: Coefficients, derivative: bool = False):
         singular = (denominator[0] == 0) & (denominator[1] == 0) | (
             _abs(denominator) < SINGULAR_DENOMINATOR_RATIO * _abs(numerator)
         )
-        status = where(pole, POLE, where(singular, SINGULAR, OK))
-        x = _quot(numerator, denominator)
-        if not derivative:
-            return x, None, status
-        chi1_p = _add(_re(2.0 * delta), _mul(_I, _re(c.gamma1)))
-        chi2_p = _add(_re(2.0 * delta), _mul(_I, _re(c.gamma2)))
-        b_p = _sub(chi1_p, _quot(_mul((-alpha[0], -alpha[1]), chi2_p), chi2))
-        num_p = _add(_mul(_MINUS_I, b_fac), _mul(a_fac, b_p))
-        den_p = _add(_mul(_mul(_re(-2.0), z), b_fac), _mul(d_fac, b_p))
-        num_p_den = _sub(_mul(num_p, denominator), _mul(numerator, den_p))
-        dx = _quot(num_p_den, _mul(denominator, denominator))
-        return x, dx, status
+        x, dx = _quot(numerator, denominator), None
+        finite = isfinite(x[0]) & isfinite(x[1])
+        if derivative:
+            chi1_p = _add(_re(2.0 * delta), _mul(_I, _re(c.gamma1)))
+            chi2_p = _add(_re(2.0 * delta), _mul(_I, _re(c.gamma2)))
+            b_p = _sub(chi1_p, _quot(_mul((-alpha[0], -alpha[1]), chi2_p), chi2))
+            num_p = _add(_mul(_MINUS_I, b_fac), _mul(a_fac, b_p))
+            den_p = _add(_mul(_mul(_re(-2.0), z), b_fac), _mul(d_fac, b_p))
+            num_p_den = _sub(_mul(num_p, denominator), _mul(numerator, den_p))
+            dx = _quot(num_p_den, _mul(denominator, denominator))
+            finite = finite & isfinite(dx[0]) & isfinite(dx[1])
+        return x, dx, where(pole, POLE, where(singular, SINGULAR, where(finite, OK, OUT_OF_RANGE)))
 
 
 def transmissions(x, kappa):
@@ -287,10 +287,17 @@ def _raise_for(status, delta):
         )
     if status == SINGULAR:
         raise SingularResponseError("response denominator vanished", delta=delta)
+    if status == OUT_OF_RANGE:
+        raise InvariantViolationError(f"response leaves the float range at delta = {delta!r}")
 
 
 def _checked(delta, c, derivative=False):
-    x, dx, status = amplitude_kernel(float(delta), c, derivative)
+    if not math.isfinite(delta):
+        raise ValueError(f"detuning delta = {delta!r} must be finite")
+    try:
+        x, dx, status = amplitude_kernel(float(delta), c, derivative)
+    except OverflowError:  # where an array element gives NaN
+        status = OUT_OF_RANGE
     _raise_for(status, delta)
     return x, dx
 
@@ -330,8 +337,13 @@ def wrap_phase_jump(jump: float) -> float:
 
 
 def unwrap_phase(phases: Sequence[float]) -> list[float]:
-    """Cumulative +-2pi correction of a phase sequence, seeded at its first value."""
-    return list(itertools.accumulate(phases, lambda prev, p: prev + wrap_phase_jump(p - prev)))
+    """Cumulative +-2pi correction of a phase sequence, seeded at its first value and after each NaN."""
+    two_pi, unwrapped, prev = 2.0 * math.pi, [], math.nan
+    for p in phases:
+        jump = p - prev  # NaN at a seed; else prev + wrap_phase_jump(jump), written out
+        prev = p if jump != jump else prev + (jump - two_pi * round(jump / two_pi))
+        unwrapped.append(prev)
+    return unwrapped
 
 
 def phase_spectrum(
@@ -350,6 +362,9 @@ def phase_spectrum(
         raise ValueError("phase spectra need at least 3 grid points")
     if not all(b > a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("detuning grid must be strictly increasing")
+    for delta in deltas:
+        if not math.isfinite(delta):
+            raise ValueError(f"detuning delta = {delta!r} must be finite")
     _check_convention(convention)
     c = coefficients(params, op)
     x, _, status = amplitude_kernel(np.array(deltas, dtype=float), c)
@@ -429,6 +444,8 @@ def transmission_maxima(
     c = coefficients(params, op)
     if half_width is None:
         half_width = SPLITTING_WINDOW_FRACTION * c.omega1
+    if not 0.0 < half_width < math.inf:
+        raise ValueError(f"half_width = {half_width!r} must be finite and positive")
     grid, values, status = window_scan(c, convention, half_width, points)
     _raise_for(status, grid.tolist())
     peaks = np.flatnonzero(strict_maxima(values)) + 1

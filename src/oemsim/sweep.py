@@ -4,10 +4,12 @@ Each scenario is one `SCENARIOS` entry, named in `config.SCENARIOS`: data
 columns, block evaluator, axis choices.  The grid is an array of axis values in
 row-major order (axis1 outermost), cut into contiguous chunks of whole delta_bar
 blocks, one at ``jobs=1`` and several over a process pool otherwise, so serial and
-parallel runs emit identical bytes.  One copy of the columns (`SweepResult`) holds the
-table until `render_table` writes it, one write per bounded slice of rows,
-whose doubles one numpy pass formats as ``'%.17g' %`` does (`arith.format_g17`);
-a column that repeats by delta_bar block is formatted once and its text reused.
+parallel runs emit identical bytes; a chunk unwraps the phase of its blocks
+(`response.unwrap_phase`), afresh after each failed row's NaN.  One copy of the
+columns (`SweepResult`) holds the table until `render_table` writes it, one
+write per bounded slice of rows, whose doubles one numpy pass formats as
+``'%.17g' %`` does (`arith.format_g17`); a column that repeats by delta_bar
+block is formatted once and its text reused.
 
 Within a chunk two things are batched.  The operating point moves with every
 axis but delta_bar, so the swept values of each delta_bar block's first row are
@@ -114,7 +116,7 @@ def _spectrum_block(delta, c, convention):
 
 def _phase_block(delta, c, convention):
     columns, status = _spectrum_block(delta, c, convention)
-    # principal value of arg t_p; unwrapped by run_sweep
+    # principal value of arg t_p; _evaluate_chunk unwraps it per delta_bar block
     columns["phase"] = response.phase((columns["re_t_p"], columns["im_t_p"]))
     return columns, status
 
@@ -150,7 +152,7 @@ def _splitting_block(delta, c, convention):
 class Scenario:
     """Data columns, block evaluator and axis choices of one sweep scenario."""
 
-    columns: tuple[str, ...]  # a "phase" column is unwrapped along the innermost axis
+    columns: tuple[str, ...]  # a "phase" column is unwrapped per delta_bar block, in the chunk
     evaluate: Callable  # (delta, Coefficients, convention) -> ({column: array}, status), per row
     kernel_points: int  # kernel elements per row
     axes: tuple[str, ...] = ()  # names of its one axis; empty for spectra, which sweep delta_bar
@@ -204,7 +206,7 @@ def _evaluate_chunk(task):
     rows that share an operating point.  The distinct points of the blocks' first rows are solved
     PASS_POINTS at a time; after each pass, the rows of its solved points go to the evaluator a
     block at a time.  The probe detuning is omega1 + delta_bar, the line centre when no delta_bar
-    axis is swept.
+    axis is swept.  A phase column is unwrapped last, a ``block`` at a time.
     """
     params, name, convention, names, block, points = task
     scenario = SCENARIOS[name]
@@ -228,16 +230,20 @@ def _evaluate_chunk(task):
         status[rows] = states.status[point[rows] - first]
         solved = rows[status[rows] == OK]
         for start in range(0, len(solved), per_block):
-            block = solved[start : start + per_block]
-            photon_number, branch_count, *kernel_inputs = (column[point[block] - first] for column in table)
+            batch = solved[start : start + per_block]
+            photon_number, branch_count, *kernel_inputs = (column[point[batch] - first] for column in table)
             with np.errstate(all="ignore"):
-                data, status[block] = scenario.evaluate(
-                    delta[block], response.Coefficients(*kernel_inputs), convention
+                data, status[batch] = scenario.evaluate(
+                    delta[batch], response.Coefficients(*kernel_inputs), convention
                 )
             data["photon_number"], data["branch_count"] = photon_number, branch_count
-            ok = status[block] == OK
+            ok = status[batch] == OK
             for j, column in enumerate(scenario.columns, start=len(names)):
-                values[j, block[ok]] = data[column][ok]
+                values[j, batch[ok]] = data[column][ok]
+    if "phase" in scenario.columns:
+        phase = values[len(names) + scenario.columns.index("phase")]
+        for first in range(0, n, block):
+            phase[first : first + block] = response.unwrap_phase(phase[first : first + block].tolist())
     return values, status
 
 
@@ -268,14 +274,6 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
     values, status = chunks[0] if len(chunks) == 1 else (np.concatenate(part, axis=-1) for part in zip(*chunks))
 
     columns = names + SCENARIOS[spec.scenario].columns + ("error",)
-    if "phase" in columns:
-        # unwrap in place along each innermost block, restarting after each error row
-        phase, block, ok = values[columns.index("phase")], spec.axes[-1].points, status == OK
-        at = np.arange(n) % block
-        starts = np.flatnonzero(ok & ((at == 0) | ~np.roll(ok, 1)))
-        stops = np.flatnonzero(ok & ((at == block - 1) | ~np.roll(ok, -1))) + 1
-        for first, stop in zip(starts.tolist(), stops.tolist()):
-            phase[first:stop] = response.unwrap_phase(phase[first:stop].tolist())
     return SweepResult(params=params, spec=spec, columns=columns, values=values, status=status)
 
 

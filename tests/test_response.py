@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import oemsim.response
 from oemsim.errors import (
     GridTooCoarseError,
+    InvariantViolationError,
     MechanicalPoleError,
     SingularResponseError,
     UndefinedPhaseError,
@@ -41,6 +44,8 @@ from oemsim.response import (
     transmission,
     transmission_maxima,
     transmissions,
+    unwrap_phase,
+    wrap_phase_jump,
 )
 from oemsim.presets import get_preset
 from oemsim.steady import OperatingPoint, solve_steady_state, solve_steady_states
@@ -258,12 +263,74 @@ class TestPhaseSpectrum:
             phase_spectrum([1.0, 1.1], pump_off, op)
         with pytest.raises(ValueError):
             phase_spectrum([1.0, 0.9, 1.1], pump_off, op)
+        with pytest.raises(ValueError, match="detuning delta = inf must be finite"):
+            phase_spectrum([0.9, 1.0, math.inf], pump_off, op)
 
     def test_nan_in_grid_is_not_increasing(self, pump_off):
         # NaN passes no comparison, so the grid check must ask for b > a, not refuse b <= a
         op = solve_steady_state(pump_off)
         with pytest.raises(ValueError, match="detuning grid must be strictly increasing"):
             phase_spectrum([1.0, math.nan, 1.1], pump_off, op)
+
+
+def accumulate_unwrap(phases):
+    """The reference unwrap: itertools.accumulate with one wrap_phase_jump call per element."""
+    return list(itertools.accumulate(phases, lambda prev, p: prev + wrap_phase_jump(p - prev)))
+
+
+class TestUnwrapPhase:
+    def test_matches_accumulate_bit_for_bit(self, rng):
+        # principal values of random walks, and raw values, whose jumps span several 2 pi
+        for scale in (0.5, 3.0, 20.0, 1e3):
+            walk = np.cumsum(rng.normal(0.0, scale, 4001))
+            for phases in (np.arctan2(np.sin(walk), np.cos(walk)), walk, rng.uniform(-scale, scale, 500)):
+                expected = accumulate_unwrap(phases.tolist())
+                assert list(map(_bits, unwrap_phase(phases.tolist()))) == list(map(_bits, expected))
+
+    def test_nan_stays_and_the_next_value_seeds_again(self, rng):
+        phases = rng.uniform(-math.pi, math.pi, 12).tolist()
+        holed = [math.nan] + phases[:5] + [math.nan, math.nan] + phases[5:] + [math.nan]
+        unwrapped = unwrap_phase(holed)
+        assert [math.isnan(p) for p in unwrapped] == [math.isnan(p) for p in holed]
+        assert unwrapped[1:6] == accumulate_unwrap(phases[:5])
+        assert unwrapped[8:-1] == accumulate_unwrap(phases[5:])
+        assert unwrap_phase([]) == []
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_rejected(self, pump_off, delta):
+        op = solve_steady_state(pump_off)
+        for call in (sideband_amplitude, sideband_amplitude_derivative, transmission, group_delay):
+            with pytest.raises(ValueError, match=f"detuning delta = {delta!r} must be finite"):
+                call(delta, pump_off, op)
+
+    @pytest.mark.parametrize("half_width", [math.nan, math.inf, 0.0, -0.1])
+    def test_half_width_must_be_finite_and_positive(self, pump_off, half_width):
+        op = solve_steady_state(pump_off)
+        with pytest.raises(ValueError, match=f"half_width = {half_width!r} must be finite and positive"):
+            transmission_maxima(pump_off, op, half_width=half_width)
+
+    def test_float_range_failures_are_invariant_violations(self, slowfast_spectrum):
+        op = solve_steady_state(slowfast_spectrum)
+        c = coefficients(slowfast_spectrum, op)
+        out_of_range = STATUS_ERRORS.index(InvariantViolationError)
+        # NaN elements: from the kernel's products at 1e150, from its squares at 1e200, where one
+        # point raises OverflowError instead
+        grid = np.array([1.0, 1e80, 1e150, 1e200])
+        assert amplitude_kernel(grid, c)[2].tolist() == [OK, OK, out_of_range, out_of_range]
+        # at 1e80 X underflows to 0, but dX is NaN: its status fails only when dX is asked for
+        assert amplitude_kernel(grid, c, derivative=True)[2].tolist() == [OK] + [out_of_range] * 3
+        assert sideband_amplitude(1e80, slowfast_spectrum, op) == 0
+        for delta in (1e150, 1e200):
+            with pytest.raises(InvariantViolationError, match=re.escape(f"delta = {delta!r}")):
+                transmission(delta, slowfast_spectrum, op)
+        with pytest.raises(InvariantViolationError):
+            sideband_amplitude_derivative(1e80, slowfast_spectrum, op)
+        with pytest.raises(InvariantViolationError):
+            phase_spectrum([1.0, 1e150, 1e200], slowfast_spectrum, op)
+        with pytest.raises(InvariantViolationError):
+            transmission_maxima(slowfast_spectrum, op, half_width=1e200)
 
 
 class TestGroupDelay:

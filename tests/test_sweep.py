@@ -42,6 +42,10 @@ PARALLEL_CASES = {
     "static-instability": SweepSpec(
         "phase", (SweepAxis("g_coulomb", 0.8, 1.2, 3), SweepAxis("delta_bar", -0.05, 0.05, 5))
     ),
+    # the response leaves the float range from about delta_bar = 1e100 on: InvariantViolation rows
+    **{f"{scenario}-overflow": SweepSpec(scenario, (
+        SweepAxis("g_coulomb", 0.05, 0.2, 3), SweepAxis("delta_bar", 1e-2, 1e200, 22, "log"),
+    )) for scenario in ("spectrum", "phase")},
 }
 
 # runs whose header is rerun: the case of the spectrum_spec fixture, then configs of every
@@ -301,7 +305,7 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="at most two given axes, got 3"):
             run_sweep(slowfast_spectrum, SweepSpec("spectrum", axes))
 
-    @pytest.mark.parametrize("case", list(SCENARIOS) + ["static-instability"])
+    @pytest.mark.parametrize("case", list(SCENARIOS) + ["static-instability", "spectrum-overflow", "phase-overflow"])
     def test_parallel_matches_serial(self, slowfast_spectrum, case):
         spec = PARALLEL_CASES[case]
         serial = run_sweep(slowfast_spectrum, spec, jobs=1)
@@ -314,6 +318,8 @@ class TestRunSweep:
             assert render_text(serial, fmt, timestamp=False) == render_text(parallel, fmt, timestamp=False)
         if case == "static-instability":
             assert {"StaticInstability", NO_ERROR} <= {row[-1] for row in table_rows(serial)}
+        if case.endswith("-overflow"):
+            assert {"InvariantViolation", NO_ERROR} <= {row[-1] for row in table_rows(serial)}
 
     def test_steady_state_solved_once_per_operating_point(self, monkeypatch, slowfast_spectrum):
         calls = []  # the points of each steady pass

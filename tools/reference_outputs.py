@@ -35,6 +35,8 @@ is one.  The cases:
   operating points come from the roots of the photon-number cubic;
 - delay tables whose pump is so weak that the cubic's leading coefficient
   underflows (a quadratic is left), or so strong that floats overflow;
+- spectrum and phase grids whose delta_bar runs up to 1e200: the response
+  leaves the float range from about 1e100 on, and those rows fail;
 - ``steady-state`` output, a pump that overflows floats among it;
 - the exit code and message of malformed configs, non-finite numbers,
   axes that leave their parameter's domain and an SI cavity with neither a
@@ -148,6 +150,9 @@ TABLES = {
         "delay-vs-power", ("P_l", _d(1e-130), _d(1e-90), 41, "log"))),
     "delay-power-overflow": ("delay", SLOWFAST + _sweep(
         "delay-vs-power", ("P_l", _d(1e-3), _d(1e300), 31, "log"))),
+    **{f"{scenario}-overflow": (scenario, SLOWFAST + _sweep(
+        scenario, ("g_coulomb", _d(0), _d(0.2), 3), ("delta_bar", _d(1e-2), _d(1e200), 22, "log")))
+       for scenario in ("spectrum", "phase")},
 }
 
 OVERRIDES = {
