@@ -182,7 +182,8 @@ def amplitude_kernel(delta, c: Coefficients, derivative: bool = False):
 
     X and dX are (re, im) pairs.  The status is OK, POLE (chi2 = 0), SINGULAR
     (|denominator| < 1e-30 |numerator|) or else OUT_OF_RANGE (X, or dX when
-    asked for, not finite); the values of other elements are meaningless.
+    asked for, not finite, or the denominator of either past the float range);
+    the values of other elements are meaningless.
     """
     with np.errstate(all="ignore") if isinstance(delta, np.ndarray) else contextlib.nullcontext():
         i_delta = _mul(_I, _re(delta))
@@ -197,11 +198,13 @@ def amplitude_kernel(delta, c: Coefficients, derivative: bool = False):
         numerator = _sub(_mul(a_fac, b_fac), _mul(_mul(_2I, _re(c.omega1)), _re(c.beta)))
         denominator = _add(_mul(d_fac, b_fac), _re(4.0 * c.detuning * c.omega1 * c.beta))
         pole = (chi2[0] == 0) & (chi2[1] == 0)
+        den_abs = _abs(denominator)
         singular = (denominator[0] == 0) & (denominator[1] == 0) | (
-            _abs(denominator) < SINGULAR_DENOMINATOR_RATIO * _abs(numerator)
+            den_abs < SINGULAR_DENOMINATOR_RATIO * _abs(numerator)
         )
         x, dx = _quot(numerator, denominator), None
-        finite = isfinite(x[0]) & isfinite(x[1])
+        # a denominator past the float range rounds a representable X ~ i/delta to 0
+        finite = isfinite(x[0]) & isfinite(x[1]) & (den_abs < math.inf)
         if derivative:
             chi1_p = _add(_re(2.0 * delta), _mul(_I, _re(c.gamma1)))
             chi2_p = _add(_re(2.0 * delta), _mul(_I, _re(c.gamma2)))
@@ -209,8 +212,9 @@ def amplitude_kernel(delta, c: Coefficients, derivative: bool = False):
             num_p = _add(_mul(_MINUS_I, b_fac), _mul(a_fac, b_p))
             den_p = _add(_mul(_mul(_re(-2.0), z), b_fac), _mul(d_fac, b_p))
             num_p_den = _sub(_mul(num_p, denominator), _mul(numerator, den_p))
-            dx = _quot(num_p_den, _mul(denominator, denominator))
-            finite = finite & isfinite(dx[0]) & isfinite(dx[1])
+            den_sq = _mul(denominator, denominator)
+            dx = _quot(num_p_den, den_sq)
+            finite = finite & isfinite(dx[0]) & isfinite(dx[1]) & isfinite(den_sq[0]) & isfinite(den_sq[1])
         return x, dx, where(pole, POLE, where(singular, SINGULAR, where(finite, OK, OUT_OF_RANGE)))
 
 

@@ -7,11 +7,15 @@ are compared against the linear-system solve.
 
 The integrator is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5),
 written here as scipy's `solve_ivp` runs it, without scipy; see `integrate`.
+Its BLAS sums run on scipy's layout of the stages; the rest, the error scale
+and the right-hand side's cavity equation too, runs on Python floats, the
+complex arithmetic written out as CPython 3.11 computes it.
 """
 from __future__ import annotations
 
 import bisect
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 
@@ -94,6 +98,7 @@ _D = np.array((
     -39.17726167561544, -149.72683625798564,
 )).reshape(4, 16)
 _B = _A[12, :12].copy()
+_ROW = struct.Struct("6d")  # one row of K, packed straight into its memory
 
 
 @dataclass(frozen=True)
@@ -152,17 +157,20 @@ class _NonFiniteState(Exception):
 
 def _rhs_factory(params: SystemParams, op: OperatingPoint, delta: float, eps_p: float):
     """The right-hand side ``rhs(t, q1, p1, q2, p2, rc, ic)`` on Python floats, returning a tuple;
-    every attribute and function it reads is a local."""
+    every attribute and function it reads is a local.  The cavity equation
+    dc = -(kappa + i delta_c) c + i g_cav q1 c + Omega_l + eps_p e^(-i delta t) is written out on
+    floats as CPython 3.11 computes it on complex numbers: each product is the full complex
+    product and each sum adds both parts, a float taking imaginary part 0.0, signed zeros and all."""
     m1, m2 = params.mech1, params.mech2
     m1_mass, m1_gamma, m2_mass, m2_gamma = m1.mass, m1.gamma, m2.mass, m2.gamma
     hbar = params.hbar
-    kappa = params.cavity.kappa
-    delta_c = op.delta_c
     g_cav = params.coupling.g_cav
-    g_c = params.coupling.g_coulomb
+    hg_c, hg_cav = hbar * params.coupling.g_coulomb, hbar * g_cav
+    k1, k2 = -m1_mass * m1.omega**2, -m2_mass * m2.omega**2
     omega_l = params.pump_amplitude()
-    w1_sq = m1.omega**2
-    w2_sq = m2.omega**2
+    loss, coupling = -(params.cavity.kappa + 1j * op.delta_c), 1j * g_cav
+    lr, li, gr, gi = loss.real, loss.imag, coupling.real, coupling.imag
+    gr0, gi0 = gr * 0.0, gi * 0.0
     isfinite, cos, sin = math.isfinite, math.cos, math.sin
 
     def rhs(t, q1, p1, q2, p2, rc, ic):
@@ -171,19 +179,18 @@ def _rhs_factory(params: SystemParams, op: OperatingPoint, delta: float, eps_p: 
             and isfinite(p2) and isfinite(rc) and isfinite(ic)
         ):
             raise _NonFiniteState(t)
-        c = complex(rc, ic)
         n_c = rc * rc + ic * ic
         dq1 = p1 / m1_mass
         dq2 = p2 / m2_mass
-        dp1 = -m1_mass * w1_sq * q1 - hbar * g_c * q2 + hbar * g_cav * n_c - m1_gamma * p1
-        dp2 = -m2_mass * w2_sq * q2 - hbar * g_c * q1 - m2_gamma * p2
-        dc = (
-            -(kappa + 1j * delta_c) * c
-            + 1j * g_cav * q1 * c
-            + omega_l
-            + eps_p * complex(cos(delta * t), -sin(delta * t))
+        dp1 = k1 * q1 - hg_c * q2 + hg_cav * n_c - m1_gamma * p1
+        dp2 = k2 * q2 - hg_c * q1 - m2_gamma * p2
+        ur, ui = gr * q1 - gi0, gr0 + gi * q1  # i g_cav q1
+        co, si = cos(delta * t), -sin(delta * t)
+        return (
+            dq1, dp1, dq2, dp2,
+            lr * rc - li * ic + (ur * rc - ui * ic) + omega_l + (eps_p * co - 0.0 * si),
+            lr * ic + li * rc + (ur * ic + ui * rc) + 0.0 + (eps_p * si + 0.0 * co),
         )
-        return (dq1, dp1, dq2, dp2, dc.real, dc.imag)
 
     return rhs
 
@@ -196,13 +203,17 @@ def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray, fi
     initial step is scipy's select_initial_step, on numpy scalars as there."""
     t_bound = t_eval[-1]
     K = np.empty((16, 6))  # one row per stage, as scipy's K_extended
-    stages = [(s, K[:s].T.dot, _A[s, :s], _C[s]) for s in range(16)]
+    total = np.empty(6)  # each stage sum in turn
+    pack, k_rows = _ROW.pack_into, memoryview(K)
+    stages = [(K[:s].T.dot, _A[s, :s], _C[s], _ROW.size * s) for s in range(16)]
+    step_stages, dense_stages = stages[1:12], stages[13:]
     sum_b, sum_err = K[:12].T.dot, K[:13].T.dot
 
-    def run_stages(first, stop, t, h, y1, y2, y3, y4, y5, y6):
-        for s, dot, a, c in stages[first:stop]:  # K[s] = rhs(t + c h, y + h K[:s].T . A[s, :s])
-            d1, d2, d3, d4, d5, d6 = dot(a).tolist()
-            K[s] = rhs(t + c * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h, y4 + d4 * h, y5 + d5 * h, y6 + d6 * h)
+    def run_stages(stages, t, h, y1, y2, y3, y4, y5, y6):
+        for dot, a, c, row in stages:  # K[s] = rhs(t + c h, y + h K[:s].T . A[s, :s])
+            d1, d2, d3, d4, d5, d6 = dot(a, total).tolist()
+            pack(k_rows, row, *rhs(t + c * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h, y4 + d4 * h,
+                                   y5 + d5 * h, y6 + d6 * h))
 
     if t_bound == 0.0:
         return [y0.tolist()], None
@@ -215,22 +226,26 @@ def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray, fi
     d2 = np.sqrt(v.dot(v)) / 6**0.5 / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = float(min(100 * h0, h1, t_bound))
-    t, y, rows = 0.0, y0.tolist(), []
+    t, y, rows, sample = 0.0, y0.tolist(), [], first  # t_eval[sample] is the next one to take
+    atol, scale_row = atol.tolist(), memoryview(scale)  # from here on scale is rewritten in place
     while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
-        K[0] = f
+        pack(k_rows, 0, *f)
         while True:
             if h_abs < min_step:
                 return rows, "Required step size is less than spacing between numbers."
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            run_stages(1, 12, t, h, *y)
-            y_new = [yi + h * di for yi, di in zip(y, sum_b(_B).tolist())]
-            K[12] = f_new = rhs(t + h, *y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            run_stages(step_stages, t, h, *y)
+            y_new = [yi + h * di for yi, di in zip(y, sum_b(_B, total).tolist())]
+            f_new = rhs(t + h, *y_new)
+            pack(k_rows, 12 * _ROW.size, *f_new)
+            # atol + np.maximum(|y|, |y_new|) rtol: rhs has just found y_new finite, as y before it
+            pack(scale_row, 0, *[a + (u if u > v else v) * rtol
+                                 for a, u, v in zip(atol, map(abs, y), map(abs, y_new))])
             err5, err3 = sum_err(_E5) / scale, sum_err(_E3) / scale
             # scipy's squared np.linalg.norm: sqrt(x.dot(x)) ** 2, not x.dot(x)
             e5, e3 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
@@ -241,22 +256,23 @@ def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray, fi
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
             rejected = True
-        samples = t_eval[first + len(rows):bisect.bisect_right(t_eval, t_new)]
-        if samples:
-            run_stages(13, 16, t, h, *y)
+        if t_eval[sample] <= t_new:  # the step holds t_eval[sample:end]
+            end = bisect.bisect_right(t_eval, t_new, sample)
+            run_stages(dense_stages, t, h, *y)
             # scipy's Dop853DenseOutput, y + sum_k F[k] x^(k//2 + 1) (1 - x)^((k + 1)//2), in its
             # Horner order from a 0.0 accumulator, one component (y, F[0], ..., F[6]) at a time
             columns = [
                 (yo, dy, h * fo - dy, 2 * dy - h * (fn + fo), *tail) for yo, dy, fo, fn, tail
                 in zip(y, map(float.__sub__, y_new, y), f, f_new, (h * np.dot(_D, K)).T.tolist())
             ]
-            for sample in samples:
-                x = (sample - t) / h
+            for s in t_eval[sample:end]:
+                x = (s - t) / h
                 z = 1 - x
                 rows.append([
                     ((((((((0.0 + f6) * x + f5) * z + f4) * x + f3) * z + f2) * x + f1) * z + f0) * x) + yo
                     for yo, f0, f1, f2, f3, f4, f5, f6 in columns
                 ])
+            sample = end
         t, y, f = t_new, y_new, f_new
     return rows, None
 
@@ -281,8 +297,9 @@ def integrate(
     is one BLAS ``dot`` on scipy's layout of K, since BLAS does not add in Python's
     order: K[:s].T . A[s, :s] per stage, the B, E5 and E3 sums, the error norms and
     the interpolant's D . K.  The elementwise rest (stage inputs, new state,
-    interpolant) runs on Python floats, which round as numpy does, and the
-    right-hand side takes them as ``rhs(t, q1, p1, q2, p2, rc, ic)``.  Only
+    error scale, interpolant) runs on Python floats, which round as numpy does,
+    and the right-hand side takes them as ``rhs(t, q1, p1, q2, p2, rc, ic)``,
+    its cavity equation on floats as CPython 3.11 complex arithmetic.  Only
     steps that hold samples compute the interpolant stages.  `probe_response`
     samples only the window `demodulate` keeps; step control reads no sample, so
     its steps, and its states in that window, are these.

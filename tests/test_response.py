@@ -316,12 +316,17 @@ class TestRangeChecks:
         c = coefficients(slowfast_spectrum, op)
         out_of_range = STATUS_ERRORS.index(InvariantViolationError)
         # NaN elements: from the kernel's products at 1e150, from its squares at 1e200, where one
-        # point raises OverflowError instead
-        grid = np.array([1.0, 1e80, 1e150, 1e200])
-        assert amplitude_kernel(grid, c)[2].tolist() == [OK, OK, out_of_range, out_of_range]
-        # at 1e80 X underflows to 0, but dX is NaN: its status fails only when dX is asked for
-        assert amplitude_kernel(grid, c, derivative=True)[2].tolist() == [OK] + [out_of_range] * 3
-        assert sideband_amplitude(1e80, slowfast_spectrum, op) == 0
+        # point raises OverflowError instead; at 1e80 the denominator overflows to inf and X to 0,
+        # though X ~ i/delta is a representable double
+        grid = np.array([1.0, 1e40, 1e80, 1e150, 1e200])
+        assert amplitude_kernel(grid, c)[2].tolist() == [OK, OK] + [out_of_range] * 3
+        # at 1e40 X is finite, but the squared denominator of dX overflows and dX ~ -1e-80 reads 0
+        assert amplitude_kernel(grid, c, derivative=True)[2].tolist() == [OK] + [out_of_range] * 4
+        for call in (sideband_amplitude, transmission):
+            with pytest.raises(InvariantViolationError, match=re.escape("delta = 1e+80")):
+                call(1e80, slowfast_spectrum, op)
+        with pytest.raises(InvariantViolationError, match=re.escape("delta = 1e+40")):
+            group_delay(1e40, slowfast_spectrum, op)
         for delta in (1e150, 1e200):
             with pytest.raises(InvariantViolationError, match=re.escape(f"delta = {delta!r}")):
                 transmission(delta, slowfast_spectrum, op)

@@ -1,9 +1,13 @@
 import dataclasses
+import itertools
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oemsim import timedomain
 from oemsim.errors import (
@@ -280,6 +284,107 @@ def count_rhs_calls(monkeypatch):
     return calls
 
 
+def complex_rhs(params, op, delta, eps_p, t, q1, p1, q2, p2, rc, ic):
+    """The right-hand side in complex arithmetic, the form that `_rhs_factory` writes out on floats."""
+    m1, m2, hbar = params.mech1, params.mech2, params.hbar
+    g_cav, g_c = params.coupling.g_cav, params.coupling.g_coulomb
+    c = complex(rc, ic)
+    n_c = rc * rc + ic * ic
+    dp1 = -m1.mass * m1.omega**2 * q1 - hbar * g_c * q2 + hbar * g_cav * n_c - m1.gamma * p1
+    dp2 = -m2.mass * m2.omega**2 * q2 - hbar * g_c * q1 - m2.gamma * p2
+    dc = (
+        -(params.cavity.kappa + 1j * op.delta_c) * c
+        + 1j * g_cav * q1 * c
+        + params.pump_amplitude()
+        + eps_p * complex(math.cos(delta * t), -math.sin(delta * t))
+    )
+    return (p1 / m1.mass, dp1, p2 / m2.mass, dp2, dc.real, dc.imag)
+
+
+def rhs_bits(rhs, *args):
+    """The bits of rhs(*args), signed zeros and NaN payloads included, or the exception it raises."""
+    try:
+        return struct.pack("<6d", *rhs(*args))
+    except ValueError as exc:  # math.cos of an infinite delta t
+        return repr(exc)
+
+
+# Python floats across the whole range: zeros of both signs, subnormals, magnitudes up to 1e+-300
+WIDE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(-1e-307, 1e-307),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+)
+MODERATE = st.floats(0.01, 2.0)
+SIGNED = st.floats(-3.0, 3.0)
+# (t, q1, p1, q2, p2, rc, ic): comparable terms, whose sums round by their order; zeros, whose
+# signs the 0.0 parts decide; and the whole range
+RHS_POINTS = st.one_of(
+    st.tuples(*[SIGNED] * 7),
+    st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0]), SIGNED)] * 7),
+    st.tuples(*[WIDE_FLOATS] * 7),
+)
+
+
+@st.composite
+def rhs_systems(draw):
+    """(params, op, delta, eps_p): g_c zero or not, locked or explicit detuning, the operating point solved."""
+    explicit = draw(st.booleans())
+    params = dimensionless_system(
+        kappa=draw(MODERATE), gamma1=draw(st.floats(0.0, 0.1)), gamma2=draw(st.floats(0.0, 0.1)),
+        g_cav=draw(st.one_of(st.just(0.0), st.floats(0.01, 0.3))),
+        g_coulomb=draw(st.one_of(st.just(0.0), st.floats(0.01, 0.3))),
+        pump_amplitude=draw(st.one_of(st.just(0.0), MODERATE)),
+        omega2=draw(st.floats(0.5, 1.5)), mass2=draw(st.floats(0.5, 2.0)),
+        detuning_mode="explicit" if explicit else "locked",
+        detuning=draw(st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(-3.0, 3.0))) if explicit else 1.0,
+    )
+    delta, eps_p = draw(st.one_of(MODERATE, WIDE_FLOATS)), draw(st.one_of(st.sampled_from([0.0, -0.0]), MODERATE, WIDE_FLOATS))
+    return params, solve_steady_state(params), delta, eps_p
+
+
+class TestRightHandSide:
+    """`_rhs_factory`'s float form against the complex arithmetic it replaces, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rhs_systems(), st.lists(RHS_POINTS, min_size=1, max_size=20))
+    def test_matches_complex_arithmetic_bit_for_bit(self, system, points):
+        params, op, delta, eps_p = system
+        rhs = timedomain._rhs_factory(params, op, delta, eps_p)
+        for point in points:
+            assert rhs_bits(rhs, *point) == rhs_bits(complex_rhs, params, op, delta, eps_p, *point)
+
+    @pytest.mark.parametrize("pump", [0.0, -0.0, 0.5])
+    @pytest.mark.parametrize("detuning", [None, 1.0, -1.0, -0.0])  # None: locked
+    @pytest.mark.parametrize("g_cav", [0.0, 0.1])
+    def test_matches_complex_arithmetic_on_a_grid(self, g_cav, detuning, pump):
+        # the hypothesis draws above seldom meet these: zeros of each sign in eps_p, q1, rc and ic, delta t
+        # in each quadrant, and random terms of one size, whose sums round by their order
+        params = dimensionless_system(
+            kappa=0.2, gamma1=0.05, gamma2=0.05, g_cav=g_cav, g_coulomb=0.1, pump_amplitude=pump,
+            detuning_mode="locked" if detuning is None else "explicit", detuning=1.0 if detuning is None else detuning,
+        )
+        op = solve_steady_state(params)
+        rng = np.random.default_rng(7)
+        values = (0.0, -0.0, *rng.uniform(-3.0, 3.0, 4))
+        for eps_p in (0.0, -0.0, 0.7):
+            rhs = timedomain._rhs_factory(params, op, 1.0, eps_p)
+            for t, q1, rc, ic in itertools.product((0.5, 2.0, 4.0, 5.5), values, values, values):
+                point = (t, q1, *rng.uniform(-3.0, 3.0, 3).tolist(), rc, ic)
+                assert rhs_bits(rhs, *point) == rhs_bits(complex_rhs, params, op, 1.0, eps_p, *point)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("component", range(6))
+    def test_non_finite_component_raises_with_its_time(self, component, value):
+        params = quick_system()
+        rhs = timedomain._rhs_factory(params, solve_steady_state(params), 1.03, 1e-3)
+        state = [0.3, 0.0, -0.2, 0.1, 0.8, 0.5]
+        state[component] = value
+        with pytest.raises(timedomain._NonFiniteState) as err:
+            rhs(12.5, *state)
+        assert err.value.time == 12.5
+
+
 class TestMatchesSolveIvp:
     """The in-package DOP853 stepper against scipy's, which is its specification."""
 
@@ -345,6 +450,23 @@ class TestMatchesSolveIvp:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TrajectoryConfigWarning)
             trajectory = timedomain._integrate(params, delta, config, initial_state, config.transient_fraction)
+        assert np.array_equal(trajectory.t, reference.t)
+        assert np.array_equal(trajectory.states, reference.y.T)
+        assert calls == [reference.nfev]
+
+    @pytest.mark.parametrize("edge", ["second", "last"])
+    def test_window_edges_equal_solve_ivp(self, edge, monkeypatch):
+        # the next-sample index at both ends: sampling from samples[1] on, and only the last sample
+        params, delta, config, initial_state = SCIPY_CASES["energy-pinned"]
+        samples = np.arange(0.0, config.duration + 0.5 * config.dt, config.dt)
+        first, window = (1, 0.5 * config.dt / samples[-1]) if edge == "second" else (len(samples) - 1, 1.0)
+        reference = solve_ivp_reference(params, delta, config, initial_state, first=first)
+        assert reference.success
+        assert len(reference.t) == len(samples) - first
+        calls = count_rhs_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TrajectoryConfigWarning)
+            trajectory = timedomain._integrate(params, delta, config, initial_state, window)
         assert np.array_equal(trajectory.t, reference.t)
         assert np.array_equal(trajectory.states, reference.y.T)
         assert calls == [reference.nfev]

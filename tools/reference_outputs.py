@@ -36,7 +36,7 @@ is one.  The cases:
 - delay tables whose pump is so weak that the cubic's leading coefficient
   underflows (a quadratic is left), or so strong that floats overflow;
 - spectrum and phase grids whose delta_bar runs up to 1e200: the response
-  leaves the float range from about 1e100 on, and those rows fail;
+  denominator leaves the float range from about 1e77 on, and those rows fail;
 - ``steady-state`` output, a pump that overflows floats among it;
 - the exit code and message of malformed configs, non-finite numbers,
   axes that leave their parameter's domain and an SI cavity with neither a
