@@ -31,6 +31,15 @@ DETUNING_EXPLICIT = "explicit"
 DETUNING_LOCKED = "locked"
 
 
+def _check_finite(params, *names: str) -> None:
+    """ValueError naming the first of the fields ``names`` that is set and not finite; a field's own
+    rules come first, so NaN and values past a bound keep their messages."""
+    for name in names:
+        value = getattr(params, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{type(params).__name__}.{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class MechanicalMode:
     """One mechanical resonator: effective mass, frequency and viscous damping."""
@@ -46,6 +55,7 @@ class MechanicalMode:
             raise ValueError(f"mechanical frequency must be positive, got {self.omega}")
         if not self.gamma >= 0:
             raise ValueError(f"mechanical damping must be nonnegative, got {self.gamma}")
+        _check_finite(self, "mass", "omega", "gamma")
 
 
 @dataclass(frozen=True)
@@ -73,6 +83,7 @@ class CavityParams:
             raise ValueError(f"cavity length must be positive, got {self.length}")
         if self.pump_wavelength is not None and not self.pump_wavelength > 0:
             raise ValueError(f"pump wavelength must be positive, got {self.pump_wavelength}")
+        _check_finite(self, "kappa", "detuning", "length", "pump_wavelength")
 
     @property
     def omega_l(self) -> float:
@@ -99,6 +110,7 @@ class CouplingParams:
             raise ValueError(f"g_cav must be nonnegative, got {self.g_cav}")
         if not self.g_coulomb >= 0:
             raise ValueError(f"g_coulomb must be nonnegative, got {self.g_coulomb}")
+        _check_finite(self, "g_cav", "g_coulomb")
 
 
 @dataclass(frozen=True)
@@ -123,6 +135,7 @@ class DriveParams:
             value = getattr(self, name)
             if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
+        _check_finite(self, "pump_power", "pump_amplitude", "probe_power", "probe_amplitude")
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ blocks, one at ``jobs=1`` and several over a process pool otherwise, so serial a
 parallel runs emit identical bytes; a chunk unwraps the phase of its blocks
 (`response.unwrap_phase`), afresh after each failed row's NaN.  One copy of the
 columns (`SweepResult`) holds the table until `render_table` writes it, one
-write per bounded slice of rows, whose doubles one numpy pass formats as
-``'%.17g' %`` does (`arith.format_g17`); a column that repeats by delta_bar
-block is formatted once and its text reused.
+write per bounded slice of rows.  Every slice is built in the same buffers,
+allocated once per table: one `arith.format_g17` call writes the row-major
+fields, each ended by the separator, of the columns that do not repeat
+(``'%.17g' %`` text), a column that repeats by delta_bar block has its text
+formatted once and gathered, and the row matrix drops its NUL padding.
 
 Within a chunk two things are batched.  The operating point moves with every
 axis but delta_bar, so the swept values of each delta_bar block's first row are
@@ -39,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, config, response
-from .arith import G17_WIDTH, format_g17, power
+from .arith import G17_BYTES, G17_WIDTH, format_g17, power
 from .config import SweepAxis, SweepSpec, axis_changes, check_axis_bound, serialize_config
 from .errors import OK, STATUS_ERRORS, ConfigError
 from .params import SystemParams
@@ -54,7 +56,7 @@ BLOCK_ELEMENTS = 4100
 # operating points per steady pass: bounds a pass's memory, and holds one block of
 # delay rows, whose operating points all differ
 PASS_POINTS = BLOCK_ELEMENTS // (1 + len(response.FD_OFFSETS))
-# rows per slice written, and the most distinct values of a reused column: bounds the text alive while rendering
+# rows per slice written, and the most blocks of a constant reused column: bounds the text alive while rendering
 RENDER_ROWS = 2048
 
 _SPECTRUM_COLUMNS = (
@@ -170,9 +172,10 @@ DELAY_SCENARIOS = {
     axis: name for name, scenario in SCENARIOS.items() if scenario.evaluate is _delay_block
     for axis in scenario.axes
 }
-# the slug of each status code, as a row of NUL-padded table bytes
+# the slug of each status code and a newline, as a row of NUL-padded table bytes
 _SLUGS = np.array(
-    [NO_ERROR, *(error.__name__.removesuffix("Error") for error in STATUS_ERRORS[1:])], dtype=bytes
+    [f"{slug}\n" for slug in (NO_ERROR, *(error.__name__.removesuffix("Error") for error in STATUS_ERRORS[1:]))],
+    dtype=bytes,
 ).view(np.uint8).reshape(len(STATUS_ERRORS), -1)
 
 
@@ -277,36 +280,43 @@ def run_sweep(params: SystemParams, spec: SweepSpec, jobs: int = 1) -> SweepResu
     return SweepResult(params=params, spec=spec, columns=columns, values=values, status=status)
 
 
-def _repeated_text(result: SweepResult) -> dict:
+def _repeated_text(result: SweepResult, sep: str = ",") -> dict:
     """{column: (text, block, constant)} of the columns that repeat bit for bit by innermost-axis
-    block, constant along each or the same in each, with at most RENDER_ROWS distinct values.  Row
-    r's field is ``text[r // block]`` if constant, else ``text[r % block]``."""
+    block, constant along each (with at most RENDER_ROWS blocks) or the same in each (one block's
+    text, at most half the rows).  Row r's field, ended by ``sep``, is ``text[r // block]`` if
+    constant, else ``text[r % block]``; it is formatted RENDER_ROWS values at a time."""
     n, block, repeated = len(result.status), result.spec.axes[-1].points, {}
     if len(result.spec.axes) < 2 or n < 2 * block:
         return repeated
+    g17 = np.empty(G17_BYTES * RENDER_ROWS, np.uint8)
     for j, column in enumerate(result.values.view(np.int64)):
         constant = n // block <= RENDER_ROWS and (column.reshape(-1, block) == column[::block, None]).all()
-        if constant or (block <= RENDER_ROWS and np.array_equal(column[block:], column[:-block])):
+        if constant or np.array_equal(column[block:], column[:-block]):
             distinct = result.values[j, ::block] if constant else result.values[j, :block]
-            repeated[j] = np.ascontiguousarray(format_g17(distinct)), block, constant
+            text = np.empty((len(distinct), G17_WIDTH), np.uint8)
+            for first in range(0, len(distinct), RENDER_ROWS):
+                text[first : first + RENDER_ROWS] = format_g17(distinct[first : first + RENDER_ROWS], g17, sep)
+            repeated[j] = text, block, constant
     return repeated
 
 
-def _render_rows(result: SweepResult, start: int, stop: int, sep: str, repeated: dict) -> str:
-    """Rows ``start:stop`` as text: one row-order byte matrix of NUL-padded fields, separators, slug
-    and newline, NULs dropped.  A repeated column's fields are gathered from its text."""
-    matrix = np.empty((stop - start, len(result.values) * (G17_WIDTH + 1) + _SLUGS.shape[1] + 1), np.uint8)
-    cells = matrix[:, : -1 - _SLUGS.shape[1]].reshape(stop - start, -1, G17_WIDTH + 1)
-    cells[:, :, G17_WIDTH] = ord(sep)
-    plain = [j for j in range(len(result.values)) if j not in repeated]
-    for j, fields in zip(plain, format_g17(result.values[plain, start:stop])):
-        cells[:, j, :G17_WIDTH] = fields
+def _render_rows(result: SweepResult, start: int, stop: int, sep: str, buffers, repeated: dict) -> str:
+    """Rows ``start:stop`` as text, built in the first ``stop - start`` rows of the arrays that
+    `render_table` allocates once for all its slices: ``buffers`` holds the indices of the columns
+    that do not repeat, room for their doubles, the buffer `format_g17` works in, and the row
+    matrix and its mask.  A matrix row holds each column's field, ended by ``sep``, then the slug
+    and newline; NULs are dropped.  The columns that do not repeat are formatted in one call."""
+    plain, doubles, g17, matrix, mask = buffers
+    rows, mask = matrix[: stop - start], mask[: stop - start]
+    cells = rows[:, : -_SLUGS.shape[1]].reshape(len(rows), -1, G17_WIDTH)
+    x = np.take(result.values[:, start:stop], plain, axis=0, mode="clip",
+                out=doubles[: len(plain) * len(rows)].reshape(len(plain), len(rows)))
+    cells[:, plain] = format_g17(x.T, g17, sep)
     at = np.arange(start, stop)
     for j, (text, block, constant) in repeated.items():
-        cells[:, j, :G17_WIDTH] = text[at // block if constant else at % block]
-    matrix[:, -1 - _SLUGS.shape[1] : -1] = _SLUGS[result.status[start:stop]]
-    matrix[:, -1] = ord("\n")
-    return matrix[matrix != 0].tobytes().decode("ascii")
+        cells[:, j] = text.take(at // block if constant else at % block, axis=0)
+    rows[:, -_SLUGS.shape[1] :] = _SLUGS.take(result.status[start:stop], axis=0)
+    return str(rows[np.not_equal(rows, 0, out=mask)], "ascii")
 
 
 def render_table(result: SweepResult, stream, fmt: str = "csv", timestamp: bool = True) -> None:
@@ -320,8 +330,10 @@ def render_table(result: SweepResult, stream, fmt: str = "csv", timestamp: bool 
     `run_sweep`) gives the same table text again, the timestamp line aside.
     The header, each slice of RENDER_ROWS rows (never across a gnuplot block)
     and each blank line is one write, so no more than a slice of the text is
-    alive at once; a table without rows is its header.  A column that repeats
-    by innermost-axis block is formatted once per distinct value (`_repeated_text`).
+    alive at once; a table without rows is its header.  The buffers every slice
+    is built in are allocated here, sized for the longest slice: a short slice
+    fills their first rows (`_render_rows`).  A column that repeats by
+    innermost-axis block is formatted once per distinct value (`_repeated_text`).
     """
     if fmt not in ("csv", "gnuplot"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -340,13 +352,18 @@ def render_table(result: SweepResult, stream, fmt: str = "csv", timestamp: bool 
         lines.append(",".join(result.columns))
     n = len(result.status)
     block = result.spec.axes[-1].points if fmt == "gnuplot" and len(result.spec.axes) > 1 else max(n, 1)
-    repeated = _repeated_text(result)
+    repeated = _repeated_text(result, sep)
+    plain = [j for j in range(len(result.values)) if j not in repeated]
+    matrix = np.empty((min(RENDER_ROWS, block, n), len(result.values) * G17_WIDTH + _SLUGS.shape[1]), np.uint8)
+    size = len(plain) * len(matrix)
+    buffers = plain, np.empty(size), np.empty(G17_BYTES * size, np.uint8), matrix, np.empty(matrix.shape, bool)
     stream.write("\n".join(lines) + "\n")
     for first in range(0, n, block):
         if first:
             stream.write("\n")
         for start in range(first, first + block, RENDER_ROWS):
-            stream.write(_render_rows(result, start, min(start + RENDER_ROWS, first + block), sep, repeated))
+            stop = min(start + RENDER_ROWS, first + block)
+            stream.write(_render_rows(result, start, stop, sep, buffers, repeated))
 
 
 def emit_csv(result: SweepResult, path, fmt: str = "csv", timestamp: bool = True) -> None:

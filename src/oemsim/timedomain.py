@@ -8,7 +8,7 @@ are compared against the linear-system solve.
 The integrator is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5),
 written here as scipy's `solve_ivp` runs it, without scipy; see `integrate`.
 Its BLAS sums run on scipy's layout of the stages; the rest, the error scale
-and the right-hand side's cavity equation too, runs on Python floats, the
+and norm and the right-hand side's cavity equation too, runs on Python floats, the
 complex arithmetic written out as CPython 3.11 computes it.
 """
 from __future__ import annotations
@@ -195,6 +195,19 @@ def _rhs_factory(params: SystemParams, op: OperatingPoint, delta: float, eps_p: 
     return rhs
 
 
+def _error_norm(h_abs: float, d5, d3) -> float:
+    """scipy's DOP853 error norm from the squared norms ``d5``, ``d3`` of the scaled error
+    estimates, on floats as on numpy scalars.  scipy squares np.linalg.norm, so each is
+    sqrt(d) ** 2: libm pow, as a float64 ** 2 is (not d, nor sqrt(d) * sqrt(d)), and never past
+    the float range, since sqrt(d) <= sqrt(DBL_MAX) and inf ** 2 is inf.  0 / 0 (d5 = 0 with a
+    d3 that 0.01 * d3 takes to 0) is NaN, as numpy gives it."""
+    e5, e3 = math.sqrt(d5) ** 2, math.sqrt(d3) ** 2
+    if not (e5 or e3):
+        return 0.0
+    root = math.sqrt((e5 + 0.01 * e3) * 6)
+    return h_abs * e5 / root if root else math.nan
+
+
 def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray, first: int):
     """DOP853 from t = 0 to t_eval[-1], step for step as scipy's under `solve_ivp` with
     ``t_eval=t_eval[first:]``: the states there, and None or why the run stopped early.  Step
@@ -246,10 +259,10 @@ def _dop853(rhs, y0: np.ndarray, t_eval: list, rtol: float, atol: np.ndarray, fi
             # atol + np.maximum(|y|, |y_new|) rtol: rhs has just found y_new finite, as y before it
             pack(scale_row, 0, *[a + (u if u > v else v) * rtol
                                  for a, u, v in zip(atol, map(abs, y), map(abs, y_new))])
-            err5, err3 = sum_err(_E5) / scale, sum_err(_E3) / scale
-            # scipy's squared np.linalg.norm: sqrt(x.dot(x)) ** 2, not x.dot(x)
-            e5, e3 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
-            error_norm = float(h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * 6)) if e5 or e3 else 0.0
+            err5, err3 = sum_err(_E5), sum_err(_E3)
+            err5 /= scale
+            err3 /= scale
+            error_norm = _error_norm(h_abs, err5.dot(err5), err3.dot(err3))
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.125)
                 h_abs *= min(1, factor) if rejected else factor
@@ -297,7 +310,8 @@ def integrate(
     is one BLAS ``dot`` on scipy's layout of K, since BLAS does not add in Python's
     order: K[:s].T . A[s, :s] per stage, the B, E5 and E3 sums, the error norms and
     the interpolant's D . K.  The elementwise rest (stage inputs, new state,
-    error scale, interpolant) runs on Python floats, which round as numpy does,
+    error scale, error norm from the dots, interpolant) runs on Python floats,
+    which round as numpy does,
     and the right-hand side takes them as ``rhs(t, q1, p1, q2, p2, rc, ic)``,
     its cavity equation on floats as CPython 3.11 complex arithmetic.  Only
     steps that hold samples compute the interpolant stages.  `probe_response`

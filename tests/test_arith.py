@@ -137,3 +137,44 @@ def test_g17_fallback_count(monkeypatch):
     fixed = [0.0, -0.0, math.nan, math.inf, -math.inf]
     assert count_fallbacks(monkeypatch, plain + TIES + outside + fixed) == len(TIES) + len(outside)
     assert count_fallbacks(monkeypatch, plain) == 0
+
+
+# 17 significant digits times 10**k, k from -300 to 300, of either sign
+SCALED = st.builds(lambda m, k, s: s * m * 10.0**k, st.floats(1.0, 10.0), st.integers(-300, 300), st.sampled_from([1, -1]))
+EDGES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300]
+POWERS = [v for k in range(-30, 31) for x in (10.0**k,) for v in (x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))]
+
+
+def assert_shared_buffers_format(buffer, values, end):
+    for chunk in (values, values[: len(values) // 2], values[::-1]):  # a longer call, then shorter ones
+        fields = format_g17(np.array(chunk, dtype=float), buffer, end)
+        assert fields.shape == (len(chunk), arith.G17_WIDTH)
+        assert [bytes(field[field != 0]).decode("ascii") for field in fields] == ["%.17g" % v + end for v in chunk]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True) | SCALED | st.sampled_from(EDGES + TIES), min_size=1, max_size=40),
+       st.sampled_from(["", ",", " "]))
+@example(EDGES + TIES[:20], ",")
+def test_g17_in_a_reused_buffer_over_garbage(values, end):
+    # every byte of the working memory is garbage before the first call, and the stale bytes of
+    # each call before the next
+    buffer = np.full(arith.G17_BYTES * len(values), 0xA5, np.uint8)
+    assert_shared_buffers_format(buffer, values, end)
+
+
+@pytest.mark.parametrize("end", ["", ","])
+def test_g17_in_a_reused_buffer_ties_and_powers_of_ten(end):
+    buffer = np.full(arith.G17_BYTES * len(POWERS), 0xFF, np.uint8)
+    assert_shared_buffers_format(buffer, TIES, end)
+    assert_shared_buffers_format(buffer, POWERS, end)
+
+
+def test_g17_of_a_transposed_view_is_row_major():
+    # a sweep slice: columns of values read across, each row's fields in column order
+    columns = np.array([[-1.5e-300, 0.25, math.nan], [3.0, -0.0, 1e22]])
+    fields = format_g17(columns.T, np.full(arith.G17_BYTES * 6, 0xA5, np.uint8), " ")
+    assert fields.shape == (3, 2, arith.G17_WIDTH)
+    assert [[bytes(f[f != 0]).decode("ascii") for f in row] for row in fields] == [
+        ["%.17g " % v for v in row] for row in columns.T.tolist()
+    ]

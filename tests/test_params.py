@@ -120,6 +120,36 @@ class TestInvariants:
         with pytest.raises(ValueError, match="nan"):
             cls(**fields)
 
+    @pytest.mark.parametrize("cls, fields", [
+        (MechanicalMode, {"mass": math.inf, "omega": 1.0, "gamma": 0.0}),
+        (MechanicalMode, {"mass": 1.0, "omega": math.inf, "gamma": 0.0}),
+        (MechanicalMode, {"mass": 1.0, "omega": 1.0, "gamma": math.inf}),
+        (CavityParams, {"kappa": math.inf}),
+        (CavityParams, {"kappa": 0.2, "detuning": math.inf}),
+        (CavityParams, {"kappa": 0.2, "detuning": -math.inf}),
+        (CavityParams, {"kappa": 0.2, "detuning": math.nan}),
+        (CavityParams, {"kappa": 0.2, "length": math.inf}),
+        (CavityParams, {"kappa": 0.2, "pump_wavelength": math.inf}),
+        (CouplingParams, {"g_cav": math.inf}),
+        (CouplingParams, {"g_cav": 0.1, "g_coulomb": math.inf}),
+        (DriveParams, {"pump_power": math.inf}),
+        (DriveParams, {"pump_amplitude": math.inf}),
+        (DriveParams, {"pump_amplitude": 0.1, "probe_power": math.inf}),
+        (DriveParams, {"pump_amplitude": 0.1, "probe_amplitude": math.inf}),
+    ], ids=["mass", "omega", "gamma", "kappa", "detuning", "detuning-negative", "detuning-nan", "length",
+            "pump_wavelength", "g_cav", "g_coulomb", "pump_power", "pump_amplitude", "probe_power",
+            "probe_amplitude"])
+    def test_non_finite_rejected_naming_the_field(self, cls, fields):
+        name, value = next((name, v) for name, v in fields.items() if not math.isfinite(v))
+        with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{name} must be finite, got {value}$"):
+            cls(**fields)
+
+    def test_a_field_rule_keeps_its_message_for_negative_infinity(self):
+        with pytest.raises(ValueError, match="mechanical mass must be positive, got -inf"):
+            MechanicalMode(mass=-math.inf, omega=1.0, gamma=0.0)
+        with pytest.raises(ValueError, match="g_cav must be nonnegative, got -inf"):
+            CouplingParams(g_cav=-math.inf)
+
     def test_dimensionless_requires_unit_mech1_frequency(self):
         with pytest.raises(ValueError, match="omega == 1"):
             SystemParams(

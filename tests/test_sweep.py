@@ -673,6 +673,31 @@ class TestEmission:
             assert len(sink.sizes) == 1 + outer * -(-inner // render_rows) + outer - 1
             assert peak < sum(sink.sizes) / 4
 
+    @pytest.mark.parametrize("fmt", ["csv", "gnuplot"])
+    def test_slices_of_any_size_give_the_same_bytes(self, monkeypatch, slowfast_spectrum, fmt):
+        # 3 blocks of 150 rows, in slices of 1, 7 and 64 rows (each block's last slice short, csv
+        # slices across blocks) and of the default: the slices reuse one set of buffers, so a field
+        # or slug shorter than the one before it in its place must leave no stale byte
+        result = run_sweep(slowfast_spectrum, SweepSpec(
+            "phase", (SweepAxis("g_coulomb", 0.05, 0.2, 3), SweepAxis("delta_bar", -0.1, 0.1, 150))))
+        rng = np.random.default_rng(20261020)
+        pool = [-1.2345678901234567e-300, 0.5, -0.0, math.nan, math.inf, -math.inf, 1e22, 5e-324,
+                -0.00012345678901234567, 123456.78901234567, 1 + 2.0**-17]
+        values = result.values.copy()
+        plain = [result.columns.index(name) for name in ("re_X", "im_X", "re_t_p", "transmission", "phase")]
+        values[plain] = rng.choice(pool, (len(plain), values.shape[1]))
+        status = rng.choice([OK, OK, OK, 1, len(STATUS_ERRORS) - 1], len(result.status)).astype(np.int8)
+        crafted = dataclasses.replace(result, values=values, status=status)
+        assert {crafted.columns[j] for j in oemsim.sweep._repeated_text(crafted)} == AXIS_REPEATS
+        texts = set()
+        for render_rows in (1, 7, 64, oemsim.sweep.RENDER_ROWS):
+            monkeypatch.setattr(oemsim.sweep, "RENDER_ROWS", render_rows)
+            texts.add(render_text(crafted, fmt, timestamp=False))
+        assert len(texts) == 1
+        sep = "," if fmt == "csv" else " "
+        body = [ln for ln in texts.pop().splitlines() if ln and not ln.startswith("#")][fmt == "csv":]
+        assert body == [sep.join("%.17g" % v for v in row[:-1]) + sep + row[-1] for row in table_rows(crafted)]
+
     @pytest.mark.parametrize(
         "config_text",
         [

@@ -343,6 +343,51 @@ def rhs_systems(draw):
     return params, solve_steady_state(params), delta, eps_p
 
 
+def numpy_error_norm(h_abs, d5, d3):
+    """The error norm as `_dop853` took it before, on numpy scalars: the reference of `_error_norm`."""
+    with np.errstate(all="ignore"):
+        e5, e3 = np.sqrt(np.float64(d5)) ** 2, np.sqrt(np.float64(d3)) ** 2
+        return float(h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * 6)) if e5 or e3 else 0.0
+
+
+class TestErrorNorm:
+    @staticmethod
+    def assert_matches_numpy(h_abs, d5, d3):
+        got, want = timedomain._error_norm(h_abs, d5, d3), numpy_error_norm(h_abs, d5, d3)
+        assert type(got) is float
+        # bit for bit, signed zeros included; a NaN's sign (x86 gives -NaN for 0 / 0) steers no step
+        assert math.isnan(got) and math.isnan(want) or struct.pack("<d", got) == struct.pack("<d", want)
+
+    @pytest.mark.parametrize("d5, d3", [
+        (0.0, 0.0),  # no error: 0, not 0 / 0
+        (0.0, 5e-324),  # 0.01 * d3 is 0: numpy's 0 / 0 is NaN, where floats raise ZeroDivisionError
+        (0.0, 1e-310),  # 0.01 * d3 a subnormal: 0
+        (1.7976931348623157e308, 1.7976931348623157e308),  # the largest squares: sqrt(d) ** 2 stays finite
+        (math.inf, 1.0),
+        (1.0, math.inf),
+        (math.nan, 1.0),
+        (0.0, math.nan),
+    ])
+    def test_edge_cases(self, d5, d3):
+        self.assert_matches_numpy(0.5, d5, d3)
+
+    def test_zero_over_zero_is_nan(self):
+        assert math.isnan(timedomain._error_norm(0.5, 0.0, 5e-324))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=1e-12, max_value=1e12),
+           st.floats(min_value=0.0, allow_subnormal=True), st.floats(min_value=0.0, allow_subnormal=True))
+    def test_matches_numpy_scalars(self, h_abs, d5, d3):
+        self.assert_matches_numpy(h_abs, d5, d3)
+
+    def test_square_is_libm_pow(self):
+        # sqrt(d) ** 2, as scipy's squared norm takes it, differs from d on about half of all inputs
+        d = np.random.default_rng(20261020).uniform(0.0, 10.0, 20_000)
+        assert (np.sqrt(d) ** 2 != d).any()
+        for value in d.tolist():
+            self.assert_matches_numpy(1.0, value, value)
+
+
 class TestRightHandSide:
     """`_rhs_factory`'s float form against the complex arithmetic it replaces, bit for bit."""
 
