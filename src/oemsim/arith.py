@@ -77,6 +77,17 @@ def any_of(mask) -> bool:
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
+def distinct_rows(rows):
+    """(the distinct rows of a 2-D array, ascending, and each row's index among them), as
+    ``np.unique(rows, axis=0, return_inverse=True)`` gives them, ``==`` deciding, in one lexsort."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ordered, new = rows[order], np.ones(len(rows), bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 def isfinite(x):
     return np.isfinite(x) if isinstance(x, np.ndarray) else math.isfinite(x)
 

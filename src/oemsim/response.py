@@ -15,7 +15,8 @@ the pump is off).
 One kernel, `amplitude_kernel`, evaluates X and dX/d delta on Python floats
 (one point) or on numpy arrays that broadcast over delta and the
 `Coefficients` of each operating point, and returns a per-element status
-instead of raising.  The public functions are thin calls of it.
+instead of raising.  The public functions are thin calls of it.  Its terms free
+of (hbar g_c)^2 and beta (`kernel_terms`) may come ready-made, from `window_scan`.
 
 Arithmetic contract.  An array element must be bit-identical to the closed
 form written with Python complex numbers, because the tables are, and numpy's
@@ -48,7 +49,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import hypot, isfinite, power, where
+from .arith import distinct_rows, hypot, isfinite, power, where
 from .errors import (
     OK,
     STATUS_ERRORS,
@@ -177,27 +178,36 @@ def phase(z):
     return math.atan2(z[1], z[0])
 
 
-def amplitude_kernel(delta, c: Coefficients, derivative: bool = False):
+def kernel_terms(delta, c: Coefficients):
+    """The terms of X free of (hbar g_c)^2 and beta: chi1, chi2, m1 m2 chi2, kappa - i(Delta+delta),
+    delta + i kappa, Delta^2 - (delta + i kappa)^2 and the pole mask chi2 = 0."""
+    with np.errstate(all="ignore"):
+        i_delta = _mul(_I, _re(delta))
+        delta_sq = power(delta, 2)
+        chi1 = _add(_re(delta_sq - c.omega1_sq), _mul(i_delta, _re(c.gamma1)))
+        chi2 = _add(_re(delta_sq - c.omega2_sq), _mul(i_delta, _re(c.gamma2)))
+        a_fac = _sub(_re(c.kappa), _mul(_I, _re(c.detuning + delta)))
+        z = _add(_re(delta), _mul(_I, _re(c.kappa)))  # delta + i kappa
+        d_fac = _sub(_re(c.detuning_sq), _mul(z, z))
+        return chi1, chi2, _mul(_re(c.masses), chi2), a_fac, z, d_fac, (chi2[0] == 0) & (chi2[1] == 0)
+
+
+def amplitude_kernel(delta, c: Coefficients, derivative: bool = False, terms=None):
     """X(delta), dX/d delta (None unless ``derivative``) and a per-element status.
 
     X and dX are (re, im) pairs.  The status is OK, POLE (chi2 = 0), SINGULAR
     (|denominator| < 1e-30 |numerator|) or else OUT_OF_RANGE (X, or dX when
     asked for, not finite, or the denominator of either past the float range);
-    the values of other elements are meaningless.
+    the values of other elements are meaningless.  ``terms``, `kernel_terms`
+    (delta, c) computed here when not given, let a caller build them once for
+    several (hbar g_c)^2 and beta; an element rounds alike on either route.
     """
     with np.errstate(all="ignore") if isinstance(delta, np.ndarray) else contextlib.nullcontext():
-        i_delta = _mul(_I, _re(delta))
-        delta_sq = power(delta, 2)
-        chi1 = _add(_re(delta_sq - c.omega1_sq), _mul(i_delta, _re(c.gamma1)))
-        chi2 = _add(_re(delta_sq - c.omega2_sq), _mul(i_delta, _re(c.gamma2)))
-        alpha = _quot(_re(c.coulomb), _mul(_re(c.masses), chi2))
-        a_fac = _sub(_re(c.kappa), _mul(_I, _re(c.detuning + delta)))
-        z = _add(_re(delta), _mul(_I, _re(c.kappa)))  # delta + i kappa
-        d_fac = _sub(_re(c.detuning_sq), _mul(z, z))
+        chi1, chi2, masses_chi2, a_fac, z, d_fac, pole = kernel_terms(delta, c) if terms is None else terms
+        alpha = _quot(_re(c.coulomb), masses_chi2)
         b_fac = _sub(chi1, alpha)
         numerator = _sub(_mul(a_fac, b_fac), _mul(_mul(_2I, _re(c.omega1)), _re(c.beta)))
         denominator = _add(_mul(d_fac, b_fac), _re(4.0 * c.detuning * c.omega1 * c.beta))
-        pole = (chi2[0] == 0) & (chi2[1] == 0)
         den_abs = _abs(denominator)
         singular = (denominator[0] == 0) & (denominator[1] == 0) | (
             den_abs < SINGULAR_DENOMINATOR_RATIO * _abs(numerator)
@@ -414,21 +424,26 @@ def group_delay(
     return _fd_delay(t, h)
 
 
-def strict_maxima(values):
-    """Mask of the interior strict local maxima along the first axis (endpoints excluded)."""
-    inner = values[1:-1]
-    return (inner > values[:-2]) & (inner > values[2:])
-
-
 def window_scan(c: Coefficients, convention: str, half_width, points: int):
-    """(grid, |t_p|^2, status) on ``points`` detunings over omega1 +- half_width.
-
-    With array coefficients the scans run along axis 0, one column per
-    operating point.
-    """
-    grid = np.linspace(c.omega1 - half_width, c.omega1 + half_width, points)
-    x, _, status = amplitude_kernel(grid, c)
-    return grid, abs_squared(t_p_pair(x, c.kappa, convention)), status
+    """Per operating point of the array coefficients ``c`` (and ``half_width``, an array like them),
+    yield its index, the grid of ``points`` detunings over omega1 +- half_width, the per-element status,
+    and delta_bar and |t_p|^2 of the interior strict maxima of |t_p|^2, ascending.  The grid and
+    `kernel_terms` are built once per group of points equal in half-width and in the coefficients but
+    (hbar g_c)^2 and beta, as int64 so bit for bit (-0.0 and 0.0 differ); a locked-detuning g_c sweep is
+    one group.  Each point then runs the rest of the kernel in a call of its own ``points`` elements."""
+    free = (v for f, v in zip(c._fields, c) if f not in ("coulomb", "beta"))
+    distinct, group = distinct_rows(np.stack([half_width, *free], axis=1).view(np.int64))
+    for g in range(len(distinct)):
+        rows = np.flatnonzero(group == g)
+        w, hw = c.omega1[rows[0]], half_width[rows[0]]
+        grid = np.linspace(w - hw, w + hw, points)
+        terms = kernel_terms(grid, Coefficients(*(column[rows[0]] for column in c)))
+        for i in rows:
+            row = Coefficients(*(column[i] for column in c))
+            x, _, status = amplitude_kernel(grid, row, terms=terms)
+            values = abs_squared(t_p_pair(x, row.kappa, convention))
+            peaks = np.flatnonzero((values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])) + 1
+            yield i, grid, status, grid[peaks] - row.omega1, values[peaks]
 
 
 def transmission_maxima(
@@ -450,7 +465,9 @@ def transmission_maxima(
         half_width = SPLITTING_WINDOW_FRACTION * c.omega1
     if not 0.0 < half_width < math.inf:
         raise ValueError(f"half_width = {half_width!r} must be finite and positive")
-    grid, values, status = window_scan(c, convention, half_width, points)
+    if not isinstance(points, int) or points < 3:  # a bool is below 3 too
+        raise ValueError(f"points = {points!r} must be an int of at least 3")
+    scan = window_scan(Coefficients(*np.array(c)[:, None]), convention, np.array([half_width]), points)
+    [(_, grid, status, delta_bar, heights)] = scan
     _raise_for(status, grid.tolist())
-    peaks = np.flatnonzero(strict_maxima(values)) + 1
-    return list(zip((grid[peaks] - c.omega1).tolist(), values[peaks].tolist()))
+    return list(zip(delta_bar.tolist(), heights.tolist()))

@@ -15,16 +15,19 @@ formatted once and gathered, and the row matrix drops its NUL padding.
 
 Within a chunk two things are batched.  The operating point moves with every
 axis but delta_bar, so the swept values of each delta_bar block's first row are
-deduped once and the chunk's distinct operating points solved PASS_POINTS at a
-time, each pass in one `steady.solve_steady_states` call: the values go in as
-arrays, set and cleared as `config.axis_changes` says, and come back as columns
-of status, photon number, branch count and `response.Coefficients`, from which
-each row takes its own.  After each pass its solved rows go to the evaluator,
-BLOCK_ELEMENTS kernel elements' worth per call, which returns column arrays and
-a per-row status; they fill the chunk's NaN-initialised columns by row index.
-So a 41 x 1001 g_c x delta_bar grid dedupes 41 rows and takes one pass for its
-41 operating points, as a splitting sweep of 1-row blocks does, and a pass's
-memory stays bounded where every row is an operating point of its own.
+deduped once (`arith.distinct_rows`) and the chunk's distinct operating points
+solved PASS_POINTS at a time, each pass in one `steady.solve_steady_states` call:
+the values go in as arrays, set and cleared as `config.axis_changes` says, and
+come back as columns of status, photon number, branch count and
+`response.Coefficients`, from which each row takes its own.  After each pass its
+solved rows go to the evaluator, BLOCK_ELEMENTS kernel elements' worth per call,
+which returns column arrays and a per-row status; they fill the chunk's
+NaN-initialised columns by row index.  So a 41 x 1001 g_c x delta_bar grid
+dedupes 41 rows and takes one pass for its 41 operating points, and a pass's
+memory stays bounded where every row is an operating point of its own.  The
+splitting evaluator takes a pass's solved rows at once and scans each in a kernel
+call of its own, sharing the grid and the kernel terms free of g_c and n among
+rows equal in the other coefficients (`response.window_scan`).
 Physics failures (instability, float overflow, singular response) mark rows
 with a status code of `errors` and leave their data NaN, and the run
 continues: a steady-state failure marks every row of its operating point, a
@@ -41,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, config, response
-from .arith import G17_BYTES, G17_WIDTH, format_g17, power
+from .arith import G17_BYTES, G17_WIDTH, distinct_rows, format_g17, power
 from .config import SweepAxis, SweepSpec, axis_changes, check_axis_bound, serialize_config
 from .errors import OK, STATUS_ERRORS, ConfigError
 from .params import SystemParams
@@ -50,11 +53,11 @@ from .steady import solve_steady_states
 
 DEFAULT_SPECTRUM_POINTS = 2001
 NO_ERROR = "-"
-# kernel elements per call: bounds a block's memory, holds one splitting scan
-# and is a multiple of the 5 points of a delay row
+# kernel elements per kernel call: bounds a call's memory, holds one splitting scan (a call
+# of its own per row; other evaluators get as many rows as it holds), a multiple of 5 delay points
 BLOCK_ELEMENTS = 4100
-# operating points per steady pass: bounds a pass's memory, and holds one block of
-# delay rows, whose operating points all differ
+# operating points per steady pass: bounds a pass's memory and a splitting evaluate call's
+# rows, and holds one block of delay rows, whose operating points all differ
 PASS_POINTS = BLOCK_ELEMENTS // (1 + len(response.FD_OFFSETS))
 # rows per slice written, and the most blocks of a constant reused column: bounds the text alive while rendering
 RENDER_ROWS = 2048
@@ -129,25 +132,18 @@ def _delay_block(delta, c, convention):
 
 
 def _splitting_block(delta, c, convention):
-    """Window maxima of |t_p|^2 over delta_bar in +-0.2 omega1; the scans run along axis 0."""
-    grid, values, status = response.window_scan(
-        c, convention, SPLITTING_WINDOW_FRACTION * c.omega1, SPLITTING_POINTS
-    )
-    peaks = response.strict_maxima(values)
-    count = peaks.sum(axis=0)
-    # the two highest peaks; of equal heights the later ranks higher, as in a stable sort
-    top, second = np.argsort(np.where(peaks, values[1:-1], -np.inf), axis=0, kind="stable")[-2:][::-1]
-    rows = np.arange(grid.shape[1])
-
-    def peak(i, present):  # (delta_bar, height) at interior index i, NaN where absent
-        return (np.where(present, grid[i + 1, rows] - c.omega1, np.nan),
-                np.where(present, values[i + 1, rows], np.nan))
-
-    lo, height_lo = peak(np.where(count >= 2, np.minimum(top, second), top), count >= 1)
-    hi, height_hi = peak(np.maximum(top, second), count >= 2)
-    columns = (count.astype(float), lo, hi, hi - lo, height_lo, height_hi)
-    first_error = status[np.argmax(status != OK, axis=0), rows]
-    return dict(zip(_SPLITTING_COLUMNS, columns)), first_error
+    """Window maxima of |t_p|^2 over delta_bar in +-0.2 omega1: `response.window_scan` scans the rows one
+    at a time, sharing the grid and the g_c-free kernel terms among rows whose other coefficients agree."""
+    count, lo, hi, height_lo, height_hi = np.full((5, len(delta)), np.nan)
+    status = np.empty(len(delta), np.int8)
+    scans = response.window_scan(c, convention, SPLITTING_WINDOW_FRACTION * c.omega1, SPLITTING_POINTS)
+    for i, _, scan_status, delta_bar, heights in scans:
+        status[i], count[i] = scan_status[np.argmax(scan_status != OK)], len(heights)
+        # the two highest peaks, in delta_bar order; of equal heights the later ranks higher, as in a stable sort
+        top = np.sort(np.argsort(heights, kind="stable")[-2:])
+        for column, height, at in zip((lo, hi), (height_lo, height_hi), top):
+            column[i], height[i] = delta_bar[at], heights[at]
+    return dict(zip(_SPLITTING_COLUMNS, (count, lo, hi, hi - lo, height_lo, height_hi))), status
 
 
 @dataclass(frozen=True)
@@ -158,6 +154,7 @@ class Scenario:
     evaluate: Callable  # (delta, Coefficients, convention) -> ({column: array}, status), per row
     kernel_points: int  # kernel elements per row
     axes: tuple[str, ...] = ()  # names of its one axis; empty for spectra, which sweep delta_bar
+    rows_per_call: int = 0  # rows per evaluate call; 0: as many as BLOCK_ELEMENTS kernel elements hold
 
 
 SCENARIOS = dict(zip(config.SCENARIOS, (
@@ -165,7 +162,7 @@ SCENARIOS = dict(zip(config.SCENARIOS, (
     Scenario(_SPECTRUM_COLUMNS + ("phase",), _phase_block, 1),
     Scenario(_DELAY_COLUMNS, _delay_block, 1 + len(response.FD_OFFSETS), ("P_l", "Omega_l")),
     Scenario(_DELAY_COLUMNS, _delay_block, 1 + len(response.FD_OFFSETS), ("kappa",)),
-    Scenario(_SPLITTING_COLUMNS, _splitting_block, SPLITTING_POINTS, ("g_coulomb",)),
+    Scenario(_SPLITTING_COLUMNS, _splitting_block, SPLITTING_POINTS, ("g_coulomb",), PASS_POINTS),
 ), strict=True))
 # axis -> the delay scenario that sweeps it, for `oemsim delay`
 DELAY_SCENARIOS = {
@@ -207,21 +204,22 @@ def _evaluate_chunk(task):
 
     ``points`` holds the run's axis values, one row per name in ``names``, in blocks of ``block``
     rows that share an operating point.  The distinct points of the blocks' first rows are solved
-    PASS_POINTS at a time; after each pass, the rows of its solved points go to the evaluator a
-    block at a time.  The probe detuning is omega1 + delta_bar, the line centre when no delta_bar
-    axis is swept.  A phase column is unwrapped last, a ``block`` at a time.
+    PASS_POINTS at a time; after each pass, the rows of its solved points go to the evaluator in
+    calls of `Scenario.rows_per_call` rows, or else of BLOCK_ELEMENTS kernel elements.  The probe
+    detuning is omega1 + delta_bar, the line centre when no delta_bar axis is swept.  A phase column
+    is unwrapped last, a ``block`` at a time.
     """
     params, name, convention, names, block, points = task
     scenario = SCENARIOS[name]
-    per_block = max(1, BLOCK_ELEMENTS // scenario.kernel_points)
+    per_block = scenario.rows_per_call or max(1, BLOCK_ELEMENTS // scenario.kernel_points)
     swept = [axis for axis in names if axis != "delta_bar"]
     n = points.shape[1]
     delta = params.mech1.omega + (points[names.index("delta_bar")] if "delta_bar" in names else np.zeros(n))
     values = np.full((len(names) + len(scenario.columns), n), np.nan)
     values[: len(names)] = points
     status = np.zeros(n, dtype=np.int8)
-    distinct, point = np.unique(points[[axis in swept for axis in names], ::block].T, axis=0, return_inverse=True)
-    point = np.repeat(point.reshape(-1), block)
+    distinct, point = distinct_rows(points[[axis in swept for axis in names], ::block].T)
+    point = np.repeat(point, block)
     for first in range(0, len(distinct), PASS_POINTS):
         changes = {}
         for axis, column in zip(swept, distinct[first : first + PASS_POINTS].T):

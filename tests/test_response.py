@@ -37,6 +37,7 @@ from oemsim.response import (
     coefficients,
     group_delay,
     group_delays,
+    kernel_terms,
     phase,
     phase_spectrum,
     sideband_amplitude,
@@ -44,7 +45,9 @@ from oemsim.response import (
     transmission,
     transmission_maxima,
     transmissions,
+    t_p_pair,
     unwrap_phase,
+    window_scan,
     wrap_phase_jump,
 )
 from oemsim.presets import get_preset
@@ -311,6 +314,12 @@ class TestRangeChecks:
         with pytest.raises(ValueError, match=f"half_width = {half_width!r} must be finite and positive"):
             transmission_maxima(pump_off, op, half_width=half_width)
 
+    @pytest.mark.parametrize("points", [0, 1, 2, True, -5, 4001.0])
+    def test_points_must_be_an_int_of_at_least_3(self, pump_off, points):
+        op = solve_steady_state(pump_off)
+        with pytest.raises(ValueError, match=re.escape(f"points = {points!r} must be an int of at least 3")):
+            transmission_maxima(pump_off, op, points=points)
+
     def test_float_range_failures_are_invariant_violations(self, slowfast_spectrum):
         op = solve_steady_state(slowfast_spectrum)
         c = coefficients(slowfast_spectrum, op)
@@ -526,6 +535,75 @@ def test_kernel_matches_scalar_closed_form_bit_for_bit(cases):
             if k < 3:
                 for method, tau in zip(("finite-difference", "analytic"), delays):
                     assert _bits(group_delay(delta_k, params, op, method, convention)) == _bits(tau)
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda pair: -pair[0] if pair[1] else pair[0])
+
+
+@st.composite
+def shared_term_groups(draw):
+    """(grid, the coefficients of a drawn operating point, couplings) for `kernel_terms`: a grid through
+    the signed zeros, the chi1 = 0 and chi2 = 0 points (a pole, or with gamma1 = 0 and no coupling a
+    vanishing denominator) and the 1e77-1e100 float-range edge; couplings ((hbar g_c)^2, beta) from
+    drawn strengths, zero among them."""
+    params, op, _, args = draw(operating_points())
+    c = Coefficients(*map(np.float64, coefficients(params, op)))
+    w1, w2 = args[3], args[4]
+    special = st.sampled_from([0.0, -0.0, w1, -w1, w2, -w2])
+    delta = st.one_of(special, _signed(_unit(0.5 * w1, 1.5 * w1)), _signed(_unit(1e77, 1e100)))
+    grid = np.array(draw(st.lists(delta, min_size=1, max_size=24)))
+    strength = st.tuples(_strength(0.5), _strength(1e-2))
+    couplings = [(s * s * c.masses * c.omega1_sq**2, b * c.omega1_sq)
+                 for s, b in draw(st.lists(strength, min_size=1, max_size=4))]
+    return grid, c, couplings
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_term_groups())
+def test_kernel_on_shared_terms_matches_the_kernel_alone_bit_for_bit(group):
+    # the terms built once from the group's coefficients serve every coupling of the group
+    grid, c, couplings = group
+    terms = kernel_terms(grid, c)
+    for coulomb, beta in couplings:
+        row = c._replace(coulomb=coulomb, beta=beta)
+        x, dx, status = amplitude_kernel(grid, row, derivative=True)
+        shared_x, shared_dx, shared_status = amplitude_kernel(grid, row, derivative=True, terms=terms)
+        assert [part.tobytes() for part in (*shared_x, *shared_dx)] == [part.tobytes() for part in (*x, *dx)]
+        assert shared_status.tolist() == status.tolist()
+
+
+def test_window_scan_shares_terms_only_among_bit_equal_keys(monkeypatch, slowfast_spectrum):
+    # rows that differ in (hbar g_c)^2 or beta share one build; a kappa, a Delta, a sign of zero or a
+    # half-width of their own each take one; every row scans as the plain kernel does on its own grid
+    base = coefficients(slowfast_spectrum, solve_steady_state(slowfast_spectrum))
+    field = Coefficients._fields.index
+    rows = np.tile(np.array(base), (9, 1))
+    rows[1, field("coulomb")] *= 2.0
+    rows[2, field("beta")] *= 0.5
+    rows[3, field("kappa")] *= 1.5
+    rows[4, field("detuning")] *= 1.01
+    rows[5, field("gamma2")], rows[6, field("gamma2")] = 0.0, -0.0
+    half_width = np.full(len(rows), 0.2 * base.omega1)
+    half_width[8] = 0.1 * base.omega1
+    builds, build = [], oemsim.response.kernel_terms
+
+    def counting_build(delta, c):
+        builds.append(c)
+        return build(delta, c)
+
+    monkeypatch.setattr(oemsim.response, "kernel_terms", counting_build)
+    scans = list(window_scan(Coefficients(*rows.T), "paper-corrected", half_width, 4001))
+    assert len(builds) == 6 and sorted(scan[0] for scan in scans) == list(range(len(rows)))
+    for i, grid, status, delta_bar, heights in scans:
+        row = Coefficients(*rows[i])
+        plain = np.linspace(row.omega1 - half_width[i], row.omega1 + half_width[i], 4001)
+        x, _, plain_status = amplitude_kernel(plain, row)
+        values = abs_squared(t_p_pair(x, row.kappa, "paper-corrected"))
+        peaks = [k for k in range(1, 4000) if values[k - 1] < values[k] > values[k + 1]]
+        assert grid.tobytes() == plain.tobytes() and status.tolist() == plain_status.tolist()
+        assert delta_bar.tobytes() == (plain[peaks] - row.omega1).tobytes()
+        assert heights.tobytes() == values[peaks].tobytes()
 
 
 def test_kernel_squares_delta_through_pow():

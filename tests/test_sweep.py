@@ -11,6 +11,7 @@ import pytest
 import oemsim.response
 import oemsim.steady
 import oemsim.sweep
+from oemsim.arith import distinct_rows
 from oemsim.config import AXES, SCENARIOS, SweepAxis, SweepSpec, apply_override, parse_config
 from oemsim.errors import (
     OK,
@@ -22,7 +23,7 @@ from oemsim.errors import (
     StaticInstabilityError,
 )
 from oemsim.presets import get_preset, slowfast_pump_power
-from oemsim.response import group_delay, transmission
+from oemsim.response import coefficients, group_delay, transmission, transmission_maxima
 from oemsim.steady import solve_steady_state
 from oemsim.sweep import NO_ERROR, emit_csv, render_table, run_sweep
 from oemsim.validate import dimensionless_system, system_for_beta
@@ -96,6 +97,22 @@ DEDUPE_CASES = {
     "delta-kappa": SweepSpec("spectrum", (SweepAxis("delta_bar", -0.1, 0.1, 5), SweepAxis("kappa", 0.1, 0.3, 3))),
     "gc-kappa": SweepSpec("spectrum", (SweepAxis("g_coulomb", 0.0, 0.2, 2), SweepAxis("kappa", 0.1, 0.3, 3))),
     "degenerate-outer": DEGENERATE_OUTER,
+}
+# chunk grids to dedupe: the delay-scan workload's P_l grid, a degenerate outer axis, two swept
+# axes, and no swept axis at all
+DISTINCT_GRIDS = {
+    "delay": (SweepAxis("P_l", 1e-4, 1.0, 10001, "log"),),
+    "degenerate": (SweepAxis("g_coulomb", 0.1, 0.1, 5), SweepAxis("delta_bar", -0.1, 0.1, 7)),
+    "two-axis": (SweepAxis("g_coulomb", 0.0, 0.2, 7), SweepAxis("kappa", 0.1, 0.3, 5)),
+    "delta-only": (SweepAxis("delta_bar", -0.1, 0.1, 7),),
+}
+# splitting-vs-gc sweeps: locked detuning, whose rows share one window scan grid and its kernel
+# terms, and explicit detuning, where Delta moves with g_c
+SPLITTING_SWEEPS = {
+    "locked": "preset = dimensionless-slowfast\n"
+              + sweep_section("splitting-vs-gc", ("g_coulomb", 0.01, 0.2, 60)),
+    "explicit": "preset = dimensionless-slowfast\n[cavity]\ndetuning = 0.9 dimensionless\n"
+                + sweep_section("splitting-vs-gc", ("g_coulomb", 0, 1.2, 13)),
 }
 # tables whose columns repeat by block, or that take the plain path: (params, spec, the columns
 # rendered from reused text)
@@ -337,6 +354,87 @@ class TestRunSweep:
         calls.clear()
         run_sweep(slowfast_spectrum, PARALLEL_CASES["delay-vs-power"], jobs=1)
         assert len(calls) == 5
+
+    @pytest.mark.parametrize("grid", DISTINCT_GRIDS)
+    def test_distinct_rows_are_those_of_np_unique(self, grid):
+        # the rows a chunk dedupes, as they come, reversed and with repeats: the same distinct rows
+        # in the same order and the same inverse
+        axes = DISTINCT_GRIDS[grid]
+        names = [axis.name for axis in axes]
+        points = np.reshape(np.meshgrid(*(axis.values() for axis in axes), indexing="ij"), (len(axes), -1))
+        rows = points[[name != "delta_bar" for name in names], :: axes[-1].points if "delta_bar" in names else 1].T
+        for matrix in (rows, rows[::-1], np.concatenate([rows[::-3], rows, rows[1::2]])):
+            distinct, inverse = distinct_rows(matrix)
+            expected, expected_inverse = np.unique(matrix, axis=0, return_inverse=True)
+            assert distinct.shape == expected.shape and distinct.tobytes() == expected.tobytes()
+            assert inverse.tolist() == expected_inverse.reshape(-1).tolist()
+
+    @pytest.mark.parametrize("sweep", SPLITTING_SWEEPS)
+    def test_peak_columns_are_the_two_highest_transmission_maxima(self, sweep):
+        # bit for bit, row by row, against transmission_maxima on the row's own operating point
+        params, spec = parse_config(SPLITTING_SWEEPS[sweep])
+        result = run_sweep(params, spec)
+        assert (result.status == OK).sum() >= 10
+        columns = [result.columns.index(name) for name in oemsim.sweep._SPLITTING_COLUMNS[:6]]
+        for g_coulomb, status, *row in zip(result.values[0].tolist(), result.status.tolist(),
+                                           *result.values[columns].tolist()):
+            point = apply_override(params, "g_coulomb", g_coulomb)
+            try:
+                maxima = transmission_maxima(point, solve_steady_state(point))
+            except SimulationError as exc:
+                assert STATUS_ERRORS[status] is type(exc)
+                continue
+            assert status == OK
+            # of equal heights the later ranks higher, as in a stable sort
+            top = sorted(sorted(range(len(maxima)), key=lambda j: maxima[j][1])[-2:])
+            (lo, height_lo), (hi, height_hi) = [maxima[j] for j in top] + [(math.nan, math.nan)] * (2 - len(top))
+            expected = (float(len(maxima)), lo, hi, hi - lo, height_lo, height_hi)
+            assert list(map(repr, row)) == list(map(repr, expected))
+
+    @pytest.mark.parametrize("sweep", SPLITTING_SWEEPS)
+    def test_splitting_sweep_builds_the_kernel_terms_once_per_key(self, monkeypatch, sweep):
+        # the grid and the g_c-free terms once per distinct key of the solved rows, then one kernel call
+        # of SPLITTING_POINTS elements per row, never more than BLOCK_ELEMENTS
+        builds, sizes = [], []
+        build, kernel = oemsim.response.kernel_terms, oemsim.response.amplitude_kernel
+
+        def counting_build(delta, c):
+            builds.append(c)
+            return build(delta, c)
+
+        def counting_kernel(delta, c, derivative=False, terms=None):
+            sizes.append(np.size(delta))
+            return kernel(delta, c, derivative, terms)
+
+        monkeypatch.setattr(oemsim.response, "kernel_terms", counting_build)
+        monkeypatch.setattr(oemsim.response, "amplitude_kernel", counting_kernel)
+        params, spec = parse_config(SPLITTING_SWEEPS[sweep])
+        result = run_sweep(params, spec)
+        keys = set()
+        for g_coulomb in result.values[0]:
+            point = apply_override(params, "g_coulomb", g_coulomb)
+            try:
+                c = coefficients(point, solve_steady_state(point))
+            except StaticInstabilityError:
+                continue
+            keys.add(tuple(float(v).hex() for f, v in c._asdict().items() if f not in ("coulomb", "beta")))
+        assert len(builds) == len(keys) == (1 if sweep == "locked" else len(sizes))
+        assert len(sizes) == sum(result.status != STATUS_ERRORS.index(StaticInstabilityError)) >= 10
+        assert set(sizes) == {oemsim.sweep.SPLITTING_POINTS}
+        assert oemsim.sweep.SPLITTING_POINTS <= oemsim.sweep.BLOCK_ELEMENTS
+
+    def test_splitting_sweep_memory_is_that_of_one_scan(self, slowfast_spectrum):
+        # the shared terms and one row's kernel temporaries are alive at once, about 1.06 MB; a scan of
+        # all 60 rows in one kernel call holds 1.9 MB in its grid alone
+        spec = SweepSpec("splitting-vs-gc", (SweepAxis("g_coulomb", 0.01, 0.2, 60),))
+        run_sweep(slowfast_spectrum, spec)
+        tracemalloc.start()
+        try:
+            run_sweep(slowfast_spectrum, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
 
     def test_splitting_sweep_solves_its_points_in_one_pass(self, monkeypatch, slowfast_spectrum):
         # 60 blocks of one 4001-point scan each, and one steady pass for all of them

@@ -10,7 +10,9 @@ escaped ``main``, then stdout and stderr) plus the ``--out`` file when there
 is one.  The cases:
 
 - every sweep scenario in csv and gnuplot and in both conventions, on
-  ``dimensionless-slowfast``, with ``--jobs 1`` and ``--jobs 3`` on 2-D grids;
+  ``dimensionless-slowfast``, with ``--jobs 1`` and ``--jobs 3`` on 2-D grids
+  and on the splitting tables, whose one-row pool chunks cut the groups of
+  rows that share a window scan's grid and kernel terms (`response.window_scan`);
 - a phase grid whose innermost blocks are longer than one slice of rows that
   `sweep.render_table` formats and writes at a time, so gnuplot blank lines
   fall between slices and inside them; its gnuplot table also goes to stdout,
@@ -96,7 +98,7 @@ def _d(x):
     return f"{x} dimensionless"
 
 
-# name -> (command, config text); 2-D grids also run with --jobs 3
+# name -> (command, config text); 2-D grids and POOLED also run with --jobs 3
 TABLES = {
     "spectrum-default": ("spectrum", SLOWFAST + "[coupling]\ng_coulomb = 0.1 dimensionless\n"),
     "spectrum-gc-delta": ("sweep", SLOWFAST + _sweep(
@@ -154,6 +156,8 @@ TABLES = {
         scenario, ("g_coulomb", _d(0), _d(0.2), 3), ("delta_bar", _d(1e-2), _d(1e200), 22, "log")))
        for scenario in ("spectrum", "phase")},
 }
+
+POOLED = ("splitting-gc", "explicit-splitting")
 
 OVERRIDES = {
     "probe-amplitude-then-power": "[drive]\nprobe_amplitude = 1e-4 dimensionless\nprobe_power = 1e-8 dimensionless\n",
@@ -284,10 +288,10 @@ def write_tree(out_dir: Path, oemsim_main, seeds=VALIDATE_SEEDS) -> None:
         "spectrum", ("delta_bar", _d(-0.05), _d(0.05), 11))) for k, v in OVERRIDES.items()})
     for name, (command, text) in tables.items():
         path = config(name, text)
-        two_d = text.count("axis2 =") == 1
+        pooled = text.count("axis2 =") == 1 or name in POOLED
         for fmt in ("csv", "gnuplot"):
             for convention in ("paper-corrected", "intracavity"):
-                for jobs in (1, 3) if two_d else (1,):
+                for jobs in (1, 3) if pooled else (1,):
                     case = f"table-{name}-{fmt}-{convention}-j{jobs}"
                     run(case, [command, "--config", path, "--format", fmt, "--convention",
                                convention, "--jobs", str(jobs), "--no-timestamp"])
