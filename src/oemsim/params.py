@@ -8,8 +8,8 @@ derives the drive amplitudes and the stiffness.  Responses are per unit probe,
 so the probe is checked for being perturbative only in `timedomain.integrate`.
 
 The pump amplitude and the stiffness are written for Python floats (one
-operating point) and for fields that hold one array element per point (a
-batch of `steady.solve_steady_states`), with the rounding of `arith`.
+operating point) and for array fields of an element per point or one for all
+(a batch of `steady.solve_steady_states`), with the rounding of `arith`.
 """
 from __future__ import annotations
 

@@ -116,9 +116,9 @@ class Coefficients(NamedTuple):
 def coefficients(params: SystemParams, op: OperatingPoint) -> Coefficients:
     """Kernel inputs of an operating point, each computed as the scalar closed form does.
 
-    On one point they are Python floats; on a batch (`steady.solve_steady_states`,
-    whose parameters and operating points hold one array element per point)
-    they are arrays.
+    On one point they are Python floats; on a batch (`steady.solve_steady_states`)
+    they are arrays, of one element where no swept number moves them, which
+    broadcasts.
     """
     m1, m2, hbar = params.mech1, params.mech2, params.hbar
     beta = hbar * power(params.coupling.g_cav, 2) * op.photon_number / (2.0 * m1.mass * m1.omega)
@@ -425,12 +425,13 @@ def group_delay(
 
 
 def window_scan(c: Coefficients, convention: str, half_width, points: int):
-    """Per operating point of the array coefficients ``c`` (and ``half_width``, an array like them),
+    """Per operating point of ``half_width``, an array, and of the coefficients ``c``, which broadcast with it,
     yield its index, the grid of ``points`` detunings over omega1 +- half_width, the per-element status,
     and delta_bar and |t_p|^2 of the interior strict maxima of |t_p|^2, ascending.  The grid and
     `kernel_terms` are built once per group of points equal in half-width and in the coefficients but
     (hbar g_c)^2 and beta, as int64 so bit for bit (-0.0 and 0.0 differ); a locked-detuning g_c sweep is
     one group.  Each point then runs the rest of the kernel in a call of its own ``points`` elements."""
+    c = Coefficients(*np.broadcast_arrays(half_width, *c)[1:])  # a one-element column for every point
     free = (v for f, v in zip(c._fields, c) if f not in ("coulomb", "beta"))
     distinct, group = distinct_rows(np.stack([half_width, *free], axis=1).view(np.int64))
     for g in range(len(distinct)):

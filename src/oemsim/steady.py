@@ -6,20 +6,22 @@ pull coefficient ``a = hbar g_cav^2 / K``.  All real nonnegative roots are
 located; the returned root is the branch continuously connected to n = 0
 (unless the detuning is locked, which pins the root with Delta = omega1).
 
-Float/array contract.  The solve (`_solve`) is written once.  On parameters
-of Python floats it solves one point (`solve_steady_state`), and every number
-it hands out is a Python float: the response closed form rounds by operand
-type, and a numpy scalar would switch its complex divisions to numpy's.  On
-a batch (`solve_steady_states`) every number of the parameters is an array
-with one element per operating point, and each step runs on whole columns:
-stiffness, pump amplitude, detuning, the companion rows of the cubic, one
-``np.linalg.eigvals`` call per degree on the stacked matrices, the root
-filter, a masked Newton polish, the sort and dedupe over three root slots,
-the residual check and the kernel inputs.  `arith` rounds each element as
-Python rounds the float, and LAPACK solves a stack matrix by matrix
-(``numpy.roots`` is ``eigvals`` of the same matrix), so every element of a
-batch is bit-identical to the solve of its point alone.  The one-point path
-stays on Python floats because a size-1 array call costs several times more.
+Float/array contract.  The solve (`_solve`) is written once.  On parameters of
+Python floats it solves one point (`solve_steady_state`), and every number it
+hands out is a Python float: the response closed form rounds by operand type,
+and a numpy scalar would switch its complex divisions to numpy's.  On a batch
+(`solve_steady_states`) a swept field has an element per operating point and
+any other number one element, which broadcasts, so a step computes it once; it
+is no float, on which ``**`` and ``/ 0.0`` raise and abort the batch.  Each
+step runs on whole columns: stiffness, pump amplitude, detuning, the companion
+rows of the cubic, one ``np.linalg.eigvals`` call per degree on the stacked
+matrices, the root filter, a masked Newton polish, the sort and dedupe over
+three root slots, the residual check and the kernel inputs.  `arith` rounds
+each element as Python rounds the float, each step is elementwise, and LAPACK
+solves a stack matrix by matrix (``numpy.roots`` is ``eigvals`` of the same
+matrix), so every element of a batch is bit-identical to the solve of its point
+alone.  The one-point path stays on Python floats because a size-1 array call
+costs several times more.
 
 Failures.  One point raises its SimulationError.  A batch gives each point
 a status instead, OK or the code of its first failure (its error's index in
@@ -66,7 +68,7 @@ class OperatingPoint:
 
 
 class SteadyStates(NamedTuple):
-    """Operating points of a batch, one array element per point; meaningless where status is not OK."""
+    """Operating points of a batch, as `solve_steady_states` gives them; meaningless where status is not OK."""
 
     status: np.ndarray  # OK, or the errors.STATUS_ERRORS code of the point's first failure
     q1s: np.ndarray
@@ -165,7 +167,7 @@ def _eigenvalues(p, cubic, refusals):
         if solvable and degree:
             raw[:degree] = np.linalg.eigvals(np.array([[row[:degree], *_SUBDIAGONAL[degree]]]))[0].tolist()
         return raw
-    row = np.column_stack(row)
+    row = np.column_stack([np.broadcast_to(entry, solvable.shape) for entry in row])  # a constant entry too
     raw = np.full((len(row), 3), np.nan, dtype=complex)
     for d in (1, 2, 3):  # degree 0 is a nonzero constant, which has no roots
         index = np.flatnonzero(solvable & (degree == d))
@@ -301,15 +303,16 @@ def _one_point(solve):
         raise InvariantViolationError(f"steady state leaves the float range: {exc.args[-1]}") from None
 
 
-def _batch(params: SystemParams, swept: dict, size: int) -> SystemParams:
-    """``params`` with every number a column of ``size`` elements, the swept fields set from ``swept``.
+def _batch(params: SystemParams, swept: dict) -> SystemParams:
+    """``params`` with the swept fields set from ``swept``, and every other number a one-element array
+    that overflows and divides by zero as a batch element does (the module docstring).
 
     Built without validation: `sweep` checked both bounds of every swept
     axis (`config.check_axis_bound`), and a grid value lies between them.
     """
 
     def column(value):
-        return value if value is None or isinstance(value, str) else np.full(size, value, dtype=float)
+        return value if value is None or isinstance(value, str) else np.array(value, dtype=float, ndmin=1)
 
     def section(name, fields):
         view = object.__new__(type(fields))
@@ -329,11 +332,15 @@ def solve_steady_states(params: SystemParams, swept: dict) -> SteadyStates:
 
     ``swept`` maps a section of `SystemParams` to {field: array of values, or
     None to clear the field}, as `config.axis_changes` gives it; with nothing
-    swept the batch is the one point of ``params``.
+    swept the batch is the one point of ``params``.  The status has an element
+    per point; a column that no swept field moves may have one for all of them:
+    ``delta_c`` (explicit detuning), ``delta_eff`` and, but for a pump or kappa
+    sweep, the photon number (locked), and the `Coefficients` of the unswept
+    numbers, as ``omega1``, ``gamma2``, ``masses`` and ``kappa`` or ``coulomb``.
     """
     arrays = [v for fields in swept.values() for v in fields.values() if v is not None]
     size = len(arrays[0]) if arrays else 1
-    batch = _batch(params, swept, size)
+    batch = _batch(params, swept)
     with np.errstate(all="ignore"):
         states = _solve(batch, _Refusals(size))
         return states._replace(coefficients=coefficients(batch, states))

@@ -19,12 +19,15 @@ deduped once (`arith.distinct_rows`) and the chunk's distinct operating points
 solved PASS_POINTS at a time, each pass in one `steady.solve_steady_states` call:
 the values go in as arrays, set and cleared as `config.axis_changes` says, and
 come back as columns of status, photon number, branch count and
-`response.Coefficients`, from which each row takes its own.  After each pass its
-solved rows go to the evaluator, BLOCK_ELEMENTS kernel elements' worth per call,
-which returns column arrays and a per-row status; they fill the chunk's
-NaN-initialised columns by row index.  So a 41 x 1001 g_c x delta_bar grid
-dedupes 41 rows and takes one pass for its 41 operating points, and a pass's
-memory stays bounded where every row is an operating point of its own.  The
+`response.Coefficients`, from which each row takes its own (a column of one
+element is every row's).  A steady pass costs about 0.8 ms besides its points,
+so a pass holds 4,100: 3 passes, not 13 of 820, take a 10,001-point pump sweep
+for under 0.1 MB more peak RSS, and larger passes saved no measurable time.  After
+each pass its solved rows go to the evaluator, BLOCK_ELEMENTS kernel elements'
+worth per call, which returns column arrays and a per-row status; they fill the
+chunk's NaN-initialised columns by row index.  So a 41 x 1001 g_c x delta_bar
+grid dedupes 41 rows and takes one pass for its 41 operating points, and a
+pass's memory stays bounded where every row is an operating point of its own.  The
 splitting evaluator takes a pass's solved rows at once and scans each in a kernel
 call of its own, sharing the grid and the kernel terms free of g_c and n among
 rows equal in the other coefficients (`response.window_scan`).
@@ -56,9 +59,9 @@ NO_ERROR = "-"
 # kernel elements per kernel call: bounds a call's memory, holds one splitting scan (a call
 # of its own per row; other evaluators get as many rows as it holds), a multiple of 5 delay points
 BLOCK_ELEMENTS = 4100
-# operating points per steady pass: bounds a pass's memory and a splitting evaluate call's
-# rows, and holds one block of delay rows, whose operating points all differ
-PASS_POINTS = BLOCK_ELEMENTS // (1 + len(response.FD_OFFSETS))
+# operating points per steady pass (sized in the module docstring): bounds a pass's memory, about 370 B a
+# point at its traced peak, and a splitting evaluate call's rows
+PASS_POINTS = 4100
 # rows per slice written, and the most blocks of a constant reused column: bounds the text alive while rendering
 RENDER_ROWS = 2048
 
@@ -136,7 +139,8 @@ def _splitting_block(delta, c, convention):
     at a time, sharing the grid and the g_c-free kernel terms among rows whose other coefficients agree."""
     count, lo, hi, height_lo, height_hi = np.full((5, len(delta)), np.nan)
     status = np.empty(len(delta), np.int8)
-    scans = response.window_scan(c, convention, SPLITTING_WINDOW_FRACTION * c.omega1, SPLITTING_POINTS)
+    half_width = np.broadcast_to(SPLITTING_WINDOW_FRACTION * c.omega1, delta.shape)
+    scans = response.window_scan(c, convention, half_width, SPLITTING_POINTS)
     for i, _, scan_status, delta_bar, heights in scans:
         status[i], count[i] = scan_status[np.argmax(scan_status != OK)], len(heights)
         # the two highest peaks, in delta_bar order; of equal heights the later ranks higher, as in a stable sort
@@ -204,8 +208,9 @@ def _evaluate_chunk(task):
 
     ``points`` holds the run's axis values, one row per name in ``names``, in blocks of ``block``
     rows that share an operating point.  The distinct points of the blocks' first rows are solved
-    PASS_POINTS at a time; after each pass, the rows of its solved points go to the evaluator in
-    calls of `Scenario.rows_per_call` rows, or else of BLOCK_ELEMENTS kernel elements.  The probe
+    PASS_POINTS at a time (sized in the module docstring); after each pass, the rows of its solved
+    points go to the evaluator in calls of `Scenario.rows_per_call` rows, or else of BLOCK_ELEMENTS
+    kernel elements, a one-element column of the pass as it is, to broadcast.  The probe
     detuning is omega1 + delta_bar, the line centre when no delta_bar axis is swept.  A phase column
     is unwrapped last, a ``block`` at a time.
     """
@@ -232,7 +237,8 @@ def _evaluate_chunk(task):
         solved = rows[status[rows] == OK]
         for start in range(0, len(solved), per_block):
             batch = solved[start : start + per_block]
-            photon_number, branch_count, *kernel_inputs = (column[point[batch] - first] for column in table)
+            at = point[batch] - first
+            photon_number, branch_count, *kernel_inputs = (c if len(c) == 1 else c[at] for c in table)
             with np.errstate(all="ignore"):
                 data, status[batch] = scenario.evaluate(
                     delta[batch], response.Coefficients(*kernel_inputs), convention
@@ -240,7 +246,7 @@ def _evaluate_chunk(task):
             data["photon_number"], data["branch_count"] = photon_number, branch_count
             ok = status[batch] == OK
             for j, column in enumerate(scenario.columns, start=len(names)):
-                values[j, batch[ok]] = data[column][ok]
+                values[j, batch[ok]] = np.broadcast_to(data[column], ok.shape)[ok]
     if "phase" in scenario.columns:
         phase = values[len(names) + scenario.columns.index("phase")]
         for first in range(0, n, block):

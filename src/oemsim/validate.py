@@ -28,7 +28,7 @@ from .linsys import build_linear_system, solve_sidebands
 from .params import DIMENSIONLESS, CavityParams, CouplingParams, DriveParams, MechanicalMode, SystemParams
 from .response import CONVENTION_CORRECTED, group_delay, sideband_amplitude, transmission
 from .steady import SteadyStates, solve_steady_state, solve_steady_states
-from .sweep import PASS_POINTS
+from .sweep import BLOCK_ELEMENTS
 from .timedomain import LEAKAGE_LIMIT, Trajectory, TrajectoryConfig, demodulate, probe_response
 
 DEFAULT_SEED = 20260810
@@ -228,10 +228,11 @@ def check_group_delay_methods(rng: np.random.Generator) -> CheckResult:
 
 def _group_delay_disagreement(rng: np.random.Generator, draws: int) -> tuple[float, int]:
     """The largest relative analytic/finite-difference difference, and the cases used.  Each batch
-    draws the accepted cases still missing (at most PASS_POINTS) and rejects |t_p| <= 1e-6."""
-    worst, used = 0.0, 0
+    draws the accepted cases still missing (at most the 820 whose kernel points fill BLOCK_ELEMENTS) and
+    rejects |t_p| <= 1e-6; as it draws no more than are missing, the draws do not depend on the batch size."""
+    worst, used, most = 0.0, 0, BLOCK_ELEMENTS // (1 + len(response.FD_OFFSETS))
     while used < draws:
-        cases = [draw_oracle_case(rng) for _ in range(min(draws - used, PASS_POINTS))]
+        cases = [draw_oracle_case(rng) for _ in range(min(draws - used, most))]
         states, delta = _oracle_states(cases)
         fd, analytic, t_abs, status = response.group_delays(delta, states.coefficients, CONVENTION_CORRECTED)
         _raise_first(states.status | status, cases, _group_delay_case)

@@ -361,10 +361,14 @@ def reference_solve(params):
 
 
 def _batch_values(states, i):
+    """Point ``i`` of a batch; a one-element column holds the value of every point."""
+    def at(column):
+        return np.broadcast_to(column, states.status.shape)[i]
+
     names = ("q1s", "q2s", "photon_number", "delta_eff", "delta_c", "residual")
-    return {**{name: float(getattr(states, name)[i]).hex() for name in names},
-            "branch_count": int(states.branch_count[i]),
-            "coefficients": [float(c[i]).hex() for c in states.coefficients]}
+    return {**{name: float(at(getattr(states, name))).hex() for name in names},
+            "branch_count": int(at(states.branch_count)),
+            "coefficients": [float(at(c)).hex() for c in states.coefficients]}
 
 
 def _one_point_values(op, params):
@@ -443,3 +447,57 @@ def test_one_point_is_element_0_of_a_batch(locked):
         params = _point(base, *points[0], by_power=by_power)
         assert states.status[0] == OK
         assert _batch_values(states, 0) == _one_point_values(solve_steady_state(params), params)
+
+
+# one swept field per section: (section, field, the pump field it clears) and its values
+SWEPT_FIELDS = {
+    "P_l": (("drive", "pump_power", "pump_amplitude"), st.one_of(_log_uniform(-4, 1), st.just(1e300))),
+    "Omega_l": (("drive", "pump_amplitude", "pump_power"), st.one_of(_log_uniform(-3, 0.5), st.just(0.0))),
+    "kappa": (("cavity", "kappa", None), _log_uniform(-2, 0)),
+    "g_coulomb": (("coupling", "g_coulomb", None), st.floats(0.0, 1.5)),
+    "detuning": (("cavity", "detuning", None), st.floats(-3, 3)),
+}
+# the unswept numbers: ordinary ones, squares that overflow (kappa, the pump, the detuning), a kappa^2
+# that underflows, and a g_c that makes the stiffness K <= 0 at every point
+CONSTANTS = st.fixed_dictionaries({
+    "kappa": st.sampled_from([0.227, 0.1, 1e200, 1e-200]),
+    "g_cav": st.sampled_from([0.1, 1.0, 0.0]),
+    "g_coulomb": st.sampled_from([0.0, 0.2, 1.5]),
+    "pump": st.sampled_from([0.05, 0.25, 1e300]),
+    "detuning": st.sampled_from([1.0, 0.0, 1e200]),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), axis=st.sampled_from(sorted(SWEPT_FIELDS)), locked=st.booleans(), by_power=st.booleans(),
+       constants=CONSTANTS)
+@example(data=None, axis="P_l", locked=True, by_power=True,
+         constants=dict(kappa=1e200, g_cav=0.1, g_coulomb=0.0, pump=0.05, detuning=1.0))
+@example(data=None, axis="kappa", locked=False, by_power=False,
+         constants=dict(kappa=0.227, g_cav=0.1, g_coulomb=1.5, pump=0.05, detuning=1.0))
+def test_a_batch_with_one_element_constants_equals_each_point(data, axis, locked, by_power, constants):
+    # every unswept number goes in as one element and broadcasts; the status, every SteadyStates column and
+    # every Coefficients column of each point is that of solve_steady_state on the point, bit for bit
+    (section, field, cleared), values = SWEPT_FIELDS[axis]
+    values = [0.5, 1e-3, 0.2] if data is None else data.draw(st.lists(values, min_size=1, max_size=12))
+    pump = {"pump_power" if by_power else "pump_amplitude": constants["pump"]}
+    base = dimensionless_system(
+        kappa=constants["kappa"], g_cav=constants["g_cav"], g_coulomb=constants["g_coulomb"],
+        detuning_mode="locked" if locked else "explicit", detuning=constants["detuning"], **pump,
+    )
+    changes = {field: np.array(values), **({cleared: None} if cleared else {})}
+    states = solve_steady_states(base, {section: changes})
+    assert len(states.status) == len(values)
+    assert len(states.coefficients.omega1) == len(states.coefficients.masses) == 1
+    for i, value in enumerate(values):
+        fields = {**changes, field: value}
+        params = replace(base, **{section: replace(getattr(base, section), **fields)})
+        try:
+            op = solve_steady_state(params)
+        except (StaticInstabilityError, InvariantViolationError) as exc:
+            assert states.status[i] == STATUS_ERRORS.index(type(exc)), (value, exc)
+        else:
+            assert states.status[i] == OK, (value, _slug(STATUS_ERRORS[states.status[i]]))
+            assert _batch_values(states, i) == _one_point_values(op, params), value
+        if constants["g_coulomb"] == 1.5 and axis != "g_coulomb":
+            assert states.status[i] == STATUS_ERRORS.index(StaticInstabilityError)

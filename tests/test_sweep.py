@@ -492,7 +492,8 @@ class TestRunSweep:
             names = tasks[-1][3]
             columns = [changes[AXES[axis][1]][AXES[axis][2]].tolist() for axis in names if axis != "delta_bar"]
             points = list(zip(*columns)) if columns else [()] * len(states.status)
-            solved.extend(zip(points, states.photon_number.tolist()))
+            # one element where the photon number does not move with the swept values
+            solved.extend(zip(points, np.broadcast_to(states.photon_number, states.status.shape).tolist()))
             return states
 
         def recording_evaluate(task):
@@ -581,9 +582,53 @@ class TestRunSweep:
         spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-4, 1.0, rows, "log"),))
         result = run_sweep(slowfast_spectrum, spec)
         assert all(row[-1] == NO_ERROR for row in table_rows(result))
-        per_block = oemsim.sweep.BLOCK_ELEMENTS // (1 + len(oemsim.response.FD_OFFSETS))
-        assert len(eigvals_sizes) <= math.ceil(rows / per_block)
-        assert sum(eigvals_sizes) == rows
+        # one pass of all 2001 operating points, every one a cubic: one eigvals call
+        assert oemsim.sweep.PASS_POINTS >= rows
+        assert eigvals_sizes == [rows]
+
+    def test_delay_scan_memory_is_that_of_one_pass(self, monkeypatch):
+        # the delay-scan workload's 10,001 operating points in passes of PASS_POINTS = 4100: 3 passes and a
+        # traced peak of 2.78 MB, bound with 15 % headroom (1.86 MB in 820-point passes of full columns,
+        # 4.67 MB in one pass of all 10,001)
+        passes = []
+        solve = oemsim.sweep.solve_steady_states
+
+        def counting_solve(params, swept):
+            states = solve(params, swept)
+            passes.append(len(states.status))
+            return states
+
+        monkeypatch.setattr(oemsim.sweep, "solve_steady_states", counting_solve)
+        params = get_preset("dimensionless-slowfast")
+        spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-4, 1.0, 10001, "log"),))
+        run_sweep(params, spec)
+        assert passes == [4100, 4100, 1801]
+        tracemalloc.start()
+        try:
+            run_sweep(params, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_200_000
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_tables_do_not_depend_on_the_pass_or_block_size(self, monkeypatch, serial_pool, slowfast_spectrum,
+                                                            jobs):
+        # 7 operating points a pass and 35 kernel elements a call: passes and kernel calls end inside the
+        # delay rows, the phase grid's delta_bar blocks and the splitting rows, unstable ones among them
+        specs = (
+            SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-4, 1.0, 501, "log"),)),
+            SweepSpec("phase", (SweepAxis("g_coulomb", 0.0, 1.2, 9), SweepAxis("delta_bar", -0.1, 0.1, 41))),
+            SweepSpec("splitting-vs-gc", (SweepAxis("g_coulomb", 0.0, 1.2, 13),)),
+        )
+        expected = [render_text(run_sweep(slowfast_spectrum, spec), timestamp=False) for spec in specs]
+        assert all("StaticInstability" in text for text in expected[1:])
+        monkeypatch.setattr(oemsim.sweep, "PASS_POINTS", 7)
+        monkeypatch.setattr(oemsim.sweep, "BLOCK_ELEMENTS", 35)
+        ran = serial_pool()
+        for spec, text in zip(specs, expected):
+            assert render_text(run_sweep(slowfast_spectrum, spec, jobs=jobs), timestamp=False) == text
+        assert (len(ran) > 3) == (jobs > 1)
 
     def test_unstable_rows_share_a_block_with_solved_rows(self, eigvals_sizes, slowfast_spectrum):
         spec = SweepSpec(
