@@ -37,6 +37,8 @@ is one.  The cases:
   operating points come from the roots of the photon-number cubic;
 - delay tables whose pump is so weak that the cubic's leading coefficient
   underflows (a quadratic is left), or so strong that floats overflow;
+- locked delay tables at g_coulomb = 0 and 0.2 whose pump crosses the
+  bistability threshold, where ``branch_count`` goes from 1 to 3;
 - spectrum and phase grids whose delta_bar runs up to 1e200: the response
   denominator leaves the float range from about 1e77 on, and those rows fail;
 - ``steady-state`` output, a pump that overflows floats among it;
@@ -152,6 +154,8 @@ TABLES = {
         "delay-vs-power", ("P_l", _d(1e-130), _d(1e-90), 41, "log"))),
     "delay-power-overflow": ("delay", SLOWFAST + _sweep(
         "delay-vs-power", ("P_l", _d(1e-3), _d(1e300), 31, "log"))),
+    **{f"delay-power-threshold-gc{g}": ("delay", SLOWFAST + f"[coupling]\ng_coulomb = {_d(g)}\n" + _sweep(
+        "delay-vs-power", ("P_l", _d(1), _d(100), 101, "log"))) for g in (0, 0.2)},
     **{f"{scenario}-overflow": (scenario, SLOWFAST + _sweep(
         scenario, ("g_coulomb", _d(0), _d(0.2), 3), ("delta_bar", _d(1e-2), _d(1e200), 22, "log")))
        for scenario in ("spectrum", "phase")},
