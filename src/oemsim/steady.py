@@ -2,9 +2,13 @@
 
 The intracavity photon number n solves the cubic fixed point
 ``n (kappa^2 + (Delta_c - a n)^2) = Omega_l^2`` with the radiation-pressure
-pull coefficient ``a = hbar g_cav^2 / K``.  All real nonnegative roots are
-located; the returned root is the branch continuously connected to n = 0
-(unless the detuning is locked, which pins the root with Delta = omega1).
+pull coefficient ``a = hbar g_cav^2 / K``.  At explicit detuning the roots are
+eigenvalues of its companion matrix, and the branch continuously connected to
+n = 0 is returned.  Locked detuning pins Delta = omega1 and the root n_L =
+Omega_l^2 / c, c = kappa^2 + omega1^2, so the cubic is (n - n_L)(a^2 n^2 - a b n
++ c), b = 2 omega1 + a n_L.  It is bistable, q+- = (b +- sqrt(b^2 - 4c)) / 2a real,
+from a n_L >= 2 (sqrt(c) - omega1) on (Aspelmeyer, Kippenberg & Marquardt, RMP
+86, 1391 (2014)), and is solved in closed form but where it degenerates (a^2 n0^3 = 0).
 
 Float/array contract.  The solve (`_solve`) is written once.  On parameters of
 Python floats it solves one point (`solve_steady_state`), and every number it
@@ -63,7 +67,7 @@ class OperatingPoint:
     photon_number: float  # |cs|^2
     delta_eff: float  # rad/s, Delta = Delta_c - g_cav q1s
     delta_c: float  # rad/s, resolved cavity detuning
-    branch_count: int  # number of distinct real nonnegative photon roots
+    branch_count: int  # distinct real nonnegative roots; locked, 3 at a n_L >= 2 (sqrt(kappa^2 + omega1^2) - omega1)
     residual: float  # |n (kappa^2 + Delta^2) - Omega^2|
 
 
@@ -136,8 +140,8 @@ def _newton_polish(n, a, delta_c, kappa_sq, omega_sq, refusals, moving=True, cou
     return n
 
 
-def _eigenvalues(p, cubic, refusals):
-    """Eigenvalues of each cubic's companion matrix in three slots, NaN past its degree.
+def _eigenvalues(p, cubic, closed, refusals):
+    """Eigenvalues of each cubic's companion matrix in three slots, NaN past its degree and where ``closed``.
 
     The cubic is solved for n / n0, with n0 the linear-cavity estimate, so
     the companion matrix sees O(1) numbers.  The matrix is built as
@@ -161,7 +165,7 @@ def _eigenvalues(p, cubic, refusals):
         InvariantViolationError,
         lambda: f"photon-number companion matrix not finite for {list(p[lead:])!r}",
     )
-    solvable = where(finite, refusals.status == OK, False)
+    solvable = where(finite, where(closed, False, refusals.status == OK), False)
     if not refusals.batch:
         raw = [complex(math.nan, math.nan)] * 3
         if solvable and degree:
@@ -188,7 +192,15 @@ def _companion_eigenvalues(rows, degree: int):
 _SUBDIAGONAL = {d: np.eye(d)[:-1].tolist() for d in (1, 2, 3)}
 
 
-def _photon_number_roots(a, delta_c, kappa_sq, omega_sq, refusals):
+def _locked_roots(a, kappa_sq, n, omega1, c, sqrt):
+    """(n_L, q-, q+) of the locked cubic (module docstring), q+- NaN below the threshold; sqrt rounds correctly."""
+    r = sqrt(c)
+    t = a * n - 2.0 * kappa_sq / (r + omega1)  # b - 2 r, without the cancellation of b^2 - 4c
+    s = (2.0 * omega1 + a * n + sqrt(where(t >= 0.0, t, math.nan)) * sqrt(t + 4.0 * r)) / 2.0  # a q+
+    return n, c / s / a, s / a  # q- = c / (a^2 q+), which does not cancel
+
+
+def _photon_number_roots(a, delta_c, kappa_sq, omega_sq, refusals, locked=False):
     """The distinct real nonnegative roots in three slots, ascending, and the mask of the distinct ones.
 
     The eigenvalues are filtered (real, nonnegative), polished, sorted and
@@ -206,8 +218,10 @@ def _photon_number_roots(a, delta_c, kappa_sq, omega_sq, refusals):
     )
     values, keep = [n0] * 3, [cubic] * 3  # without a cubic, the one root set below
     if any_of(cubic):
-        values, keep = [], []
-        for r in _eigenvalues(p, cubic, refusals):
+        closed = locked and cubic & (p[0] != 0.0)  # locked = (n_L, omega1, c); a degenerate cubic keeps eigvals
+        values, keep, raw = [], [], _eigenvalues(p, cubic, closed, refusals)
+        closed = where(refusals.status == OK, closed, False)  # a failed point keeps no root
+        for r in raw:
             r_abs = hypot(r.real, r.imag)  # NaN past the degree
             kept = where(abs(r.imag) >= ROOT_IMAG_TOL * where(r_abs > 1.0, r_abs, 1.0), False, r_abs == r_abs)
             n = r.real * n0
@@ -221,6 +235,9 @@ def _photon_number_roots(a, delta_c, kappa_sq, omega_sq, refusals):
                 kept = where(n < 0.0, False, kept)
             values.append(n)
             keep.append(kept)
+        if any_of(closed):
+            for i, n in enumerate(_locked_roots(a, kappa_sq, *locked, np.sqrt if refusals.batch else math.sqrt)):
+                values[i], keep[i] = where(closed, n, values[i]), where(closed, n >= 0.0, keep[i])
     # the root of a linear cavity (a = 0), or none without a pump
     values[0] = where(cubic, values[0], where(pumped, n0, 0.0))
     keep[0] = where(cubic, keep[0], True)
@@ -273,11 +290,13 @@ def _solve(params: SystemParams, refusals: _Refusals) -> SteadyStates:
     kappa_sq = refusals.power(cavity.kappa, 2)
     locked = cavity.detuning_mode == DETUNING_LOCKED
     if locked:
-        locked_n = refusals.divide(omega_sq, kappa_sq + refusals.power(mech1.omega, 2))
+        c = kappa_sq + refusals.power(mech1.omega, 2)
+        locked_n = refusals.divide(omega_sq, c)
         delta_c = mech1.omega + a * locked_n
     else:
         delta_c = cavity.detuning
-    values, distinct = _photon_number_roots(a, delta_c, kappa_sq, omega_sq, refusals)
+    closed_form = locked and (locked_n, mech1.omega, c)
+    values, distinct = _photon_number_roots(a, delta_c, kappa_sq, omega_sq, refusals, closed_form)
     if locked:
         n, delta_eff = locked_n, mech1.omega
     else:

@@ -13,6 +13,7 @@ from oemsim.params import DriveParams
 from oemsim.response import coefficients
 from oemsim.steady import (
     OK,
+    ROOT_DEDUPE_TOL,
     STATUS_ERRORS,
     photon_number_roots,
     solve_steady_state,
@@ -199,13 +200,28 @@ def reference_roots(a, delta_c, kappa, omega_l):
         if n < 0.0:
             continue
         roots.append(float(n))
+    if not roots:
+        raise InvariantViolationError("no root")
+    return _dedupe(roots)
+
+
+def reference_locked_roots(a, n_l, kappa, omega1):
+    """n_L and the real roots of the locked cubic's quadratic factor, as the solver's closed form takes them."""
+    c = kappa**2 + omega1**2
+    t = a * n_l - 2.0 * kappa**2 / (math.sqrt(c) + omega1)
+    if t < 0.0:
+        return [n_l]
+    s = (2.0 * omega1 + a * n_l + math.sqrt(t) * math.sqrt(t + 4.0 * math.sqrt(c))) / 2.0
+    return _dedupe([n_l, c / s / a, s / a])
+
+
+def _dedupe(roots):
+    """``roots`` ascending, without those within 1e-8 of the last one kept (relative above 1)."""
     deduped = []
     for n in sorted(roots):
         if deduped and abs(n - deduped[-1]) <= 1e-8 * max(1.0, abs(n)):
             continue
         deduped.append(n)
-    if not deduped:
-        raise InvariantViolationError("no root")
     return deduped
 
 
@@ -338,6 +354,9 @@ def reference_solve(params):
             else:
                 delta_c = params.cavity.detuning
             roots = reference_roots(a, delta_c, kappa, omega_l)
+            if locked and a**2 * (omega_l**2 / (kappa**2 + delta_c**2)) ** 3 != 0.0:
+                # a full-degree cubic's roots in closed form; where a^2 n0^3 underflows, those of np.roots
+                roots = reference_locked_roots(a, n, kappa, m1.omega)
             if locked:
                 delta_eff = m1.omega
             else:
@@ -416,6 +435,10 @@ POINTS = st.one_of(
     (0.227, 0.1, 0.2, 5e-3, 1.0), (0.227, 0.1, 0.0, 1e300, 1.0), (0.227, 0.1, 0.0, 1.26e7, 1.0),
     (0.2, 0.1, 1.5, 0.1, 1.0), (0.227, 0.1, 0.0, 0.0, 1.0),
 ])
+# a^2 n0^3 underflows: the quadratic left has one root, where the closed form would count n_L and a near-double q+-
+@example(locked=True, by_power=True, points=[(1e-160, 1.0, 0.0, 1e-3, 1.0)])
+# n_L = q- = 1 and q+ = 2: np.roots gives the double root as a complex pair and counts 1, the closed form 2
+@example(locked=True, by_power=True, points=[(1.0, 1.0, 0.0, 1.0, 0.0)])
 def test_batch_matches_per_point_reference(locked, by_power, points):
     base = dimensionless_system(kappa=0.2, detuning_mode="locked" if locked else "explicit")
     states = _batch(base, points, by_power)
@@ -447,6 +470,57 @@ def test_one_point_is_element_0_of_a_batch(locked):
         params = _point(base, *points[0], by_power=by_power)
         assert states.status[0] == OK
         assert _batch_values(states, 0) == _one_point_values(solve_steady_state(params), params)
+
+
+def _near_threshold(kappa, g_cav, g_coulomb, shift):
+    """(kappa, g_cav, g_coulomb, pump) with the pump 1 + shift times that of the threshold
+    a n_L = 2 (sqrt(kappa^2 + 1) - 1), where a = g_cav^2 / (1 - g_coulomb^2) and n_L = pump^2 / (kappa^2 + 1)."""
+    a = g_cav**2 / (1.0 - g_coulomb**2)
+    return kappa, g_cav, g_coulomb, math.sqrt((kappa**2 + 1.0) * 2.0 * (math.hypot(kappa, 1.0) - 1.0) / a) * (1 + shift)
+
+
+# (kappa, g_cav, g_coulomb, pump amplitude) at locked detuning: below and above the bistability threshold,
+# and close to it, where q- and q+ meet
+LOCKED_POINTS = st.one_of(
+    st.tuples(_log_uniform(-2, 0.5), _log_uniform(-2, 0.5), st.floats(0.0, 0.9), _log_uniform(-3, 1.5)),
+    st.tuples(_log_uniform(-2, 0.5), _log_uniform(-2, 0.5), st.floats(0.0, 0.9),
+              st.one_of(_log_uniform(-12, -2), _log_uniform(-12, -2).map(lambda x: -x)))
+    .map(lambda point: _near_threshold(*point)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(LOCKED_POINTS, min_size=1, max_size=12))
+@example(points=[(0.227, 0.1, 0.0, 3.0), (0.227, 0.1, 0.2, 3.0), (0.227, 0.1, 0.0, 1.0)])  # 3, 3 and 1 roots
+def test_locked_branch_count_is_that_of_the_cubic(points):
+    # the closed form against the eigenvalues of the cubic, wherever no two of its roots n_L, q- and q+ (complex
+    # or not) lie within 10 ROOT_DEDUPE_TOL of the larger one, of 1 and of n0, so that neither the dedupe nor
+    # the real-root filter, which runs on n / n0, decides the count
+    base = dimensionless_system(kappa=0.2)
+    states = _batch(base, [(*point, 1.0) for point in points], by_power=False)
+    batch_counts = np.broadcast_to(states.branch_count, states.status.shape).tolist()
+    for point, batch_count in zip(points, batch_counts):
+        kappa, g_cav, _, pump = point
+        params = _point(base, *point, 1.0, by_power=False)
+        op = solve_steady_state(params)
+        a = params.hbar * g_cav**2 / params.stiffness()
+        # the cubic is (n - n_L) times this quadratic, with omega1 = 1
+        roots = [op.photon_number, *np.roots([a * a, -a * (2.0 + a * op.photon_number), kappa**2 + 1.0])]
+        n0 = pump**2 / (kappa**2 + op.delta_c**2)
+        if all(abs(x - y) > 10 * ROOT_DEDUPE_TOL * max(abs(x), abs(y), 1.0, n0)
+               for i, x in enumerate(roots) for y in roots[:i]):
+            assert op.branch_count == batch_count == len(photon_number_roots(a, op.delta_c, kappa, pump)), point
+
+
+@pytest.mark.parametrize("scale, branches", [(1 - 1e-3, 1), (1.0, 2), (1 + 1e-3, 3)])
+def test_locked_threshold_counts_the_double_root_once(scale, branches):
+    # kappa = 0.75, omega1 = 1 and a = g_cav^2 / K = 0.25 / 0.5 make the threshold's numbers exact:
+    # sqrt(kappa^2 + omega1^2) = 1.25, and the pump 1.25 gives n_L = 1, on a n_L = 2 (1.25 - 1), where D = 0
+    # and q- = q+ = 2.5
+    params = dimensionless_system(kappa=0.75, g_cav=0.5, g_coulomb=1.0, mass2=2.0, pump_amplitude=1.25 * scale)
+    assert params.stiffness() == 0.5
+    states = _batch(params, [(0.75, 0.5, 1.0, 1.25 * scale, 1.0)], by_power=False)
+    assert solve_steady_state(params).branch_count == states.branch_count[0] == branches
 
 
 # one swept field per section: (section, field, the pump field it clears) and its values

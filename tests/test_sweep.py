@@ -176,6 +176,13 @@ def eigvals_sizes(monkeypatch):
 
 
 @pytest.fixture
+def slowfast_explicit(slowfast_spectrum):
+    """`slowfast_spectrum` at explicit detuning, where the operating points come from the cubic's eigenvalues."""
+    cavity = dataclasses.replace(slowfast_spectrum.cavity, detuning_mode="explicit", detuning=0.9)
+    return dataclasses.replace(slowfast_spectrum, cavity=cavity)
+
+
+@pytest.fixture
 def serial_pool(monkeypatch):
     """A function that makes run_sweep's process pool run its tasks in this process, in order,
     and returns the list of (function, task) that the pool then runs."""
@@ -577,14 +584,21 @@ class TestRunSweep:
         assert sizes[1::2] == [4 * n for n in sizes[::2]]
         assert sum(sizes) == 5 * rows and max(sizes) <= cap
 
-    def test_delay_sweep_solves_each_block_in_one_eigvals_call(self, eigvals_sizes, slowfast_spectrum):
+    def test_delay_sweep_solves_each_block_in_one_eigvals_call(self, eigvals_sizes, slowfast_explicit):
         rows = 2001
         spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-4, 1.0, rows, "log"),))
-        result = run_sweep(slowfast_spectrum, spec)
+        result = run_sweep(slowfast_explicit, spec)
         assert all(row[-1] == NO_ERROR for row in table_rows(result))
         # one pass of all 2001 operating points, every one a cubic: one eigvals call
         assert oemsim.sweep.PASS_POINTS >= rows
         assert eigvals_sizes == [rows]
+
+    def test_locked_delay_scan_makes_no_eigvals_call(self, eigvals_sizes):
+        # the delay-scan workload's 10,001 pumps at locked detuning: every branch count in closed form
+        spec = SweepSpec("delay-vs-power", (SweepAxis("P_l", 1e-4, 1.0, 10001, "log"),))
+        result = run_sweep(get_preset("dimensionless-slowfast"), spec)
+        assert (result.status == OK).all()
+        assert eigvals_sizes == []
 
     def test_delay_scan_memory_is_that_of_one_pass(self, monkeypatch):
         # the delay-scan workload's 10,001 operating points in passes of PASS_POINTS = 4100: 3 passes and a
@@ -630,11 +644,11 @@ class TestRunSweep:
             assert render_text(run_sweep(slowfast_spectrum, spec, jobs=jobs), timestamp=False) == text
         assert (len(ran) > 3) == (jobs > 1)
 
-    def test_unstable_rows_share_a_block_with_solved_rows(self, eigvals_sizes, slowfast_spectrum):
+    def test_unstable_rows_share_a_block_with_solved_rows(self, eigvals_sizes, slowfast_explicit):
         spec = SweepSpec(
             "phase", (SweepAxis("g_coulomb", 0.8, 1.2, 5), SweepAxis("delta_bar", -0.05, 0.05, 51))
         )
-        result = run_sweep(slowfast_spectrum, spec)
+        result = run_sweep(slowfast_explicit, spec)
         # the one block's stable operating points went to one eigvals call
         solved = sum(row[-1] == NO_ERROR for row in table_rows(result)[::51])
         assert eigvals_sizes == [solved] and 0 < solved < 5
@@ -642,18 +656,18 @@ class TestRunSweep:
         for start in range(0, 255, 51):
             block = table_rows(result)[start : start + 51]
             try:
-                op = solve_steady_state(apply_override(slowfast_spectrum, "g_coulomb", block[0][0]))
+                op = solve_steady_state(apply_override(slowfast_explicit, "g_coulomb", block[0][0]))
             except StaticInstabilityError:
                 assert {row[-1] for row in block} == {"StaticInstability"}
             else:
                 assert {(row[i_n], row[-1]) for row in block} == {(op.photon_number, NO_ERROR)}
 
-    def test_phase_grid_solves_its_operating_points_in_one_eigvals_call(self, eigvals_sizes, slowfast_spectrum):
+    def test_phase_grid_solves_its_operating_points_in_one_eigvals_call(self, eigvals_sizes, slowfast_explicit):
         # 10,005 rows, longer than a kernel block, and 5 operating points: one pass solves them all once
         spec = SweepSpec(
             "phase", (SweepAxis("g_coulomb", 0.05, 0.2, 5), SweepAxis("delta_bar", -0.2, 0.2, 2001))
         )
-        result = run_sweep(slowfast_spectrum, spec)
+        result = run_sweep(slowfast_explicit, spec)
         assert (result.status == OK).all()
         assert eigvals_sizes == [5]
 
