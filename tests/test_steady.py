@@ -476,7 +476,8 @@ def _near_threshold(kappa, g_cav, g_coulomb, shift):
     """(kappa, g_cav, g_coulomb, pump) with the pump 1 + shift times that of the threshold
     a n_L = 2 (sqrt(kappa^2 + 1) - 1), where a = g_cav^2 / (1 - g_coulomb^2) and n_L = pump^2 / (kappa^2 + 1)."""
     a = g_cav**2 / (1.0 - g_coulomb**2)
-    return kappa, g_cav, g_coulomb, math.sqrt((kappa**2 + 1.0) * 2.0 * (math.hypot(kappa, 1.0) - 1.0) / a) * (1 + shift)
+    threshold = math.sqrt((kappa**2 + 1.0) * 2.0 * (math.hypot(kappa, 1.0) - 1.0) / a)
+    return kappa, g_cav, g_coulomb, threshold * (1.0 + shift)
 
 
 # (kappa, g_cav, g_coulomb, pump amplitude) at locked detuning: below and above the bistability threshold,
