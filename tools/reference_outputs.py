@@ -41,6 +41,10 @@ is one.  The cases:
   bistability threshold, where ``branch_count`` goes from 1 to 3;
 - spectrum and phase grids whose delta_bar runs up to 1e200: the response
   denominator leaves the float range from about 1e77 on, and those rows fail;
+- a splitting table at kappa = 1e76, whose rows solve although the response
+  denominator reaches 1e148 to 3e154, so its square leaves the range where
+  `response` decides from squares (past 1e154 it overflows), and whose
+  |t_p|^2 is 1 within a few ULP, so rounding alone makes its maxima;
 - ``steady-state`` output, a pump that overflows floats among it;
 - the exit code and message of malformed configs, non-finite numbers,
   axes that leave their parameter's domain and an SI cavity with neither a
@@ -156,6 +160,8 @@ TABLES = {
         "delay-vs-power", ("P_l", _d(1e-3), _d(1e300), 31, "log"))),
     **{f"delay-power-threshold-gc{g}": ("delay", SLOWFAST + f"[coupling]\ng_coulomb = {_d(g)}\n" + _sweep(
         "delay-vs-power", ("P_l", _d(1), _d(100), 101, "log"))) for g in (0, 0.2)},
+    "splitting-extreme-kappa": ("sweep", SLOWFAST + "[cavity]\nkappa = 1e76 dimensionless\n" + _sweep(
+        "splitting-vs-gc", ("g_coulomb", _d(0), _d(0.2), 3))),
     **{f"{scenario}-overflow": (scenario, SLOWFAST + _sweep(
         scenario, ("g_coulomb", _d(0), _d(0.2), 3), ("delta_bar", _d(1e-2), _d(1e200), 22, "log")))
        for scenario in ("spectrum", "phase")},
