@@ -3,9 +3,10 @@
 All internal rates are angular (rad/s); SI quantities are kg, m, W.  In
 dimensionless mode the first resonator frequency is the unit of rate;
 masses, hbar and (with no wavelength set) the pump frequency are one, and
-the same formulas apply verbatim.  The classes only validate; `SystemParams`
-derives the drive amplitudes and the stiffness.  Responses are per unit probe,
-so the probe is checked for being perturbative only in `timedomain.integrate`.
+the same formulas apply verbatim.  The classes validate, and make numpy
+scalars Python floats; `SystemParams` derives the drive amplitudes and the
+stiffness.  Responses are per unit probe, so the probe is checked for being
+perturbative only in `timedomain.integrate`.
 
 The pump amplitude and the stiffness are written for Python floats (one
 operating point) and for array fields of an element per point or one for all
@@ -31,11 +32,13 @@ DETUNING_EXPLICIT = "explicit"
 DETUNING_LOCKED = "locked"
 
 
-def _check_finite(params, *names: str) -> None:
-    """ValueError naming the first of the fields ``names`` that is set and not finite; a field's own
-    rules come first, so NaN and values past a bound keep their messages."""
+def _finite_floats(params, *names: str) -> None:
+    """Numpy scalars among the fields ``names`` made Python floats (`response` rounds by type), ValueError
+    naming the first that is set and not finite; a field's own rules come first, so they keep their messages."""
     for name in names:
         value = getattr(params, name)
+        if isinstance(value, np.generic):
+            object.__setattr__(params, name, value := float(value))
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{type(params).__name__}.{name} must be finite, got {value}")
 
@@ -55,7 +58,7 @@ class MechanicalMode:
             raise ValueError(f"mechanical frequency must be positive, got {self.omega}")
         if not self.gamma >= 0:
             raise ValueError(f"mechanical damping must be nonnegative, got {self.gamma}")
-        _check_finite(self, "mass", "omega", "gamma")
+        _finite_floats(self, "mass", "omega", "gamma")
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ class CavityParams:
             raise ValueError(f"cavity length must be positive, got {self.length}")
         if self.pump_wavelength is not None and not self.pump_wavelength > 0:
             raise ValueError(f"pump wavelength must be positive, got {self.pump_wavelength}")
-        _check_finite(self, "kappa", "detuning", "length", "pump_wavelength")
+        _finite_floats(self, "kappa", "detuning", "length", "pump_wavelength")
 
     @property
     def omega_l(self) -> float:
@@ -110,7 +113,7 @@ class CouplingParams:
             raise ValueError(f"g_cav must be nonnegative, got {self.g_cav}")
         if not self.g_coulomb >= 0:
             raise ValueError(f"g_coulomb must be nonnegative, got {self.g_coulomb}")
-        _check_finite(self, "g_cav", "g_coulomb")
+        _finite_floats(self, "g_cav", "g_coulomb")
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ class DriveParams:
             value = getattr(self, name)
             if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
-        _check_finite(self, "pump_power", "pump_amplitude", "probe_power", "probe_amplitude")
+        _finite_floats(self, "pump_power", "pump_amplitude", "probe_power", "probe_amplitude")
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,23 @@ def test_operating_point_carries_python_numbers(params, branches):
     assert type(op.cs) is complex
 
 
+@pytest.mark.parametrize("detuning_mode", ["locked", "explicit"])
+def test_numpy_scalar_parameters_give_the_operating_point_of_python_floats(detuning_mode):
+    # the parameter classes make numpy scalars Python floats, so the solve, and the response that
+    # rounds by operand type, see the numbers of a config
+    values = dict(kappa=0.227, gamma1=2e-3, gamma2=3e-3, g_cav=0.1, g_coulomb=0.1, pump_amplitude=1.0,
+                  omega2=1.05, mass2=2.0, detuning=0.9)
+    plain = dimensionless_system(**values, detuning_mode=detuning_mode)
+    params = dimensionless_system(**{k: np.float64(v) for k, v in values.items()}, detuning_mode=detuning_mode)
+    assert type(params.cavity.kappa) is float and type(params.drive.pump_amplitude) is float
+    op, expected = solve_steady_state(params), solve_steady_state(plain)
+    for name in ("photon_number", "delta_eff", "delta_c", "q1s", "q2s", "residual"):
+        assert type(getattr(op, name)) is float and getattr(op, name).hex() == getattr(expected, name).hex(), name
+    assert type(op.cs) is complex and (op.cs.real.hex(), op.cs.imag.hex()) == (
+        expected.cs.real.hex(), expected.cs.imag.hex())
+    assert type(op.branch_count) is int and op.branch_count == expected.branch_count
+
+
 def test_linear_cavity_on_resonance():
     params = dimensionless_system(kappa=0.25, g_cav=0.0, pump_amplitude=0.4,
                                   detuning_mode="explicit", detuning=0.0)
