@@ -33,6 +33,14 @@ one CPython 3.11 complex operation:
 - abs is ``hypot`` (`arith.hypot`); the phase is ``math.atan2`` per element,
   while the finite-difference slope uses numpy's ``arctan2``, as ``np.angle``
   does.
+Decisions from squares.  The SINGULAR test and which window-scan points are
+strict maxima of |t_p|^2 compare |z| only, so on arrays they compare q =
+re*re + im*im (`_squares`), and libm runs on the elements q leaves open.  For
+q in SQUARE_RANGE = [1e-200, 1e200] nothing over- or underflows that matters:
+q is within about 2 ULP of |z|^2, power(hypot(z), 2) within about 3 and the
+squared singular bound 1e-60 q a normal float, so values whose squares differ
+by more than SQUARE_MARGIN = 1e-12, relative, compare alike by libm.  Other
+elements, non-finite ones included, take libm; no decision or value changes.
 The closed form's rounding follows its operand types: with a numpy-scalar
 Delta or n every complex division would be numpy's, times the reciprocal.
 `steady` therefore hands out Python floats on every branch, and the one
@@ -76,6 +84,8 @@ FD_OFFSETS = (1.0, -1.0, 0.5, -0.5)  # finite-difference points delta0 + s h, in
 MIN_ABS_T = 1e-12
 SPLITTING_WINDOW_FRACTION = 0.2  # half-width of the window scan, in units of omega1
 SPLITTING_POINTS = 4001
+SQUARE_RANGE = (1e-200, 1e200)  # re*re + im*im where it decides in place of libm (module docstring)
+SQUARE_MARGIN = 1e-12  # the relative gap past which squares compare as libm's values do
 
 # per-element status: OK, or the code of an error, its index in errors.STATUS_ERRORS
 POLE, SINGULAR, UNDEFINED_PHASE, OUT_OF_RANGE = map(
@@ -171,6 +181,12 @@ def abs_squared(z):
     return power(_abs(z), 2)
 
 
+def _squares(re, im):
+    """(q = re*re + im*im, q in SQUARE_RANGE) of arrays: the module docstring's decisions from squares."""
+    q = re * re + im * im
+    return q, (q >= SQUARE_RANGE[0]) & (q <= SQUARE_RANGE[1])
+
+
 def phase(z):
     """Principal arg of a complex pair, math.atan2 per element."""
     if isinstance(z[0], np.ndarray):
@@ -192,13 +208,32 @@ def kernel_terms(delta, c: Coefficients):
         return chi1, chi2, _mul(_re(c.masses), chi2), a_fac, z, d_fac, (chi2[0] == 0) & (chi2[1] == 0)
 
 
+def _singular(numerator, denominator):
+    """(|denominator| < 1e-30 |numerator| or denominator = 0, |denominator| < inf), by libm ``hypot``."""
+    den_abs, zero = _abs(denominator), (denominator[0] == 0) & (denominator[1] == 0)
+    return zero | (den_abs < SINGULAR_DENOMINATOR_RATIO * _abs(numerator)), den_abs < math.inf
+
+
+def _screened_singular(numerator, denominator):
+    """`_singular` of arrays, from the squares where they decide it; by libm on the other elements."""
+    (q_num, in_num), (q_den, in_den) = _squares(*numerator), _squares(*denominator)
+    bound = SINGULAR_DENOMINATOR_RATIO**2 * q_num
+    singular, exact = q_den < bound, ~(in_num & in_den & (abs(q_den - bound) > SQUARE_MARGIN * bound))
+    below_inf = np.ones(singular.shape, bool)  # q_den <= 1e200 where the squares decide
+    if exact.any():
+        pick = [tuple(np.broadcast_to(part, exact.shape)[exact] for part in z) for z in (numerator, denominator)]
+        singular[exact], below_inf[exact] = _singular(*pick)
+    return singular, below_inf
+
+
 def amplitude_kernel(delta, c: Coefficients, derivative: bool = False, terms=None):
     """X(delta), dX/d delta (None unless ``derivative``) and a per-element status.
 
     X and dX are (re, im) pairs.  The status is OK, POLE (chi2 = 0), SINGULAR
     (|denominator| < 1e-30 |numerator|) or else OUT_OF_RANGE (X, or dX when
     asked for, not finite, or the denominator of either past the float range);
-    the values of other elements are meaningless.  ``terms``, `kernel_terms`
+    the values of other elements are meaningless.  On arrays squares decide SINGULAR and the denominator's
+    range where they can (`_screened_singular`).  ``terms``, `kernel_terms`
     (delta, c) computed here when not given, let a caller build them once for
     several (hbar g_c)^2 and beta; an element rounds alike on either route.
     """
@@ -208,13 +243,11 @@ def amplitude_kernel(delta, c: Coefficients, derivative: bool = False, terms=Non
         b_fac = _sub(chi1, alpha)
         numerator = _sub(_mul(a_fac, b_fac), _mul(_mul(_2I, _re(c.omega1)), _re(c.beta)))
         denominator = _add(_mul(d_fac, b_fac), _re(4.0 * c.detuning * c.omega1 * c.beta))
-        den_abs = _abs(denominator)
-        singular = (denominator[0] == 0) & (denominator[1] == 0) | (
-            den_abs < SINGULAR_DENOMINATOR_RATIO * _abs(numerator)
-        )
+        screen = _screened_singular if isinstance(denominator[0], np.ndarray) else _singular
+        singular, below_inf = screen(numerator, denominator)
         x, dx = _quot(numerator, denominator), None
         # a denominator past the float range rounds a representable X ~ i/delta to 0
-        finite = isfinite(x[0]) & isfinite(x[1]) & (den_abs < math.inf)
+        finite = isfinite(x[0]) & isfinite(x[1]) & below_inf
         if derivative:
             chi1_p = _add(_re(2.0 * delta), _mul(_I, _re(c.gamma1)))
             chi2_p = _add(_re(2.0 * delta), _mul(_I, _re(c.gamma2)))
@@ -424,13 +457,26 @@ def group_delay(
     return _fd_delay(t, h)
 
 
+def _strict_maxima(t):
+    """(indices, `abs_squared` values) of the interior strict maxima of |t|^2 along 1-D arrays: a point is
+    a candidate unless its squares show a neighbour higher by more than SQUARE_MARGIN; libm decides on those."""
+    (q, in_range), mid = _squares(*t), slice(1, -1)
+    low = q * (1.0 - SQUARE_MARGIN)
+    candidate = (q[mid] >= low[:-2]) & (q[mid] >= low[2:]) | ~(in_range[:-2] & in_range[mid] & in_range[2:])
+    at = np.flatnonzero(candidate) + 1
+    values = abs_squared(tuple(part[at + np.arange(-1, 2)[:, None]] for part in t))  # rows: at - 1, at, at + 1
+    peak = (values[1] > values[0]) & (values[1] > values[2])
+    return at[peak], values[1][peak]
+
+
 def window_scan(c: Coefficients, convention: str, half_width, points: int):
     """Per operating point of ``half_width``, an array, and of the coefficients ``c``, which broadcast with it,
     yield its index, the grid of ``points`` detunings over omega1 +- half_width, the per-element status,
     and delta_bar and |t_p|^2 of the interior strict maxima of |t_p|^2, ascending.  The grid and
     `kernel_terms` are built once per group of points equal in half-width and in the coefficients but
     (hbar g_c)^2 and beta, as int64 so bit for bit (-0.0 and 0.0 differ); a locked-detuning g_c sweep is
-    one group.  Each point then runs the rest of the kernel in a call of its own ``points`` elements."""
+    one group.  Each point then runs the rest of the kernel in a call of its own ``points`` elements; its
+    maxima and heights are `abs_squared`'s, run where squares leave a point open (`_strict_maxima`)."""
     c = Coefficients(*np.broadcast_arrays(half_width, *c)[1:])  # a one-element column for every point
     free = (v for f, v in zip(c._fields, c) if f not in ("coulomb", "beta"))
     distinct, group = distinct_rows(np.stack([half_width, *free], axis=1).view(np.int64))
@@ -442,9 +488,8 @@ def window_scan(c: Coefficients, convention: str, half_width, points: int):
         for i in rows:
             row = Coefficients(*(column[i] for column in c))
             x, _, status = amplitude_kernel(grid, row, terms=terms)
-            values = abs_squared(t_p_pair(x, row.kappa, convention))
-            peaks = np.flatnonzero((values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])) + 1
-            yield i, grid, status, grid[peaks] - row.omega1, values[peaks]
+            peaks, heights = _strict_maxima(t_p_pair(x, row.kappa, convention))
+            yield i, grid, status, grid[peaks] - row.omega1, heights
 
 
 def transmission_maxima(
@@ -458,7 +503,8 @@ def transmission_maxima(
 
     Returns (delta_bar, transmission) pairs in ascending delta_bar order;
     endpoints are never counted.  The default half-width is
-    SPLITTING_WINDOW_FRACTION * omega1.
+    SPLITTING_WINDOW_FRACTION * omega1.  They are those of `abs_squared`
+    on every point, run only where squares cannot rule one out.
     """
     _check_convention(convention)
     c = coefficients(params, op)
@@ -469,6 +515,7 @@ def transmission_maxima(
     if not isinstance(points, int) or points < 3:  # a bool is below 3 too
         raise ValueError(f"points = {points!r} must be an int of at least 3")
     scan = window_scan(Coefficients(*np.array(c)[:, None]), convention, np.array([half_width]), points)
-    [(_, grid, status, delta_bar, heights)] = scan
+    with np.errstate(all="ignore"):  # as the sweep runs it
+        [(_, grid, status, delta_bar, heights)] = scan
     _raise_for(status, grid.tolist())
     return list(zip(delta_bar.tolist(), heights.tolist()))

@@ -30,7 +30,9 @@ grid dedupes 41 rows and takes one pass for its 41 operating points, and a
 pass's memory stays bounded where every row is an operating point of its own.  The
 splitting evaluator takes a pass's solved rows at once and scans each in a kernel
 call of its own, sharing the grid and the kernel terms free of g_c and n among
-rows equal in the other coefficients (`response.window_scan`).
+rows equal in the other coefficients (`response.window_scan`); squares rule out
+all but a few points of a row as maxima, and libm's |t_p|^2 of those and their
+neighbours gives the heights (the spectrum and delay columns stay on libm).
 Physics failures (instability, float overflow, singular response) mark rows
 with a status code of `errors` and leave their data NaN, and the run
 continues: a steady-state failure marks every row of its operating point, a

@@ -665,3 +665,173 @@ def test_adaptive_step_array_and_scalar_paths_agree_bit_for_bit():
         op = solve_steady_state(params)
         assert _bits(group_delay(1.0, params, op, "finite-difference")) == _bits(tau_fd[k])
         assert _bits(group_delay(1.0, params, op, "analytic")) == _bits(tau_analytic[k])
+
+
+# Decisions from squares (the module docstring): the screens against the libm decisions they replace.
+def exact_singular(numerator, denominator):
+    """(SINGULAR test, |denominator| < inf) as the kernel took them on every element, by libm hypot."""
+    den_abs = np.hypot(*denominator)
+    singular = (denominator[0] == 0) & (denominator[1] == 0) | (den_abs < 1e-30 * np.hypot(*numerator))
+    return singular, den_abs < math.inf
+
+
+def _libm_square(h):
+    try:
+        return h**2
+    except OverflowError:
+        return math.nan
+
+
+def exact_maxima(t):
+    """(indices, heights) of the interior strict maxima of |t|^2, libm hypot and pow on every point."""
+    values = np.array([_libm_square(h) for h in np.hypot(*t).tolist()])
+    peaks = np.flatnonzero((values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])) + 1
+    return peaks, values[peaks]
+
+
+def _assert_singular_as_libm(numerator, denominator):
+    with np.errstate(all="ignore"):  # as in amplitude_kernel
+        singular, below_inf = oemsim.response._screened_singular(numerator, denominator)
+        expected = [np.broadcast_to(v, singular.shape) for v in exact_singular(numerator, denominator)]
+    assert singular.tolist() == expected[0].tolist() and below_inf.tolist() == expected[1].tolist()
+
+
+def _assert_maxima_as_libm(t):
+    t = tuple(np.array(part, dtype=float) for part in t)
+    with np.errstate(all="ignore"):
+        peaks, heights = oemsim.response._strict_maxima(t)
+        expected_peaks, expected_heights = exact_maxima(t)
+    assert peaks.tolist() == expected_peaks.tolist()
+    assert heights.tobytes() == expected_heights.tobytes()
+
+
+_EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-200,
+          1.1e-200, 1e-154, 1.5e-154, 1e-100, 1e100, 1e154, 1.4e154, 1e200, -1e308, 1.7976931348623157e308]
+_SCALES = [1.0, 1e-250, 1e-200, 1e-154, 1e-100, 1e-30, 1e100, 1e154, 1e200, 1e250, 1e300]
+
+
+def _part():
+    return st.one_of(st.sampled_from(_EDGES), st.floats(), _signed(_unit(1e-3, 1e3)))
+
+
+def _nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def near_singular_pairs(draw):
+    """(numerator, denominator) with |denominator| within a few ULP of 1e-30 |numerator|, at a drawn scale."""
+    scale = draw(st.sampled_from(_SCALES))
+    nr, ni = draw(_signed(_unit(0.1, 10.0))) * scale, draw(_signed(_unit(0.1, 10.0))) * scale
+    theta, ulps = draw(_unit(0.0, 2.0 * math.pi)), draw(st.integers(-4, 4))
+    d = 1e-30 * math.hypot(nr, ni)
+    return (nr, ni), (_nudged(d * math.cos(theta), ulps), d * math.sin(theta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(near_singular_pairs(), st.tuples(st.tuples(_part(), _part()), st.tuples(_part(), _part()))),
+                min_size=1, max_size=40))
+def test_singular_screen_decides_as_libm(pairs):
+    numerator, denominator = (tuple(np.array(part) for part in zip(*z)) for z in zip(*pairs))
+    _assert_singular_as_libm(numerator, denominator)
+
+
+# |denominator| within a ULP or two of 1e-30 |numerator|, where the squares, without the margin, decide
+# otherwise than hypot: singular for hypot in the first, not in the second
+_RATIO_EDGE = [((0.0012301533574825742, -0.33044966187381764), (-1.7286401411973518e-31, -2.8163189615562962e-31)),
+               ((-0.9304680447082047, 0.046735488184225245), (-1.8443674876463924e-32, 9.314584365048066e-31))]
+
+
+def _singular_cases():
+    """Pairs at the ratio edge, at every scale, and every pair of edge parts."""
+    cases = [((nr * s, ni * s), (dr * s, di * s)) for (nr, ni), (dr, di) in _RATIO_EDGE for s in _SCALES]
+    edges = [(a, b) for a in _EDGES for b in (0.0, 1.0, math.nan, 1e154)]
+    cases += [(num, den) for num, den in itertools.product(edges, repeat=2)]
+    return tuple(np.array(part) for part in zip(*(num for num, _ in cases))), \
+        tuple(np.array(part) for part in zip(*(den for _, den in cases)))
+
+
+def test_singular_screen_at_the_ratio_edge_and_the_float_range_edges():
+    numerator, denominator = _singular_cases()
+    n = len(numerator[0]) - len(numerator[0]) % 4
+    assert exact_singular(numerator, denominator)[0][:2 * len(_SCALES)].any()
+    _assert_singular_as_libm(numerator, denominator)
+    # a (4, n) stack, as group_delays' finite-difference points are
+    _assert_singular_as_libm(*(tuple(part[:n].reshape(4, -1) for part in z) for z in (numerator, denominator)))
+    # one-element columns and a float part, which broadcast against the other operand
+    for k in (0, 1, 5, len(_SCALES), n - 1):
+        column = tuple(part[k : k + 1] for part in denominator)
+        _assert_singular_as_libm(numerator, column)
+        _assert_singular_as_libm(column, numerator)
+        _assert_singular_as_libm((numerator[0], 0.0), column)
+
+
+def test_kernel_status_on_a_stack_and_one_element_columns_is_the_one_point_status():
+    # undamped mirror 1 without a pump: the denominator vanishes at delta = 1; at 1e40 its square
+    # overflows, at 1e80 the denominator itself
+    params = dimensionless_system(kappa=0.2, gamma1=0.0, pump_amplitude=0.0, detuning_mode="explicit", detuning=1.0)
+    c = coefficients(params, solve_steady_state(params))
+    delta = np.array([[1.0, 0.9, 1e40, 1e80], [1.1, 1.0, 1e-170, 1e154], [-1.0, 2.0, 1e100, 1.0], [0.0, -0.0, 1.0, 3.0]])
+    columns = Coefficients(*(np.array([v]) for v in c))
+    _, _, status = amplitude_kernel(delta, columns)
+    assert status.shape == delta.shape and {SingularResponseError, InvariantViolationError} <= {
+        STATUS_ERRORS[s] for s in status.ravel()}
+    for k, d in enumerate(delta.ravel().tolist()):
+        try:
+            expected = amplitude_kernel(d, c)[2]
+        except OverflowError:  # where an array element gives NaN
+            expected = STATUS_ERRORS.index(InvariantViolationError)
+        assert status.ravel()[k] == expected, d
+
+
+def _on_circle(scale, theta):
+    return scale * math.cos(theta), scale * math.sin(theta)
+
+
+@st.composite
+def scan_rows(draw):
+    """t of a window row: points on a circle (|t|^2 a plateau up to rounding), 1-ULP neighbours, edge parts."""
+    scale = draw(st.sampled_from([1.0, 1e-161, 3e-155, 1e-100, 1e100, 1.2e154, 1e200]))
+    point = st.one_of(
+        _unit(0.0, 2.0 * math.pi).map(lambda theta: _on_circle(scale, theta)),
+        st.integers(-3, 3).map(lambda ulps: (_nudged(scale, ulps), 0.0)),
+        st.tuples(st.sampled_from(_EDGES), _part()),
+    )
+    return tuple(zip(*draw(st.lists(point, min_size=3, max_size=40))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_rows())
+def test_maxima_screen_finds_the_libm_maxima(t):
+    _assert_maxima_as_libm(t)
+
+
+# |t|^2 by libm rises from A to B, and by squares falls: on the unit circle, and below 1e-160, where
+# the squares round to subnormal floats
+_CIRCLE = ((-0.5986812100874627, 0.8009873960857382), (0.4530971511879907, 0.8914611441814652))
+_SUBNORMAL = ((2.521181102056869e-161, -4.81743413386848e-161), (2.5251563633791918e-161, -4.815955524324394e-161))
+
+
+@pytest.mark.parametrize("row", [
+    [_CIRCLE[0], _CIRCLE[1], _CIRCLE[0]],  # a peak that the squares read as a dip
+    [_SUBNORMAL[0], _SUBNORMAL[1], _SUBNORMAL[0], (1e-170, 0.0)],
+    [(1.0, 0.0), (math.inf, math.nan), (1.0, 0.0)],  # hypot(inf, nan) is inf, its square the peak
+    [(1.0, 0.0), (math.nan, 0.0), (2.0, 0.0), (math.nan, math.nan), (0.5, 0.0)],
+    [(1.0, 0.0)] * 5 + [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0)],  # a plateau, and points on the circle
+    [(1.0, 0.0), (math.nextafter(1.0, 2.0), 0.0), (math.nextafter(1.0, 2.0), 0.0), (1.0, 0.0)],
+    [(0.0, 0.0), (-0.0, 5e-324), (0.0, -0.0), (1e155, 0.0), (1e155, 1e155), (1e154, 0.0)],
+])
+def test_maxima_screen_on_crafted_rows(row):
+    _assert_maxima_as_libm(tuple(zip(*row)))
+
+
+def test_a_point_at_the_margin_below_a_neighbour_is_still_a_candidate(monkeypatch):
+    # b^2 is (1 - SQUARE_MARGIN) a^2 to the bit: a neighbour higher by the margin, not more
+    a, b = 1.0001000500250126, 1.0001000500245125
+    assert b * b == (a * a) * (1.0 - oemsim.response.SQUARE_MARGIN)
+    shapes, exact = [], oemsim.response.abs_squared
+    monkeypatch.setattr(oemsim.response, "abs_squared", lambda z: shapes.append(z[0].shape) or exact(z))
+    _assert_maxima_as_libm(((a, b, 0.5), (0.0, 0.0, 0.0)))
+    assert shapes == [(3, 1)]

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oemsim.arith
 import oemsim.response
 import oemsim.steady
 import oemsim.sweep
@@ -599,6 +600,29 @@ class TestRunSweep:
         result = run_sweep(get_preset("dimensionless-slowfast"), spec)
         assert (result.status == OK).all()
         assert eigvals_sizes == []
+
+    def test_locked_splitting_sweep_takes_libm_on_few_elements(self, monkeypatch):
+        # the splitting-gc workload's 60 rows: squares decide the singular test and the window maxima, so
+        # libm hypot and pow see a few dozen elements a row, where hypot saw 3 x 4,001 a row
+        counts = {"hypot": 0, "pow": 0}
+        hypot, libm_powers = oemsim.arith.hypot, oemsim.arith._libm_powers
+
+        def counting_hypot(re, im):
+            counts["hypot"] += np.broadcast(re, im).size
+            return hypot(re, im)
+
+        def counting_powers(values, exponent):
+            counts["pow"] += len(values)
+            return libm_powers(values, exponent)
+
+        for module in (oemsim.arith, oemsim.response, oemsim.steady):  # each holds hypot by name
+            monkeypatch.setattr(module, "hypot", counting_hypot)
+        monkeypatch.setattr(oemsim.arith, "_libm_powers", counting_powers)
+        rows = 60
+        spec = SweepSpec("splitting-vs-gc", (SweepAxis("g_coulomb", 0.01, 0.2, rows),))
+        result = run_sweep(get_preset("dimensionless-slowfast"), spec)
+        assert (result.status == OK).all()
+        assert 0 < counts["hypot"] <= 30 * rows and 0 < counts["pow"] <= 30 * rows
 
     def test_delay_scan_memory_is_that_of_one_pass(self, monkeypatch):
         # the delay-scan workload's 10,001 operating points in passes of PASS_POINTS = 4100: 3 passes and a
