@@ -36,10 +36,11 @@ one CPython 3.11 complex operation:
 Decisions from squares.  The SINGULAR test and which window-scan points are
 strict maxima of |t_p|^2 compare |z| only, so on arrays they compare q =
 re*re + im*im (`_squares`), and libm runs on the elements q leaves open.  For
-q in SQUARE_RANGE = [1e-200, 1e200] nothing over- or underflows that matters:
-q is within about 2 ULP of |z|^2, power(hypot(z), 2) within about 3 and the
-squared singular bound 1e-60 q a normal float, so values whose squares differ
-by more than SQUARE_MARGIN = 1e-12, relative, compare alike by libm.  Other
+q in SQUARE_RANGE = [1e-200, 1e200] no square overflows and the larger is a
+normal float (a smaller one that underflows is below 1e-120 of q), so q is
+within about 2 ULP of |z|^2, power(hypot(z), 2) within about 3, and 1e-60 q,
+the squared singular bound, a normal float.  So values whose squares differ by
+more than SQUARE_MARGIN = 1e-12, relative, compare alike by libm.  Other
 elements, non-finite ones included, take libm; no decision or value changes.
 The closed form's rounding follows its operand types: with a numpy-scalar
 Delta or n every complex division would be numpy's, times the reciprocal.
@@ -460,9 +461,9 @@ def group_delay(
 def _strict_maxima(t):
     """(indices, `abs_squared` values) of the interior strict maxima of |t|^2 along 1-D arrays: a point is
     a candidate unless its squares show a neighbour higher by more than SQUARE_MARGIN; libm decides on those."""
-    (q, in_range), mid = _squares(*t), slice(1, -1)
+    q, in_range = _squares(*t)
     low = q * (1.0 - SQUARE_MARGIN)
-    candidate = (q[mid] >= low[:-2]) & (q[mid] >= low[2:]) | ~(in_range[:-2] & in_range[mid] & in_range[2:])
+    candidate = (q[1:-1] >= low[:-2]) & (q[1:-1] >= low[2:]) | ~(in_range[:-2] & in_range[1:-1] & in_range[2:])
     at = np.flatnonzero(candidate) + 1
     values = abs_squared(tuple(part[at + np.arange(-1, 2)[:, None]] for part in t))  # rows: at - 1, at, at + 1
     peak = (values[1] > values[0]) & (values[1] > values[2])
@@ -503,8 +504,8 @@ def transmission_maxima(
 
     Returns (delta_bar, transmission) pairs in ascending delta_bar order;
     endpoints are never counted.  The default half-width is
-    SPLITTING_WINDOW_FRACTION * omega1.  They are those of `abs_squared`
-    on every point, run only where squares cannot rule one out.
+    SPLITTING_WINDOW_FRACTION * omega1.  The pairs are those `abs_squared`
+    gives over the grid, run where squares cannot rule a point out.
     """
     _check_convention(convention)
     c = coefficients(params, op)

@@ -730,9 +730,11 @@ def near_singular_pairs(draw):
     return (nr, ni), (_nudged(d * math.cos(theta), ulps), d * math.sin(theta))
 
 
+_EDGE_PAIRS = st.tuples(st.tuples(_part(), _part()), st.tuples(_part(), _part()))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(near_singular_pairs(), st.tuples(st.tuples(_part(), _part()), st.tuples(_part(), _part()))),
-                min_size=1, max_size=40))
+@given(st.lists(st.one_of(near_singular_pairs(), _EDGE_PAIRS), min_size=1, max_size=40))
 def test_singular_screen_decides_as_libm(pairs):
     numerator, denominator = (tuple(np.array(part) for part in zip(*z)) for z in zip(*pairs))
     _assert_singular_as_libm(numerator, denominator)
@@ -745,12 +747,11 @@ _RATIO_EDGE = [((0.0012301533574825742, -0.33044966187381764), (-1.7286401411973
 
 
 def _singular_cases():
-    """Pairs at the ratio edge, at every scale, and every pair of edge parts."""
+    """(numerator, denominator) arrays: pairs at the ratio edge, at every scale, and every pair of edge parts."""
     cases = [((nr * s, ni * s), (dr * s, di * s)) for (nr, ni), (dr, di) in _RATIO_EDGE for s in _SCALES]
     edges = [(a, b) for a in _EDGES for b in (0.0, 1.0, math.nan, 1e154)]
-    cases += [(num, den) for num, den in itertools.product(edges, repeat=2)]
-    return tuple(np.array(part) for part in zip(*(num for num, _ in cases))), \
-        tuple(np.array(part) for part in zip(*(den for _, den in cases)))
+    cases += list(itertools.product(edges, repeat=2))
+    return [tuple(np.array(part) for part in zip(*z)) for z in zip(*cases)]
 
 
 def test_singular_screen_at_the_ratio_edge_and_the_float_range_edges():
@@ -773,7 +774,8 @@ def test_kernel_status_on_a_stack_and_one_element_columns_is_the_one_point_statu
     # overflows, at 1e80 the denominator itself
     params = dimensionless_system(kappa=0.2, gamma1=0.0, pump_amplitude=0.0, detuning_mode="explicit", detuning=1.0)
     c = coefficients(params, solve_steady_state(params))
-    delta = np.array([[1.0, 0.9, 1e40, 1e80], [1.1, 1.0, 1e-170, 1e154], [-1.0, 2.0, 1e100, 1.0], [0.0, -0.0, 1.0, 3.0]])
+    delta = np.array([[1.0, 0.9, 1e40, 1e80], [1.1, 1.0, 1e-170, 1e154], [-1.0, 2.0, 1e100, 1.0],
+                      [0.0, -0.0, 1.0, 3.0]])
     columns = Coefficients(*(np.array([v]) for v in c))
     _, _, status = amplitude_kernel(delta, columns)
     assert status.shape == delta.shape and {SingularResponseError, InvariantViolationError} <= {
