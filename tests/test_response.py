@@ -788,16 +788,12 @@ def test_kernel_status_on_a_stack_and_one_element_columns_is_the_one_point_statu
         assert status.ravel()[k] == expected, d
 
 
-def _on_circle(scale, theta):
-    return scale * math.cos(theta), scale * math.sin(theta)
-
-
 @st.composite
 def scan_rows(draw):
     """t of a window row: points on a circle (|t|^2 a plateau up to rounding), 1-ULP neighbours, edge parts."""
     scale = draw(st.sampled_from([1.0, 1e-161, 3e-155, 1e-100, 1e100, 1.2e154, 1e200]))
     point = st.one_of(
-        _unit(0.0, 2.0 * math.pi).map(lambda theta: _on_circle(scale, theta)),
+        _unit(0.0, 2.0 * math.pi).map(lambda theta: (scale * math.cos(theta), scale * math.sin(theta))),
         st.integers(-3, 3).map(lambda ulps: (_nudged(scale, ulps), 0.0)),
         st.tuples(st.sampled_from(_EDGES), _part()),
     )
